@@ -181,7 +181,10 @@ def _cmd_angles(args) -> int:
     if cert.graph_role != "dual":
         raise GraphError("angles need an inscribability (dual-role) certificate")
     pair = dual(g)
-    angles = dihedral_angles(cert, pair)
+    try:
+        angles = dihedral_angles(cert, pair)
+    except ValueError as exc:
+        raise GraphError(str(exc)) from exc
     if args.format == "json":
         print(json.dumps(
             {str(e): _frac(angles[e]) for e in range(len(angles))}, indent=2

@@ -6,11 +6,11 @@ summing to 1, and every non-facial circuit summing to strictly more than
 1.  Inscribable type is the same question asked of the planar dual.
 
 The strict system is decided through its closed margin relaxation: we
-maximize a shared slack t and answer yes exactly when the optimum is
-positive.  Circuit rows are generated lazily: each round adds the
-minimum-weight non-facial circuit whenever it violates the margin-coupled
-row, and the loop stops when none does, at which point the relaxation
-optimum is the optimum of the full (exponential) system.
+maximize a shared slack t over the circuit rows generated so far.  That
+optimum bounds the full (exponential) system's from above, so one of at
+most 0 answers no.  Otherwise every weight is at least t > 0, and the
+shortest-path oracle either finds a violated circuit row to add or shows
+that the optimum is the full one, and the answer is yes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     InternalError,
     IterationLimitError,
     NotThreeConnectedError,
-    VertexCapError,
 )
 from .graph import DualPair, PolyhedralGraph, dual, trace_faces, validate_steinitz
 from .lp import MarginSolution, add_circuit_constraint, maximize_margin, new_system
@@ -32,7 +31,6 @@ from .separation import (
     Circuit,
     WeightVector,
     all_nonfacial_circuits,
-    brute_force_min_nonfacial,
     check_conditions,
     min_nonfacial_circuit,
 )
@@ -44,9 +42,9 @@ class Certificate:
 
     For a yes answer, ``weights`` is a witness on the tested graph's
     edges and ``margin`` is its positive slack.  For a no answer,
-    ``margin`` records the final LP optimum (at most 0), or None if the
-    face equalities were contradictory outright; rebuilding the system
-    with ``cuts`` reproduces that LP.  ``graph_role`` says which graph
+    ``margin`` is the optimum of the LP rebuilt from ``cuts`` (None if
+    it is infeasible): at most 0, an upper bound on the full system's
+    optimum that need not equal it.  ``graph_role`` says which graph
     carried the conditions: the input itself ('primal') or its planar
     dual ('dual'); in the dual case ``edge_bijection`` maps each input
     edge id to the tested dual edge id.
@@ -91,34 +89,16 @@ def _require_polyhedral(g: PolyhedralGraph) -> None:
         raise NotThreeConnectedError("graph is not 3-connected", graph=g)
 
 
-def _separate(g: PolyhedralGraph, weights: WeightVector, faces):
-    """Minimum-weight non-facial circuit for the current LP point.
-
-    The shortest-path oracle needs nonnegative weights; relaxation optima
-    satisfy w >= t, so negative entries can only occur once the margin
-    has gone negative.  In that regime the answer is already 'no' and we
-    fall back to exhaustive enumeration to finish the cut loop exactly.
-    """
-    if all(x >= 0 for x in weights):
-        return min_nonfacial_circuit(g, weights, faces)
-    try:
-        return brute_force_min_nonfacial(g, weights, vertex_cap=32)
-    except VertexCapError as exc:
-        raise InternalError(
-            "negative intermediate weights on a graph too large to enumerate"
-        ) from exc
-
-
 def decide_circumscribable(
     g: PolyhedralGraph, *, max_iterations: int | None = None
 ) -> Certificate:
     """Decide circumscribable type of g by cut generation.
 
-    Repeatedly maximizes the margin and asks the separation oracle for
-    the cheapest non-facial circuit; a circuit whose weight falls short
-    of 1 + t contributes a new row.  Each round adds a distinct circuit,
-    so the loop terminates; the cap (default 10 E) signals a bug, not an
-    input property.
+    Maximizes the margin and, while it is positive, asks the separation
+    oracle for the cheapest non-facial circuit; one that weighs less than
+    1 + t becomes a new row.  Each round adds a distinct circuit, so the
+    loop terminates; the cap (default 10 E) signals a bug, not an input
+    property.
     """
     _require_polyhedral(g)
     faces = trace_faces(g)
@@ -127,27 +107,26 @@ def decide_circumscribable(
     cuts: list[tuple[int, ...]] = []
     for iteration in range(1, cap + 1):
         solution = maximize_margin(system)
-        if solution.status == "infeasible":
+        if solution.status == "infeasible" or solution.margin <= 0:
             return Certificate(
                 answer="no",
                 graph_role="primal",
-                margin=None,
+                margin=solution.margin,
                 weights=None,
                 cuts=tuple(cuts),
                 iterations=iteration,
-                lp_status="infeasible",
+                lp_status=solution.status,
             )
-        circuit, weight = _separate(g, solution.weights, faces)
+        circuit, weight = min_nonfacial_circuit(g, solution.weights, faces)
         if weight - solution.margin < 1:
             system = add_circuit_constraint(system, circuit)
             cuts.append(circuit.edge_ids)
             continue
-        answer = "yes" if solution.margin > 0 else "no"
         return Certificate(
-            answer=answer,
+            answer="yes",
             graph_role="primal",
             margin=solution.margin,
-            weights=solution.weights if answer == "yes" else None,
+            weights=solution.weights,
             cuts=tuple(cuts),
             iterations=iteration,
             lp_status="optimal",
@@ -161,7 +140,6 @@ def decide_inscribable(
     """Decide inscribable type of g: its planar dual must be of
     circumscribable type.  The certificate's weights are indexed by dual
     edge ids; the bijection from primal edge ids is included."""
-    _require_polyhedral(g)
     pair = dual(g)
     cert = decide_circumscribable(pair.dual, max_iterations=max_iterations)
     return replace(cert, graph_role="dual", edge_bijection=pair.primal_to_dual)
@@ -267,13 +245,13 @@ def verify_certificate(
     state.  Returns (verdict, list of failure messages).
     """
     problems: list[str] = []
-    _require_polyhedral(g)
     if cert.graph_role == "dual":
         pair = dual(g)
         tested = pair.dual
         if cert.edge_bijection is not None and tuple(cert.edge_bijection) != pair.primal_to_dual:
             problems.append("recorded edge bijection does not match the dual")
     else:
+        _require_polyhedral(g)
         tested = g
     if cert.is_yes:
         if cert.weights is None or cert.margin is None:
@@ -302,9 +280,13 @@ def verify_certificate(
     else:
         system = new_system(tested)
         for key in cert.cuts:
-            system = add_circuit_constraint(
-                system, Circuit.from_edge_set(tested, key)
-            )
+            try:
+                system = add_circuit_constraint(
+                    system, Circuit.from_edge_set(tested, key)
+                )
+            except ValueError as exc:
+                problems.append(f"cut {list(key)} does not rebuild: {exc}")
+                return False, problems
         solution = maximize_margin(system)
         if cert.lp_status == "infeasible":
             if solution.status != "infeasible":
@@ -337,8 +319,13 @@ def _frac_str(x: Fraction) -> str:
 
 
 def _frac_parse(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise ValueError(f"rational {s!r} is not a 'p/q' string")
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    try:
+        return Fraction(int(num), int(den) if den else 1)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"rational {s!r} has a zero denominator") from exc
 
 
 def certificate_to_json(
@@ -373,6 +360,8 @@ def certificate_to_json(
 
 def certificate_from_json(text: str) -> Certificate:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("certificate is not a JSON object")
     weights = None
     if doc.get("weights") is not None:
         raw = doc["weights"]
@@ -388,7 +377,7 @@ def certificate_from_json(text: str) -> Certificate:
         graph_role=doc["graph_role"],
         margin=_frac_parse(doc["margin"]) if doc.get("margin") is not None else None,
         weights=weights,
-        cuts=tuple(tuple(c) for c in doc.get("cuts", [])),
+        cuts=tuple(tuple(int(e) for e in c) for c in doc.get("cuts", [])),
         iterations=int(doc["iterations"]),
         lp_status=doc.get("lp_status", "optimal"),
         edge_bijection=bijection,

@@ -21,8 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from .errors import InternalError, VertexCapError
 from .graph import Face, PolyhedralGraph, edge_faces, trace_faces
 
@@ -89,6 +87,8 @@ class Circuit:
         ids = set(edge_ids)
         if len(ids) < 3:
             raise ValueError("a circuit needs at least 3 distinct edges")
+        if any(not 0 <= e < g.edge_count for e in ids):
+            raise ValueError("edge set names an unknown edge")
         at: dict[int, list[int]] = {}
         for e in ids:
             for v in g.edges[e]:
@@ -247,6 +247,8 @@ def all_nonfacial_circuits(g: PolyhedralGraph) -> tuple[Circuit, ...]:
     Exhaustive enumeration; exponential in general, cached per graph.
     Sorted by (length, canonical edge sequence).
     """
+    import networkx as nx
+
     G = nx.Graph()
     G.add_nodes_from(range(g.vertex_count))
     G.add_edges_from(g.edges)

@@ -5,7 +5,15 @@ import sys
 
 import pytest
 
-from inscribe import generate, format_graph, parse_graph
+from inscribe import (
+    WeightVector,
+    dual,
+    format_graph,
+    generate,
+    min_nonfacial_circuit,
+    parse_graph,
+    trace_faces,
+)
 from inscribe.cli import main
 
 
@@ -242,6 +250,75 @@ class TestAnglesAndVerify:
         cert.write_text(out)
         code, _, err = run_cli(capsys, ["angles", str(cert), kleetope_file])
         assert code == 2
+
+
+def _kleetope_dual():
+    return dual(generate("kleetope(tetrahedron)")).dual
+
+
+def _nonfacial_cut():
+    d = _kleetope_dual()
+    circuit, _ = min_nonfacial_circuit(d, WeightVector.uniform(d.edge_count, 1))
+    return list(circuit.edge_ids)
+
+
+class TestMalformedCertificates:
+    """Malformed certificates exit 2 or FAIL; none raises."""
+
+    @pytest.fixture
+    def no_cert(self, capsys, kleetope_file):
+        _, out, _ = run_cli(
+            capsys, ["decide", "--inscribable", kleetope_file, "--format", "json"]
+        )
+        return json.loads(out)
+
+    @pytest.mark.parametrize("margin,reason", [
+        ("1/0", "zero denominator"),
+        (5, "not a 'p/q' string"),
+    ])
+    def test_malformed_margin_exits_2(
+        self, capsys, kleetope_file, no_cert, tmp_path, margin, reason
+    ):
+        no_cert["margin"] = margin
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(no_cert))
+        code, _, err = run_cli(capsys, ["verify", str(cert), kleetope_file])
+        assert code == 2
+        assert reason in err
+
+    def test_top_level_array_exits_2(self, capsys, kleetope_file, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_text("[]")
+        code, _, err = run_cli(capsys, ["verify", str(cert), kleetope_file])
+        assert code == 2
+        assert "not a JSON object" in err
+
+    @pytest.mark.parametrize("cuts,reason", [
+        (lambda: [list(range(_kleetope_dual().edge_count))], "not a single simple cycle"),
+        (lambda: [[0, 1, 999]], "unknown edge"),
+        (lambda: [_nonfacial_cut()] * 2, "already present"),
+        (lambda: [sorted(trace_faces(_kleetope_dual())[0].edge_ids)], "bounds a face"),
+    ], ids=["not-a-cycle", "unknown-edge", "duplicate", "face-boundary"])
+    def test_cut_that_does_not_rebuild_fails(
+        self, capsys, kleetope_file, no_cert, tmp_path, cuts, reason
+    ):
+        no_cert["cuts"] = cuts()
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(no_cert))
+        code, out, _ = run_cli(capsys, ["verify", str(cert), kleetope_file])
+        assert code == 0
+        assert "FAIL" in out
+        assert "does not rebuild" in out and reason in out
+
+    def test_angles_for_another_graph_exits_2(self, capsys, cube_file, kleetope_file, tmp_path):
+        _, out, _ = run_cli(
+            capsys, ["decide", "--inscribable", cube_file, "--format", "json"]
+        )
+        cert = tmp_path / "cert.json"
+        cert.write_text(out)
+        code, _, err = run_cli(capsys, ["angles", str(cert), kleetope_file])
+        assert code == 2
+        assert "does not match" in err
 
 
 class TestUsage:

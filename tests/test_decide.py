@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import inscribe.decide as decide_module
 from inscribe import (
     Certificate,
     IterationLimitError,
@@ -14,6 +15,7 @@ from inscribe import (
     dual,
     fast_path_four_connected,
     generate,
+    min_nonfacial_circuit,
     solve_full_enumeration,
     verify_certificate,
 )
@@ -62,6 +64,47 @@ class TestDecideCircumscribable:
         assert len(cert.cuts) >= 1
         ok, problems = verify_certificate(cert, g)
         assert ok, problems
+
+
+class TestNoAtFirstNonPositiveMargin:
+    """A relaxation optimum of at most 0 bounds the full optimum, so the
+    loop answers no at once, and separation only sees positive weights."""
+
+    def test_kleetope_bipyramid3_stops_in_round_one(self):
+        g = generate("kleetope(bipyramid)", 3)
+        cert = decide_inscribable(g)
+        assert cert.answer == "no"
+        assert cert.margin == F(-1, 18)
+        assert cert.iterations == 1
+        assert cert.cuts == ()
+        ok, problems = verify_certificate(cert, g)
+        assert ok, problems
+
+    def test_kleetope_octahedron(self):
+        g = generate("kleetope(octahedron)")
+        cert = decide_inscribable(g)
+        assert cert.answer == "no"
+        assert cert.margin == F(-1, 12)
+        ok, problems = verify_certificate(cert, g)
+        assert ok, problems
+
+    @pytest.mark.parametrize("decide,family,n", [
+        (decide_inscribable, "kleetope(bipyramid)", 3),
+        (decide_inscribable, "kleetope(octahedron)", None),
+        (decide_circumscribable, "bipyramid", 3),
+    ])
+    def test_separation_sees_only_positive_weights(self, monkeypatch, decide, family, n):
+        calls = []
+
+        def checked(g, w, faces=None):
+            assert all(x > 0 for x in w)
+            calls.append(w)
+            return min_nonfacial_circuit(g, w, faces)
+
+        monkeypatch.setattr(decide_module, "min_nonfacial_circuit", checked)
+        cert = decide(generate(family, n))
+        # one oracle call per round, except in the last round of a no
+        assert len(calls) == cert.iterations - (not cert.is_yes)
 
 
 class TestDecideInscribable:
