@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from .errors import (
     EulerError,
-    InternalError,
     IterationLimitError,
     NotThreeConnectedError,
 )
@@ -163,7 +162,8 @@ def dihedral_angles(cert: Certificate, pair: DualPair) -> DihedralAngles:
     Requires a yes certificate produced on ``pair.dual`` for the
     inscribability of ``pair.primal``.  Each primal edge e gets the
     coefficient 1 - 2 w(e*) of pi, where w is the certificate weighting
-    of the dual edge e*; the unit face sums of w are re-asserted.
+    of the dual edge e*.  Raises ValueError if w misses a unit face sum
+    or gives a coefficient outside (0, 1).
     """
     if not cert.is_yes:
         raise ValueError("dihedral angles require a yes certificate")
@@ -175,12 +175,12 @@ def dihedral_angles(cert: Certificate, pair: DualPair) -> DihedralAngles:
     for face in trace_faces(pair.dual):
         total = sum((w[e] for e in face.edge_ids), Fraction(0))
         if total != 1:
-            raise InternalError(f"dual face {face.id} sums to {total}, not 1")
+            raise ValueError(f"dual face {face.id} sums to {total}, not 1")
     coeffs = []
     for e in range(pair.primal.edge_count):
         c = 1 - 2 * w[pair.primal_to_dual[e]]
         if not 0 < c < 1:
-            raise InternalError(f"angle coefficient {c} outside (0, 1)")
+            raise ValueError(f"angle coefficient {c} outside (0, 1)")
         coeffs.append(c)
     return DihedralAngles(tuple(coeffs))
 
@@ -328,6 +328,12 @@ def _frac_parse(s: str) -> Fraction:
         raise ValueError(f"rational {s!r} has a zero denominator") from exc
 
 
+def _one_of(value, allowed: tuple[str, ...], field: str) -> str:
+    if value not in allowed:
+        raise ValueError(f"{field} {value!r} is not one of {', '.join(allowed)}")
+    return value
+
+
 def certificate_to_json(
     cert: Certificate, angles: DihedralAngles | None = None
 ) -> str:
@@ -373,12 +379,14 @@ def certificate_from_json(text: str) -> Certificate:
         raw = doc["edge_bijection"]
         bijection = tuple(int(raw[str(e)]) for e in range(len(raw)))
     return Certificate(
-        answer=doc["answer"],
-        graph_role=doc["graph_role"],
+        answer=_one_of(doc["answer"], ("yes", "no"), "answer"),
+        graph_role=_one_of(doc["graph_role"], ("primal", "dual"), "graph_role"),
         margin=_frac_parse(doc["margin"]) if doc.get("margin") is not None else None,
         weights=weights,
         cuts=tuple(tuple(int(e) for e in c) for c in doc.get("cuts", [])),
         iterations=int(doc["iterations"]),
-        lp_status=doc.get("lp_status", "optimal"),
+        lp_status=_one_of(
+            doc.get("lp_status", "optimal"), ("optimal", "infeasible"), "lp_status"
+        ),
         edge_bijection=bijection,
     )

@@ -1,8 +1,10 @@
 """Exact rational linear programming for the margin feasibility system.
 
-The system's variables are one weight per edge plus a shared margin t;
+The margin system has one weight w_e per edge plus a shared margin t;
 maximizing t decides strict feasibility of the open weighting conditions:
 the open region is nonempty exactly when the closed system admits t > 0.
+It is stated over the nonnegative variables u_e = w_e - t and s = t + 1,
+so the bounds w_e >= t and t >= -1 hold by construction.
 
 The solver is a dense two-phase simplex over ``fractions.Fraction``: no
 floating point anywhere, so feasibility and optimality are exact.  The
@@ -26,28 +28,32 @@ Rational = Fraction
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-_HALF = Fraction(1, 2)
+_F2 = Fraction(2)
+
+#: Degenerate pivots in a row before the simplex switches to Bland's rule.
+_STALL_THRESHOLD = 64
+#: Pivots per phase after which the simplex is taken to be broken.
+_PIVOT_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
 class Row:
-    """One linear constraint over the weight variables and the margin.
+    """One linear constraint over the nonnegative variables (u, s).
 
-    ``coeffs`` has one entry per edge plus a final entry for the margin.
-    ``kind`` tags the row family: ``lower``/``upper`` bound rows carry the
-    edge id in ``ref``, ``face`` rows the face id, ``circuit`` rows the
-    canonical edge id tuple, and the single ``floor`` row (t >= -1) has
-    ``ref`` None.
+    ``terms`` lists the nonzero ``(index, coeff)`` pairs; index e < E is
+    u_e and index E is s.  ``kind`` tags the row family: ``upper`` rows
+    carry the edge id in ``ref``, ``face`` rows the face id and
+    ``circuit`` rows the canonical edge id tuple.
     """
 
-    coeffs: tuple[Fraction, ...]
+    terms: tuple[tuple[int, Fraction], ...]
     relation: str
     rhs: Fraction
     kind: str
     ref: object = None
 
     def evaluate(self, x: Sequence[Fraction]) -> Fraction:
-        return sum((c * v for c, v in zip(self.coeffs, x) if c), _F0)
+        return sum((c * x[j] for j, c in self.terms), _F0)
 
     def satisfied_by(self, x: Sequence[Fraction]) -> bool:
         lhs = self.evaluate(x)
@@ -60,11 +66,11 @@ class Row:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Immutable snapshot of the margin LP's rows.
+    """Immutable snapshot of the margin LP's rows over u >= 0, s >= 0.
 
-    Always contains, for every edge e: w_e - t >= 0 and w_e + t <= 1/2;
-    one equality per face fixing its boundary sum to 1; and t >= -1 so
-    the feasible region is compact.  Circuit rows are added on demand.
+    Always contains, for every edge e, u_e + 2s <= 5/2 (w_e + t <= 1/2),
+    and per face f, sum(u over f) + |f| s = |f| + 1 (unit face sum).
+    Circuit rows are added on demand.  Variable ``margin_index`` is s.
     """
 
     edge_count: int
@@ -82,28 +88,17 @@ class ConstraintSystem:
 
 
 def new_system(g: PolyhedralGraph) -> ConstraintSystem:
-    """Bound and face-equality rows for g; no circuit rows yet."""
-    n = g.edge_count + 1
-    t = g.edge_count
-    rows: list[Row] = []
-
-    def unit(*pairs: tuple[int, Fraction]) -> tuple[Fraction, ...]:
-        vec = [_F0] * n
-        for j, c in pairs:
-            vec[j] = c
-        return tuple(vec)
-
-    for e in range(g.edge_count):
-        rows.append(Row(unit((e, _F1), (t, -_F1)), ">=", _F0, "lower", e))
-    for e in range(g.edge_count):
-        rows.append(Row(unit((e, _F1), (t, _F1)), "<=", _HALF, "upper", e))
+    """Upper-bound and face-equality rows for g; no circuit rows yet."""
+    s_index = g.edge_count
+    rows = [
+        Row(((e, _F1), (s_index, _F2)), "<=", Fraction(5, 2), "upper", e)
+        for e in range(g.edge_count)
+    ]
     faces = trace_faces(g)
     for f in faces:
-        vec = [_F0] * n
-        for e in f.edge_ids:
-            vec[e] = _F1
-        rows.append(Row(tuple(vec), "=", _F1, "face", f.id))
-    rows.append(Row(unit((t, _F1)), ">=", Fraction(-1), "floor", None))
+        size = len(f.edge_ids)
+        terms = tuple((e, _F1) for e in sorted(f.edge_ids)) + ((s_index, Fraction(size)),)
+        rows.append(Row(terms, "=", Fraction(size + 1), "face", f.id))
     return ConstraintSystem(
         edge_count=g.edge_count,
         rows=tuple(rows),
@@ -113,7 +108,8 @@ def new_system(g: PolyhedralGraph) -> ConstraintSystem:
 
 
 def add_circuit_constraint(s: ConstraintSystem, circuit: Circuit) -> ConstraintSystem:
-    """New system with the row  sum(w over circuit) - t >= 1  appended."""
+    """New system with the row  sum(w over C) - t >= 1  appended, stated
+    as  sum(u over C) + (|C| - 1) s >= |C|."""
     key = circuit.edge_ids
     if key in s.circuit_keys:
         raise DuplicateCircuitError(f"circuit {key} already present")
@@ -121,11 +117,8 @@ def add_circuit_constraint(s: ConstraintSystem, circuit: Circuit) -> ConstraintS
         raise ValueError(f"circuit {key} bounds a face")
     if any(not 0 <= e < s.edge_count for e in key):
         raise ValueError("circuit references an unknown edge")
-    vec = [_F0] * s.variable_count
-    for e in key:
-        vec[e] = _F1
-    vec[s.margin_index] = -_F1
-    row = Row(tuple(vec), ">=", _F1, "circuit", key)
+    terms = tuple((e, _F1) for e in key) + ((s.margin_index, Fraction(len(key) - 1)),)
+    row = Row(terms, ">=", Fraction(len(key)), "circuit", key)
     return ConstraintSystem(
         edge_count=s.edge_count,
         rows=s.rows + (row,),
@@ -146,24 +139,24 @@ class MarginSolution:
 def maximize_margin(s: ConstraintSystem) -> MarginSolution:
     """Exact maximum of t over the closed system.
 
-    The optimum exists whenever the system is feasible: the invariant
-    rows keep the region compact.  The returned point satisfies every
-    row exactly; this is re-verified before returning.
+    The optimum exists whenever the system is feasible: the upper rows
+    and u, s >= 0 keep the region compact.  The returned point is
+    re-verified to be nonnegative and to satisfy every row exactly, then
+    mapped back to t = s - 1 and w_e = u_e + t.
     """
-    objective = [_F0] * s.variable_count
-    objective[s.margin_index] = _F1
-    status, x = _solve_lp(s.variable_count, s.rows, objective)
+    status, x = _solve_lp(s.variable_count, s.rows, s.margin_index)
     if status == "infeasible":
         return MarginSolution("infeasible", None, None)
     if status != "optimal":
         raise InternalError(f"margin LP cannot be {status}: bounds are built in")
+    if any(v < 0 for v in x):
+        raise InternalError("solver returned a negative variable")
     for row in s.rows:
         if not row.satisfied_by(x):
             raise InternalError(f"solver returned a point violating a {row.kind} row")
+    t = x[s.margin_index] - 1
     return MarginSolution(
-        "optimal",
-        x[s.margin_index],
-        WeightVector(tuple(x[: s.edge_count])),
+        "optimal", t, WeightVector(tuple(u + t for u in x[: s.edge_count]))
     )
 
 
@@ -217,7 +210,7 @@ class _Tableau:
             self.value += f * self.rhs[r]
         self.basis[r] = c
 
-    def maximize(self, stall_threshold=64, pivot_cap=1_000_000):
+    def maximize(self):
         bland = False
         stall = 0
         pivots = 0
@@ -257,45 +250,37 @@ class _Tableau:
             pivots += 1
             if degenerate:
                 stall += 1
-                if stall > stall_threshold:
+                if stall > _STALL_THRESHOLD:
                     bland = True
             else:
                 stall = 0
-            if pivots > pivot_cap:
+            if pivots > _PIVOT_CAP:
                 raise InternalError("simplex exceeded its pivot cap")
 
 
-def _solve_lp(n_vars, rows, objective):
-    """Maximize objective over free variables subject to the rows.
+def _solve_lp(n_vars, rows, target):
+    """Maximize x[target] over x >= 0 subject to the rows.
 
-    Free variables are split into nonnegative pairs; inequality rows get
-    slacks; phase 1 drives artificial variables out.  Returns
-    (status, x) with status 'optimal', 'infeasible' or 'unbounded'.
+    Inequality rows get slacks; phase 1 drives artificial variables out.
+    Returns (status, x) with status 'optimal', 'infeasible' or 'unbounded'.
     """
-    nsplit = 2 * n_vars
     ineq_count = sum(1 for r in rows if r.relation != "=")
-    ncols = nsplit + ineq_count
+    ncols = n_vars + ineq_count
     matrix: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     slack_col: list[int | None] = []
-    next_slack = nsplit
+    next_slack = n_vars
     for row in rows:
-        coeffs = row.coeffs
-        b = row.rhs
-        rel = row.relation
-        if rel == ">=":
-            coeffs = tuple(-c for c in coeffs)
-            b = -b
-            rel = "<="
-        elif rel not in ("<=", "="):
+        if row.relation not in ("<=", ">=", "="):
             raise ValueError(f"unknown relation {row.relation!r}")
+        # a >= row is negated into a <= row; every inequality gets a slack
+        sign = -_F1 if row.relation == ">=" else _F1
+        b = sign * row.rhs
         vec = [_F0] * ncols
-        for j, c in enumerate(coeffs):
-            if c:
-                vec[2 * j] = c
-                vec[2 * j + 1] = -c
+        for j, c in row.terms:
+            vec[j] = sign * c
         sc = None
-        if rel == "<=":
+        if row.relation != "=":
             sc = next_slack
             vec[sc] = _F1
             next_slack += 1
@@ -346,18 +331,15 @@ def _solve_lp(n_vars, rows, objective):
         tab = _Tableau(matrix, rhs, basis, ncols)
 
     cost = [_F0] * tab.ncols
-    for j in range(n_vars):
-        cost[2 * j] = objective[j]
-        cost[2 * j + 1] = -objective[j]
+    cost[target] = _F1
     tab.set_objective(cost)
     status = tab.maximize()
     if status == "unbounded":
         return "unbounded", None
     if any(v > 0 for v in tab.reduced):
         raise InternalError("simplex stopped with a positive reduced cost")
-    split = [_F0] * nsplit
+    x = [_F0] * n_vars
     for i, bc in enumerate(tab.basis):
-        if bc < nsplit:
-            split[bc] = tab.rhs[i]
-    x = [split[2 * j] - split[2 * j + 1] for j in range(n_vars)]
+        if bc < n_vars:
+            x[bc] = tab.rhs[i]
     return "optimal", x

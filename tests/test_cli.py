@@ -286,6 +286,22 @@ class TestMalformedCertificates:
         assert code == 2
         assert reason in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("answer", "maybe"),
+        ("graph_role", "sideways"),
+        ("lp_status", "skipped"),
+    ])
+    def test_unknown_choice_exits_2(
+        self, capsys, kleetope_file, no_cert, tmp_path, field, value
+    ):
+        no_cert[field] = value
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(no_cert))
+        code, out, err = run_cli(capsys, ["verify", str(cert), kleetope_file])
+        assert code == 2
+        assert "PASS" not in out
+        assert f"{field} {value!r} is not one of" in err
+
     def test_top_level_array_exits_2(self, capsys, kleetope_file, tmp_path):
         cert = tmp_path / "cert.json"
         cert.write_text("[]")
@@ -319,6 +335,16 @@ class TestMalformedCertificates:
         code, _, err = run_cli(capsys, ["angles", str(cert), kleetope_file])
         assert code == 2
         assert "does not match" in err
+
+    def test_angles_with_a_broken_face_sum_exits_2(self, capsys, cube_file, tmp_path):
+        _, out, _ = run_cli(
+            capsys, ["decide", "--inscribable", cube_file, "--format", "json"]
+        )
+        cert = tmp_path / "cert.json"
+        cert.write_text(out.replace('"1/3"', '"1/5"', 1))
+        code, _, err = run_cli(capsys, ["angles", str(cert), cube_file])
+        assert code == 2
+        assert "sums to" in err and "internal error" not in err
 
 
 class TestUsage:

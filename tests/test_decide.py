@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import inscribe.decide as decide_module
 from inscribe import (
     Certificate,
     IterationLimitError,
+    WeightVector,
     certificate_from_json,
     certificate_to_json,
     check_conditions,
@@ -87,6 +89,16 @@ class TestNoAtFirstNonPositiveMargin:
         assert cert.margin == F(-1, 12)
         ok, problems = verify_certificate(cert, g)
         assert ok, problems
+
+    def test_kleetope_icosahedron(self):
+        # the one tested no whose dual has more than 32 vertices
+        g = generate("kleetope(icosahedron)")
+        assert dual(g).dual.vertex_count > 32
+        cert = decide_inscribable(g)
+        assert cert.answer == "no"
+        assert cert.margin == F(-2, 15)
+        assert cert.cuts == ()
+        assert cert.iterations == 1
 
     @pytest.mark.parametrize("decide,family,n", [
         (decide_inscribable, "kleetope(bipyramid)", 3),
@@ -194,6 +206,29 @@ class TestDihedralAngles:
         cert = decide_inscribable(g)
         with pytest.raises(ValueError):
             dihedral_angles(cert, dual(g))
+
+    def test_rejects_weights_that_miss_a_face_sum(self):
+        g = generate("cube")
+        cert = certificate_from_json(
+            certificate_to_json(decide_inscribable(g)).replace('"1/3"', '"1/5"', 1)
+        )
+        with pytest.raises(ValueError, match="sums to"):
+            dihedral_angles(cert, dual(g))
+
+    def test_rejects_coefficient_outside_open_interval(self):
+        # every face of K4 has one edge of each perfect matching, so 1/2
+        # on one matching and 1/4 elsewhere keeps the unit face sums but
+        # gives angle coefficient 0
+        g = generate("tetrahedron")
+        pair = dual(g)
+        u, v = pair.dual.edges[0]
+        w = tuple(
+            F(1, 2) if {a, b} == {u, v} or not {a, b} & {u, v} else F(1, 4)
+            for a, b in pair.dual.edges
+        )
+        cert = replace(decide_inscribable(g), weights=WeightVector(w))
+        with pytest.raises(ValueError, match="outside"):
+            dihedral_angles(cert, pair)
 
     def test_rejects_primal_role(self):
         g = generate("tetrahedron")

@@ -10,6 +10,7 @@ from inscribe import (
     Row,
     add_circuit_constraint,
     all_nonfacial_circuits,
+    dual,
     generate,
     maximize_margin,
     new_system,
@@ -26,20 +27,38 @@ def row_counts(system):
     return counts
 
 
+def uv_point(solution):
+    """The solution's weights and margin as the LP variables (u, s)."""
+    t = solution.margin
+    return tuple(w - t for w in solution.weights) + (t + 1,)
+
+
 class TestNewSystem:
     @pytest.mark.parametrize(
         "family,bounds,faces,variables",
         [("tetrahedron", 12, 4, 7), ("octahedron", 24, 8, 13), ("cube", 24, 6, 13)],
     )
     def test_row_counts(self, family, bounds, faces, variables):
+        # of the 2E edge bounds only the E upper rows are rows; the lower
+        # bounds w_e >= t are u_e >= 0, and t >= -1 is s >= 0
         g = generate(family)
         s = new_system(g)
-        counts = row_counts(s)
-        assert counts["lower"] + counts["upper"] == bounds
-        assert counts["face"] == faces
-        assert counts["floor"] == 1
-        assert "circuit" not in counts
+        assert row_counts(s) == {"upper": bounds // 2, "face": faces}
         assert s.variable_count == variables
+        assert s.margin_index == g.edge_count
+        uppers = [row for row in s.rows if row.kind == "upper"]
+        assert [row.ref for row in uppers] == list(range(g.edge_count))
+        for row in uppers:
+            assert row.terms == ((row.ref, 1), (s.margin_index, 2))
+            assert (row.relation, row.rhs) == ("<=", F(5, 2))
+        face_rows = [row for row in s.rows if row.kind == "face"]
+        for face, row in zip(trace_faces(g), face_rows):
+            size = len(face.edge_ids)
+            assert row.ref == face.id
+            assert row.terms == tuple((e, 1) for e in sorted(face.edge_ids)) + (
+                (s.margin_index, size),
+            )
+            assert (row.relation, row.rhs) == ("=", size + 1)
 
 
 class TestAddCircuit:
@@ -50,10 +69,11 @@ class TestAddCircuit:
         s2 = add_circuit_constraint(s, c)
         row = s2.rows[-1]
         assert row.kind == "circuit"
+        assert row.ref == c.edge_ids
         assert row.relation == ">="
-        assert row.rhs == 1
-        assert [row.coeffs[e] for e in c.edge_ids] == [1, 1, 1, 1]
-        assert row.coeffs[s2.margin_index] == -1
+        assert row.rhs == 4
+        assert row.terms == tuple((e, 1) for e in c.edge_ids) + ((s2.margin_index, 3),)
+        assert s2.rows[:-1] == s.rows
         # the original system is unchanged
         assert "circuit" not in row_counts(s)
 
@@ -90,11 +110,10 @@ class TestMaximizeMargin:
         assert all(x == F(1, 3) for x in sol.weights)
 
     def test_contradictory_face_equalities_infeasible(self):
-        # one weight variable asked to be 1 and 1/3 at once
+        # one variable asked to be 1 and 1/3 at once
         rows = (
-            Row((F(1), F(0)), "=", F(1), "face", 0),
-            Row((F(1), F(0)), "=", F(1, 3), "face", 1),
-            Row((F(0), F(1)), ">=", F(-1), "floor", None),
+            Row(((0, F(1)),), "=", F(1), "face", 0),
+            Row(((0, F(1)),), "=", F(1, 3), "face", 1),
         )
         s = ConstraintSystem(1, rows, frozenset(), frozenset())
         sol = maximize_margin(s)
@@ -103,18 +122,18 @@ class TestMaximizeMargin:
 
     def test_single_edge_face_row_binds_margin_negative(self):
         # w0 = 1 with w0 + t <= 1/2 forces t <= -1/2; the closed system
-        # stays feasible because t may go down to -1
+        # stays feasible because t may go down to -1 (s >= 0).  In (u, s):
+        # u0 + s = 2 and u0 + 2s <= 5/2 give s = 1/2, u0 = 3/2.
         rows = (
-            Row((F(1), -F(1)), ">=", F(0), "lower", 0),
-            Row((F(1), F(1)), "<=", F(1, 2), "upper", 0),
-            Row((F(1), F(0)), "=", F(1), "face", 0),
-            Row((F(0), F(1)), ">=", F(-1), "floor", None),
+            Row(((0, F(1)), (1, F(2))), "<=", F(5, 2), "upper", 0),
+            Row(((0, F(1)), (1, F(1))), "=", F(2), "face", 0),
         )
         s = ConstraintSystem(1, rows, frozenset(), frozenset())
         sol = maximize_margin(s)
         assert sol.status == "optimal"
         assert sol.margin == F(-1, 2)
         assert sol.weights[0] == 1
+        assert uv_point(sol) == (F(3, 2), F(1, 2))
 
     def test_solution_satisfies_every_row_exactly(self):
         g = generate("prism", 5)
@@ -122,8 +141,37 @@ class TestMaximizeMargin:
         for c in all_nonfacial_circuits(g)[:10]:
             s = add_circuit_constraint(s, c)
         sol = maximize_margin(s)
-        x = tuple(sol.weights) + (sol.margin,)
+        x = uv_point(sol)
+        assert all(v >= 0 for v in x)
         assert all(row.satisfied_by(x) for row in s.rows)
+        # the same rows in the original weights and margin
+        w, t = sol.weights, sol.margin
+        for face in trace_faces(g):
+            assert sum(w[e] for e in face.edge_ids) == 1
+        for key in s.circuit_keys:
+            assert sum(w[e] for e in key) - t >= 1
+
+    @pytest.mark.parametrize("graph,cuts", [
+        (lambda: generate("prism", 5), 10),
+        (lambda: generate("bipyramid", 4), 12),
+        (lambda: generate("octahedron"), 20),
+        (lambda: dual(generate("kleetope(bipyramid)", 3)).dual, 0),
+    ], ids=["prism5", "bipyramid4", "octahedron", "kleetope-bipyramid3-dual"])
+    def test_bounds_hold_without_bound_rows(self, graph, cuts):
+        # w_e >= t and t >= -1 hold through u, s >= 0, not through rows
+        g = graph()
+        s = new_system(g)
+        circuits = list(all_nonfacial_circuits(g))
+        random.Random(3).shuffle(circuits)
+        for c in circuits[:cuts]:
+            s = add_circuit_constraint(s, c)
+        sol = maximize_margin(s)
+        assert sol.status == "optimal"
+        t = sol.margin
+        assert t >= -1
+        for w in sol.weights:
+            assert w >= t
+            assert w + t <= F(1, 2)
 
     def test_adding_circuits_never_increases_margin(self):
         g = generate("bipyramid", 4)
@@ -147,7 +195,7 @@ class TestMaximizeMargin:
         scale = F(7, 3)
         scaled_rows = tuple(
             Row(
-                tuple(scale * c for c in row.coeffs),
+                tuple((j, scale * c) for j, c in row.terms),
                 row.relation,
                 scale * row.rhs,
                 row.kind,
