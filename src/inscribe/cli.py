@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.add_argument(
         "--fast-path", action="store_true",
-        help="answer yes immediately for 4-connected graphs (no certificate)",
+        help="answer yes immediately for 4-connected graphs (no weight certificate)",
     )
     p.add_argument(
         "--max-iters", type=int, default=None,

@@ -40,7 +40,8 @@ class Certificate:
     """Outcome of a type decision, reproducible from its cut list.
 
     For a yes answer, ``weights`` is a witness on the tested graph's
-    edges and ``margin`` is its positive slack.  For a no answer,
+    edges and ``margin`` is its positive slack; a fast-path yes (LP
+    status 'skipped') has neither.  For a no answer,
     ``margin`` is the optimum of the LP rebuilt from ``cuts`` (None if
     it is infeasible): at most 0, an upper bound on the full system's
     optimum that need not equal it.  ``graph_role`` says which graph
@@ -55,7 +56,7 @@ class Certificate:
     weights: WeightVector | None
     cuts: tuple[tuple[int, ...], ...]
     iterations: int
-    lp_status: str  # 'optimal' | 'infeasible'
+    lp_status: str  # 'optimal' | 'infeasible' | 'skipped' (fast path)
     edge_bijection: tuple[int, ...] | None = None
 
     @property
@@ -240,10 +241,16 @@ def verify_certificate(
 
     Yes certificates: the recorded weighting must satisfy all three
     condition families exactly, and the minimum slack must reproduce a
-    value at least the recorded margin.  No certificates: rebuilding the
-    LP from the recorded cut list must reproduce the recorded final
-    state.  Returns (verdict, list of failure messages).
+    value at least the recorded margin.  A fast-path yes (LP status
+    'skipped', no weights) holds exactly when the input is 4-connected.
+    No certificates: rebuilding the LP from the recorded cut list must
+    reproduce the recorded final state.  Returns (verdict, list of
+    failure messages).
     """
+    if cert.lp_status == "skipped":
+        if fast_path_four_connected(g):
+            return True, []
+        return False, ["LP skipped but the graph is not 4-connected"]
     problems: list[str] = []
     if cert.graph_role == "dual":
         pair = dual(g)
@@ -378,15 +385,19 @@ def certificate_from_json(text: str) -> Certificate:
     if doc.get("edge_bijection") is not None:
         raw = doc["edge_bijection"]
         bijection = tuple(int(raw[str(e)]) for e in range(len(raw)))
+    answer = _one_of(doc["answer"], ("yes", "no"), "answer")
+    margin = _frac_parse(doc["margin"]) if doc.get("margin") is not None else None
+    # only a fast-path yes, which carries no weights or margin, skips the LP
+    statuses = ("optimal", "infeasible")
+    if answer == "yes" and weights is None and margin is None:
+        statuses += ("skipped",)
     return Certificate(
-        answer=_one_of(doc["answer"], ("yes", "no"), "answer"),
+        answer=answer,
         graph_role=_one_of(doc["graph_role"], ("primal", "dual"), "graph_role"),
-        margin=_frac_parse(doc["margin"]) if doc.get("margin") is not None else None,
+        margin=margin,
         weights=weights,
         cuts=tuple(tuple(int(e) for e in c) for c in doc.get("cuts", [])),
         iterations=int(doc["iterations"]),
-        lp_status=_one_of(
-            doc.get("lp_status", "optimal"), ("optimal", "infeasible"), "lp_status"
-        ),
+        lp_status=_one_of(doc.get("lp_status", "optimal"), statuses, "lp_status"),
         edge_bijection=bijection,
     )

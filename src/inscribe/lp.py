@@ -6,14 +6,17 @@ the open region is nonempty exactly when the closed system admits t > 0.
 It is stated over the nonnegative variables u_e = w_e - t and s = t + 1,
 so the bounds w_e >= t and t >= -1 hold by construction.
 
-The solver is a dense two-phase simplex over ``fractions.Fraction``: no
-floating point anywhere, so feasibility and optimality are exact.  The
-pivot rule is steepest reduced cost with a permanent switch to Bland's
-rule after a run of degenerate pivots, which guarantees termination.
+The solver is a dense two-phase simplex on fraction-free integer rows:
+each row is a list of integers over one positive denominator, so the
+pivot loop builds no ``Fraction`` and there is no floating point
+anywhere; feasibility and optimality are exact.  The pivot rule is
+steepest reduced cost with a permanent switch to Bland's rule after a
+run of degenerate pivots, which guarantees termination.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -161,68 +164,90 @@ def maximize_margin(s: ConstraintSystem) -> MarginSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau with exact rational entries."""
+    """Dense simplex tableau on fraction-free integer rows.
 
-    def __init__(self, matrix, rhs, basis, ncols):
+    Row i stands for ``matrix[i] / den[i]`` with right-hand side
+    ``rhs[i] / den[i]``; the objective row is ``reduced / obj_den`` with
+    value ``value / obj_den``.  Every denominator is positive and every
+    row is kept primitive (the gcd of its integers and its denominator
+    is 1), so each row has one canonical form.  A basic column reads
+    ``den[i]`` in its own row and 0 elsewhere.  ``bland`` records whether
+    the last ``maximize`` fell back to Bland's rule.
+    """
+
+    def __init__(self, matrix, rhs, den, basis, ncols):
         self.matrix = matrix
         self.rhs = rhs
+        self.den = den
         self.basis = basis
         self.ncols = ncols
-        self.reduced = [_F0] * ncols
-        self.value = _F0
+        self.reduced = [0] * ncols
+        self.value = 0
+        self.obj_den = 1
+        self.bland = False
 
     def set_objective(self, cost):
-        reduced = list(cost)
-        value = _F0
-        for i, bc in enumerate(self.basis):
-            cb = cost[bc]
-            if cb:
-                row = self.matrix[i]
-                for j in range(self.ncols):
-                    if row[j]:
-                        reduced[j] -= cb * row[j]
-                value += cb * self.rhs[i]
+        """Reduced costs and value of the integer cost vector ``cost``."""
+        basic = [(i, cost[bc]) for i, bc in enumerate(self.basis) if cost[bc]]
+        d = math.lcm(*(self.den[i] for i, _ in basic))
+        reduced = [c * d for c in cost]
+        value = 0
+        for i, cb in basic:
+            f = cb * (d // self.den[i])
+            row = self.matrix[i]
+            for j in range(self.ncols):
+                if row[j]:
+                    reduced[j] -= f * row[j]
+            value += f * self.rhs[i]
         for bc in self.basis:
-            reduced[bc] = _F0
-        self.reduced = reduced
-        self.value = value
+            reduced[bc] = 0
+        g = math.gcd(*reduced, value, d)
+        self.reduced = [x // g for x in reduced]
+        self.value = value // g
+        self.obj_den = d // g
 
     def pivot(self, r, c):
         row = self.matrix[r]
-        piv = row[c]
-        if piv != 1:
-            inv = _F1 / piv
-            self.matrix[r] = row = [x * inv for x in row]
-            self.rhs[r] *= inv
-        for i in range(len(self.matrix)):
-            if i == r:
-                continue
-            f = self.matrix[i][c]
-            if f:
-                other = self.matrix[i]
-                self.matrix[i] = [x - f * y for x, y in zip(other, row)]
-                self.matrix[i][c] = _F0
-                self.rhs[i] -= f * self.rhs[r]
-        f = self.reduced[c]
-        if f:
-            self.reduced = [x - f * y for x, y in zip(self.reduced, row)]
-            self.reduced[c] = _F0
-            self.value += f * self.rhs[r]
+        p = row[c]
+        b = self.rhs[r]
+        if p < 0:
+            row = [-x for x in row]
+            p, b = -p, -b
+        g = math.gcd(*row, b)
+        if g > 1:
+            row = [x // g for x in row]
+            p, b = p // g, b // g
+        self.matrix[r] = row
+        self.rhs[r] = b
+        self.den[r] = p
+        for i, other in enumerate(self.matrix):
+            a = other[c]
+            if a and i != r:
+                self.matrix[i], self.rhs[i], self.den[i] = _eliminate(
+                    other, self.rhs[i], self.den[i], a, row, b, p
+                )
+        a = self.reduced[c]
+        if a:
+            # (reduced, -value) updates like a constraint row (row, rhs)
+            self.reduced, value, self.obj_den = _eliminate(
+                self.reduced, -self.value, self.obj_den, a, row, b, p
+            )
+            self.value = -value
         self.basis[r] = c
 
     def maximize(self):
-        bland = False
+        self.bland = False
         stall = 0
         pivots = 0
         while True:
             enter = -1
-            if bland:
+            if self.bland:
                 for j in range(self.ncols):
                     if self.reduced[j] > 0:
                         enter = j
                         break
             else:
-                best = _F0
+                best = 0
                 for j in range(self.ncols):
                     v = self.reduced[j]
                     if v > best:
@@ -230,86 +255,111 @@ class _Tableau:
                         enter = j
             if enter < 0:
                 return "optimal"
+            # minimum ratio rhs[i] / matrix[i][enter] over positive entries,
+            # compared by cross-multiplying (den[i] cancels)
             leave = -1
-            best_ratio = None
+            best_b = best_a = 0
             for i in range(len(self.matrix)):
                 a = self.matrix[i][enter]
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[leave])
-                    ):
-                        best_ratio = ratio
+                    b = self.rhs[i]
+                    if leave < 0:
+                        better = True
+                    else:
+                        lhs, rhs = b * best_a, best_b * a
+                        better = lhs < rhs or (
+                            lhs == rhs and self.basis[i] < self.basis[leave]
+                        )
+                    if better:
+                        best_b, best_a = b, a
                         leave = i
             if leave < 0:
                 return "unbounded"
-            degenerate = best_ratio == 0
+            degenerate = best_b == 0
             self.pivot(leave, enter)
             pivots += 1
             if degenerate:
                 stall += 1
                 if stall > _STALL_THRESHOLD:
-                    bland = True
+                    self.bland = True
             else:
                 stall = 0
             if pivots > _PIVOT_CAP:
                 raise InternalError("simplex exceeded its pivot cap")
 
 
+def _eliminate(row, b, d, a, prow, pb, p):
+    """Clear entry a of the row (row, b) / d with the pivot row
+    (prow, pb) / p, whose pivot entry is p:  (p row - a prow) / (d p),
+    reduced to primitive form."""
+    new = [p * x - a * y for x, y in zip(row, prow)]
+    b = p * b - a * pb
+    d *= p
+    g = math.gcd(*new, b, d)
+    if g > 1:
+        new = [x // g for x in new]
+        b //= g
+        d //= g
+    return new, b, d
+
+
 def _solve_lp(n_vars, rows, target):
     """Maximize x[target] over x >= 0 subject to the rows.
 
-    Inequality rows get slacks; phase 1 drives artificial variables out.
-    Returns (status, x) with status 'optimal', 'infeasible' or 'unbounded'.
+    Each row is scaled to integers by the lcm of its denominators, which
+    becomes the row's denominator; inequality rows get slacks and phase 1
+    drives artificial variables out.  Returns (status, x) with status
+    'optimal', 'infeasible' or 'unbounded'; x holds Fractions.
     """
     ineq_count = sum(1 for r in rows if r.relation != "=")
     ncols = n_vars + ineq_count
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    matrix: list[list[int]] = []
+    rhs: list[int] = []
+    den: list[int] = []
     slack_col: list[int | None] = []
     next_slack = n_vars
     for row in rows:
         if row.relation not in ("<=", ">=", "="):
             raise ValueError(f"unknown relation {row.relation!r}")
+        scale = math.lcm(row.rhs.denominator, *(c.denominator for _, c in row.terms))
         # a >= row is negated into a <= row; every inequality gets a slack
-        sign = -_F1 if row.relation == ">=" else _F1
-        b = sign * row.rhs
-        vec = [_F0] * ncols
+        sign = -1 if row.relation == ">=" else 1
+        b = sign * row.rhs.numerator * (scale // row.rhs.denominator)
+        vec = [0] * ncols
         for j, c in row.terms:
-            vec[j] = sign * c
+            vec[j] = sign * c.numerator * (scale // c.denominator)
         sc = None
         if row.relation != "=":
             sc = next_slack
-            vec[sc] = _F1
+            vec[sc] = scale
             next_slack += 1
         if b < 0:
             vec = [-x for x in vec]
             b = -b
         matrix.append(vec)
         rhs.append(b)
+        den.append(scale)
         slack_col.append(sc)
 
     m = len(matrix)
     basis: list[int | None] = [None] * m
     for i in range(m):
         sc = slack_col[i]
-        if sc is not None and matrix[i][sc] == 1:
+        if sc is not None and matrix[i][sc] > 0:
             basis[i] = sc
     art_rows = [i for i in range(m) if basis[i] is None]
     art_start = ncols
     if art_rows:
         n_art = len(art_rows)
         for i in range(m):
-            matrix[i] = matrix[i] + [_F0] * n_art
+            matrix[i] = matrix[i] + [0] * n_art
         for k, i in enumerate(art_rows):
-            matrix[i][art_start + k] = _F1
+            matrix[i][art_start + k] = den[i]
             basis[i] = art_start + k
-        tab = _Tableau(matrix, rhs, basis, art_start + n_art)
-        phase1 = [_F0] * (art_start + n_art)
+        tab = _Tableau(matrix, rhs, den, basis, art_start + n_art)
+        phase1 = [0] * (art_start + n_art)
         for k in range(n_art):
-            phase1[art_start + k] = -_F1
+            phase1[art_start + k] = -1
         tab.set_objective(phase1)
         if tab.maximize() != "optimal":
             raise InternalError("phase-1 objective is bounded by construction")
@@ -322,16 +372,17 @@ def _solve_lp(n_vars, rows, target):
                 if piv is None:
                     del tab.matrix[i]
                     del tab.rhs[i]
+                    del tab.den[i]
                     del tab.basis[i]
                 else:
                     tab.pivot(i, piv)
         tab.matrix = [r[:art_start] for r in tab.matrix]
         tab.ncols = art_start
     else:
-        tab = _Tableau(matrix, rhs, basis, ncols)
+        tab = _Tableau(matrix, rhs, den, basis, ncols)
 
-    cost = [_F0] * tab.ncols
-    cost[target] = _F1
+    cost = [0] * tab.ncols
+    cost[target] = 1
     tab.set_objective(cost)
     status = tab.maximize()
     if status == "unbounded":
@@ -341,5 +392,5 @@ def _solve_lp(n_vars, rows, target):
     x = [_F0] * n_vars
     for i, bc in enumerate(tab.basis):
         if bc < n_vars:
-            x[bc] = tab.rhs[i]
+            x[bc] = Fraction(tab.rhs[i], tab.den[i])
     return "optimal", x

@@ -170,6 +170,25 @@ class TestDecide:
         assert doc["fast_path"] is True
         assert doc["weights"] is None
 
+    @pytest.mark.parametrize("mode", ["--inscribable", "--circumscribable"])
+    def test_fast_path_certificate_verifies(self, capsys, tmp_path, cube_file, mode):
+        octa = tmp_path / "octa.pg"
+        octa.write_text(format_graph(generate("octahedron")))
+        code, out, _ = run_cli(
+            capsys, ["decide", mode, str(octa), "--fast-path", "--format", "json"]
+        )
+        assert code == 0
+        cert = tmp_path / "cert.json"
+        cert.write_text(out)
+        code, out, err = run_cli(capsys, ["verify", str(cert), str(octa)])
+        assert (code, err) == (0, "")
+        assert "verification: PASS" in out
+        # the cube is 3-connected only, so the shortcut does not apply
+        code, out, _ = run_cli(capsys, ["verify", str(cert), cube_file])
+        assert code == 0
+        assert "verification: FAIL" in out
+        assert "not 4-connected" in out
+
     def test_fast_path_falls_through_for_cube(self, capsys, cube_file):
         code, out, _ = run_cli(
             capsys,

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +20,13 @@ from inscribe import (
     generate,
     min_nonfacial_circuit,
     solve_full_enumeration,
+    stack_on_faces,
     verify_certificate,
 )
 
 F = Fraction
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestDecideCircumscribable:
@@ -57,6 +61,17 @@ class TestDecideCircumscribable:
         # bipyramid(3) needs a cut, so one LP solve cannot finish
         with pytest.raises(IterationLimitError):
             decide_circumscribable(generate("bipyramid", 3), max_iterations=1)
+
+    def test_kleetope_icosahedron(self):
+        # the largest multi-round decision in the suite
+        g = generate("kleetope(icosahedron)")
+        cert = decide_circumscribable(g)
+        assert cert.answer == "yes"
+        assert cert.margin == F(1, 8)
+        assert len(cert.cuts) == 6
+        assert cert.iterations == 7
+        ok, problems = verify_certificate(cert, g)
+        assert ok, problems
 
     def test_cut_list_reproduces_final_lp(self):
         # prism(3) inscribability goes through its dual and needs a cut
@@ -181,6 +196,39 @@ class TestFastPath:
         assert decide_inscribable(g).answer == "yes"
         assert decide_circumscribable(g).answer == "yes"
 
+    @staticmethod
+    def skipped_certificate(graph_role):
+        return Certificate(
+            answer="yes",
+            graph_role=graph_role,
+            margin=None,
+            weights=None,
+            cuts=(),
+            iterations=0,
+            lp_status="skipped",
+        )
+
+    @pytest.mark.parametrize("graph_role", ["primal", "dual"])
+    def test_skipped_certificate_verifies_on_four_connected_only(self, graph_role):
+        cert = certificate_from_json(
+            certificate_to_json(self.skipped_certificate(graph_role))
+        )
+        assert cert.lp_status == "skipped"
+        assert verify_certificate(cert, generate("octahedron")) == (True, [])
+        ok, problems = verify_certificate(cert, generate("cube"))
+        assert not ok
+        assert "not 4-connected" in problems[0]
+
+    @pytest.mark.parametrize("change", [
+        {"answer": "no"},
+        {"margin": F(1, 4)},
+        {"weights": WeightVector((F(1, 4),) * 12)},
+    ], ids=["answer-no", "with-margin", "with-weights"])
+    def test_skipped_needs_a_bare_yes(self, change):
+        cert = replace(self.skipped_certificate("primal"), **change)
+        with pytest.raises(ValueError, match="lp_status 'skipped' is not one of"):
+            certificate_from_json(certificate_to_json(cert))
+
 
 class TestDihedralAngles:
     def test_third_weight_gives_pi_over_three(self):
@@ -257,6 +305,30 @@ class TestCertificateSerialization:
         text = certificate_to_json(cert)
         assert '"margin": "1/6"' in text
         assert '"1/3"' in text
+
+
+class TestGoldenCertificates:
+    """Multi-round certificates pinned byte for byte: a change to the LP
+    kernel must keep the pivot sequence, so every optimum and every cut
+    stays the same."""
+
+    CASES = {
+        "kleetope_antiprism_4_circumscribable": (
+            decide_circumscribable, lambda: generate("kleetope(antiprism)", 4)),
+        "kleetope_bipyramid_3_circumscribable": (
+            decide_circumscribable, lambda: generate("kleetope(bipyramid)", 3)),
+        "stacked_bipyramid_3_0_4_5_circumscribable": (
+            decide_circumscribable,
+            lambda: stack_on_faces(generate("bipyramid", 3), [0, 4, 5])),
+        "kleetope_cube_inscribable": (
+            decide_inscribable, lambda: generate("kleetope(cube)")),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_certificate_bytes(self, name):
+        decide, graph = self.CASES[name]
+        expected = (DATA / f"{name}.json").read_text()
+        assert certificate_to_json(decide(graph())) == expected
 
 
 class TestVerifyCertificate:

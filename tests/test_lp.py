@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import inscribe.lp as lp_module
 from inscribe import (
     Circuit,
     ConstraintSystem,
@@ -231,3 +233,129 @@ class TestMaximizeMargin:
             sol = maximize_margin(s)
             assert sol.status == "optimal"
             assert sol.margin == F(1, 6)
+
+
+def dual_with_cuts(family, n, cuts, seed=7):
+    """Margin system of the dual of a generated graph with ``cuts``
+    seeded-shuffled non-facial circuit rows."""
+    g = dual(generate(family, n)).dual
+    s = new_system(g)
+    circuits = list(all_nonfacial_circuits(g))
+    random.Random(seed).shuffle(circuits)
+    for c in circuits[:cuts]:
+        s = add_circuit_constraint(s, c)
+    return s
+
+
+class TestBlandsRule:
+    @pytest.mark.parametrize("family,n,cuts", [
+        ("tetrahedron", None, 8),
+        ("octahedron", None, 8),
+        ("cube", None, 8),
+        ("prism", 5, 8),
+        ("bipyramid", 4, 8),
+        ("kleetope(bipyramid)", 3, 0),
+        ("kleetope(tetrahedron)", None, 0),
+    ])
+    def test_bland_from_first_degenerate_pivot_keeps_the_margin(
+        self, monkeypatch, family, n, cuts
+    ):
+        s = dual_with_cuts(family, n, cuts)
+        default = maximize_margin(s)
+        ran_bland = []
+        maximize = lp_module._Tableau.maximize
+
+        def recording(tab):
+            status = maximize(tab)
+            ran_bland.append(tab.bland)
+            return status
+
+        monkeypatch.setattr(lp_module._Tableau, "maximize", recording)
+        monkeypatch.setattr(lp_module, "_STALL_THRESHOLD", -1)
+        bland = maximize_margin(s)
+        assert any(ran_bland)
+        assert bland.status == default.status == "optimal"
+        assert bland.margin == default.margin
+
+
+def _solve_square(a, b):
+    """Unique solution of the square system a x = b, None if singular."""
+    n = len(a)
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def vertex_enumeration_margin(s):
+    """(status, margin) of the margin LP by trying every vertex: each
+    choice of n constraints (rows or x_j >= 0) solved as equalities,
+    keeping the feasible point with the largest s."""
+    n = s.variable_count
+    planes = []
+    for row in s.rows:
+        dense = [F(0)] * n
+        for j, c in row.terms:
+            dense[j] = c
+        planes.append((dense, row.rhs))
+    planes += [([F(int(i == j)) for i in range(n)], F(0)) for j in range(n)]
+    best = None
+    for subset in itertools.combinations(planes, n):
+        x = _solve_square([a for a, _ in subset], [b for _, b in subset])
+        if x is None or any(v < 0 for v in x):
+            continue
+        if all(row.satisfied_by(x) for row in s.rows):
+            if best is None or x[s.margin_index] > best:
+                best = x[s.margin_index]
+    if best is None:
+        return "infeasible", None
+    return "optimal", best - 1
+
+
+def random_small_system(rng):
+    """2-3 u variables plus s, each bounded above, and random small
+    rational <=, >=, = rows; some rows hold at a random point, and some
+    systems repeat an equality row."""
+    n = rng.randint(2, 3) + 1
+    point = [F(rng.randint(0, 6), 2) for _ in range(n)]
+    rows = [
+        Row(((j, F(1)),), "<=", F(rng.randint(1, 8), rng.randint(1, 2)), "upper", j)
+        for j in range(n)
+    ]
+    for _ in range(rng.randint(1, 3)):
+        terms = tuple(
+            (j, F(c, rng.randint(1, 3)))
+            for j in range(n)
+            if (c := rng.choice((-3, -2, -1, 1, 2, 3))) and rng.random() < 0.8
+        ) or ((0, F(1)),)
+        relation = rng.choice(("<=", ">=", "="))
+        if rng.random() < 0.5:
+            rhs = sum((c * point[j] for j, c in terms), F(0))
+        else:
+            rhs = F(rng.randint(-6, 6), rng.randint(1, 3))
+        rows.append(Row(terms, relation, rhs, "circuit"))
+    equalities = [row for row in rows if row.relation == "="]
+    if equalities and rng.random() < 0.5:
+        rows.append(rng.choice(equalities))
+    return ConstraintSystem(n - 1, tuple(rows), frozenset(), frozenset())
+
+
+class TestReferenceVertexEnumeration:
+    def test_random_small_systems_match(self):
+        rng = random.Random(2024)
+        statuses = {}
+        for _ in range(120):
+            s = random_small_system(rng)
+            sol = maximize_margin(s)
+            expected = vertex_enumeration_margin(s)
+            assert (sol.status, sol.margin) == expected, s.rows
+            statuses[sol.status] = statuses.get(sol.status, 0) + 1
+        assert statuses.get("optimal", 0) >= 20
+        assert statuses.get("infeasible", 0) >= 20
