@@ -48,7 +48,6 @@ from .graph import (
 from .lp import (
     ConstraintSystem,
     MarginSolution,
-    Rational,
     Row,
     add_circuit_constraint,
     maximize_margin,
@@ -85,7 +84,6 @@ __all__ = [
     "MarginSolution",
     "NotThreeConnectedError",
     "PolyhedralGraph",
-    "Rational",
     "Row",
     "SteinitzReport",
     "VertexCapError",

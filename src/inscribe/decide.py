@@ -16,19 +16,15 @@ that the optimum is the full one, and the answer is yes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from .errors import (
-    EulerError,
-    IterationLimitError,
-    NotThreeConnectedError,
-)
-from .graph import DualPair, PolyhedralGraph, dual, trace_faces, validate_steinitz
+from .errors import IterationLimitError
+from .graph import DualPair, PolyhedralGraph, dual, require_polyhedral, trace_faces
 from .lp import MarginSolution, add_circuit_constraint, maximize_margin, new_system
 from .separation import (
     Circuit,
     WeightVector,
+    _scaled,
     all_nonfacial_circuits,
     check_conditions,
     min_nonfacial_circuit,
@@ -81,14 +77,6 @@ class DihedralAngles:
         return len(self.coefficients)
 
 
-def _require_polyhedral(g: PolyhedralGraph) -> None:
-    report = validate_steinitz(g)
-    if not report.planar_spherical:
-        raise EulerError("graph embedding is not spherical", graph=g)
-    if not report.three_connected:
-        raise NotThreeConnectedError("graph is not 3-connected", graph=g)
-
-
 def decide_circumscribable(
     g: PolyhedralGraph, *, max_iterations: int | None = None
 ) -> Certificate:
@@ -100,7 +88,7 @@ def decide_circumscribable(
     loop terminates; the cap (default 10 E) signals a bug, not an input
     property.
     """
-    _require_polyhedral(g)
+    require_polyhedral(g)
     faces = trace_faces(g)
     cap = max_iterations if max_iterations is not None else 10 * g.edge_count
     system = new_system(g)
@@ -151,7 +139,7 @@ def fast_path_four_connected(g: PolyhedralGraph) -> bool | None:
     (no weight certificate either way)."""
     from .graph import is_k_vertex_connected
 
-    _require_polyhedral(g)
+    require_polyhedral(g)
     if is_k_vertex_connected(g, 4):
         return True
     return None
@@ -195,7 +183,7 @@ def solve_full_enumeration(g: PolyhedralGraph) -> tuple[MarginSolution, int]:
     every enumerated row, so it is the exact optimum of the full system.
     Returns the solution and the number of LP solves.
     """
-    _require_polyhedral(g)
+    require_polyhedral(g)
     circuits = all_nonfacial_circuits(g)
     system = new_system(g)
     solves = 0
@@ -217,11 +205,8 @@ def _most_violated(
 
     Scans with common-denominator integers so the comparison is exact.
     """
-    w = solution.weights
-    t = solution.margin
-    denom = math.lcm(t.denominator, *(x.denominator for x in w))
-    nums = [x.numerator * (denom // x.denominator) for x in w]
-    threshold = (1 + t).numerator * (denom // (1 + t).denominator)
+    nums, _ = _scaled((*solution.weights, 1 + solution.margin))
+    threshold = nums.pop()
     worst = None
     worst_key = None
     for c in circuits:
@@ -258,7 +243,7 @@ def verify_certificate(
         if cert.edge_bijection is not None and tuple(cert.edge_bijection) != pair.primal_to_dual:
             problems.append("recorded edge bijection does not match the dual")
     else:
-        _require_polyhedral(g)
+        require_polyhedral(g)
         tested = g
     if cert.is_yes:
         if cert.weights is None or cert.margin is None:
@@ -279,7 +264,8 @@ def verify_certificate(
                 c, wt = report.circuit_violation
                 problems.append(f"circuit {c.edge_ids} weighs {wt} <= 1")
         else:
-            slack = _minimum_slack(tested, cert.weights)
+            w = cert.weights
+            slack = min(min(w), Fraction(1, 2) - max(w), report.min_circuit[1] - 1)
             if slack < cert.margin:
                 problems.append(
                     f"recomputed slack {slack} below recorded margin {cert.margin}"
@@ -308,15 +294,6 @@ def verify_certificate(
             elif solution.margin > 0:
                 problems.append("recorded no but the rebuilt optimum is positive")
     return not problems, problems
-
-
-def _minimum_slack(g: PolyhedralGraph, w: WeightVector) -> Fraction:
-    """Minimum slack of the weighting over all constraint families."""
-    half = Fraction(1, 2)
-    slack = min(min(w[e] for e in range(g.edge_count)),
-                min(half - w[e] for e in range(g.edge_count)))
-    _, weight = min_nonfacial_circuit(g, w)
-    return min(slack, weight - 1)
 
 
 # --- certificate serialization -------------------------------------------

@@ -231,6 +231,21 @@ def validate_steinitz(g: PolyhedralGraph) -> SteinitzReport:
     return SteinitzReport(planar_spherical=planar, three_connected=three)
 
 
+def require_polyhedral(g: PolyhedralGraph) -> None:
+    """Raise :class:`EulerError` if g's embedding is not spherical, or
+    :class:`NotThreeConnectedError` if g is not 3-connected; both carry
+    g."""
+    report = validate_steinitz(g)
+    if not report.planar_spherical:
+        raise EulerError("embedding fails Euler's formula (not spherical)", graph=g)
+    if not report.three_connected:
+        raise NotThreeConnectedError("graph is not 3-connected", graph=g)
+
+
+# parse_graph's keyword of the same name shadows the function in its body.
+_require_polyhedral = require_polyhedral
+
+
 def is_k_vertex_connected(g: PolyhedralGraph, k: int) -> bool:
     """True iff removing any k-1 vertices leaves the graph connected.
 
@@ -264,12 +279,6 @@ class DualPair:
     primal_to_dual: tuple[int, ...]
     dual_to_primal: tuple[int, ...]
 
-    def to_dual(self, e: int) -> int:
-        return self.primal_to_dual[e]
-
-    def to_primal(self, e: int) -> int:
-        return self.dual_to_primal[e]
-
 
 def dual(g: PolyhedralGraph) -> DualPair:
     """Planar dual of a polyhedral graph, with the edge bijection.
@@ -281,13 +290,7 @@ def dual(g: PolyhedralGraph) -> DualPair:
     the dual would signal a non-3-connected primal and is rejected by
     construction.
     """
-    report = validate_steinitz(g)
-    if not report.planar_spherical:
-        raise EulerError("graph has no genus-0 embedding; cannot dualize", graph=g)
-    if not report.three_connected:
-        raise NotThreeConnectedError(
-            "graph is not 3-connected; dual would be degenerate", graph=g
-        )
+    require_polyhedral(g)
     faces = trace_faces(g)
     incident = edge_faces(g)
     neighbor_lists = []
@@ -379,13 +382,7 @@ def parse_graph(text: str, *, require_polyhedral: bool = True) -> PolyhedralGrap
         raise FormatError(f"no neighbor line for vertex {missing[0]}")
     g = PolyhedralGraph.from_neighbor_rotations([rows[i] for i in range(n)])
     if require_polyhedral:
-        report = validate_steinitz(g)
-        if not report.planar_spherical:
-            raise EulerError(
-                "embedding fails Euler's formula (not spherical)", graph=g
-            )
-        if not report.three_connected:
-            raise NotThreeConnectedError("graph is not 3-connected", graph=g)
+        _require_polyhedral(g)
     return g
 
 

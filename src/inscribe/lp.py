@@ -25,10 +25,6 @@ from .errors import DuplicateCircuitError, InternalError
 from .graph import PolyhedralGraph, trace_faces
 from .separation import Circuit, WeightVector
 
-#: Exact rational scalar used throughout: arbitrary-precision numerator
-#: and denominator, kept in canonical reduced form by the type itself.
-Rational = Fraction
-
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 _F2 = Fraction(2)

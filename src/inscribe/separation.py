@@ -143,21 +143,29 @@ def _check_weights(g: PolyhedralGraph, w, *, nonnegative: bool) -> None:
         raise ValueError("edge weights must be nonnegative")
 
 
+def _scaled(w) -> tuple[list[int], int]:
+    """The weights as integer numerators over their least common
+    denominator, so sums and comparisons stay exact and cheap."""
+    denom = math.lcm(*(x.denominator for x in w))
+    return [x.numerator * (denom // x.denominator) for x in w], denom
+
+
 def _shortest_path(
     g: PolyhedralGraph,
-    w,
+    nums: Sequence[int],
     source: int,
     target: int,
     banned: frozenset[int],
-) -> tuple[Fraction, tuple[int, ...]] | None:
+) -> tuple[int, tuple[int, ...]] | None:
     """Min-weight source-target path avoiding banned edges, or None.
 
-    Requires nonnegative weights.  Ties are broken by the lexicographic
-    order of the path's edge id sequence, which makes the result unique.
+    Requires nonnegative integer weights.  Ties are broken by the
+    lexicographic order of the path's edge id sequence, which makes the
+    result unique.
     """
-    best: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
+    best: dict[int, tuple[int, tuple[int, ...]]] = {}
     settled = set()
-    heap: list[tuple[Fraction, tuple[int, ...], int]] = [(Fraction(0), (), source)]
+    heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), source)]
     while heap:
         dist, path, v = heapq.heappop(heap)
         if v in settled:
@@ -171,7 +179,7 @@ def _shortest_path(
             u = g.other_end(e, v)
             if u in settled:
                 continue
-            cand = (dist + w[e], path + (e,))
+            cand = (dist + nums[e], path + (e,))
             if u not in best or cand < best[u]:
                 best[u] = cand
                 heapq.heappush(heap, (cand[0], cand[1], u))
@@ -190,13 +198,12 @@ def min_cycle_through_edge(
     if e in banned:
         raise ValueError("the required edge cannot be forbidden")
     _check_weights(g, w, nonnegative=True)
-    u, v = g.edges[e]
-    sp = _shortest_path(g, w, u, v, banned | {e})
+    nums, denom = _scaled(w)
+    sp = _shortest_path(g, nums, *g.edges[e], banned | {e})
     if sp is None:
         return None
     dist, path = sp
-    circuit = Circuit.from_cycle_edges(g, (e,) + path)
-    return circuit, dist + w[e]
+    return Circuit.from_cycle_edges(g, (e,) + path), Fraction(dist + nums[e], denom)
 
 
 def min_nonfacial_circuit(
@@ -213,10 +220,11 @@ def min_nonfacial_circuit(
     deterministic.  Requires nonnegative weights.
     """
     _check_weights(g, w, nonnegative=True)
+    nums, denom = _scaled(w)
     if faces is None:
         faces = trace_faces(g)
     incident = edge_faces(g)
-    best: tuple[Fraction, tuple[int, ...], Circuit] | None = None
+    best: tuple[int, tuple[int, ...]] | None = None
     for e in range(g.edge_count):
         f1, f2 = (faces[i] for i in incident[e])
         around1 = sorted(f1.edge_ids - {e})
@@ -228,16 +236,17 @@ def min_nonfacial_circuit(
                 if pair in seen:
                     continue
                 seen.add(pair)
-                found = min_cycle_through_edge(g, w, e, pair)
-                if found is None:
+                sp = _shortest_path(g, nums, *g.edges[e], pair | {e})
+                if sp is None:
                     continue
-                circuit, weight = found
-                key = (weight, circuit.edge_ids, circuit)
-                if best is None or key[:2] < best[:2]:
+                dist, path = sp
+                key = (dist + nums[e], _canonical((e,) + path))
+                if best is None or key < best:
                     best = key
     if best is None:
         raise InternalError("polyhedral graph has no non-facial circuit")
-    return best[2], best[0]
+    weight, ids = best
+    return Circuit.from_cycle_edges(g, ids), Fraction(weight, denom)
 
 
 @lru_cache(maxsize=64)
@@ -282,9 +291,7 @@ def brute_force_min_nonfacial(
         )
     _check_weights(g, w, nonnegative=False)
     circuits = all_nonfacial_circuits(g)
-    # Common-denominator integer sums keep the scan exact and fast.
-    denom = math.lcm(*(w[e].denominator for e in range(g.edge_count)))
-    nums = [w[e].numerator * (denom // w[e].denominator) for e in range(g.edge_count)]
+    nums, denom = _scaled(w)
     best_sum = None
     best = None
     for c in circuits:
@@ -303,16 +310,26 @@ class ConditionReport:
 
     The three condition families: every weight strictly inside
     (0, 1/2); every face boundary summing to exactly 1; every non-facial
-    circuit weighing strictly more than 1.  An empty report means the
-    weighting is a valid witness.  The circuit condition is only
-    evaluated when all weights are nonnegative (a negative weight already
-    violates the bounds).
+    circuit weighing strictly more than 1.  ``min_circuit`` is the
+    cheapest non-facial circuit and its weight, the one fact the circuit
+    family needs: it is None when a negative weight (already a bound
+    violation) keeps the oracle from running.  An empty report means the
+    weighting is a valid witness.
     """
 
     bound_violations: tuple[int, ...]
     face_violations: tuple[tuple[int, Fraction], ...]
-    circuit_violation: tuple[Circuit, Fraction] | None
-    circuit_checked: bool
+    min_circuit: tuple[Circuit, Fraction] | None
+
+    @property
+    def circuit_checked(self) -> bool:
+        return self.min_circuit is not None
+
+    @property
+    def circuit_violation(self) -> tuple[Circuit, Fraction] | None:
+        if self.min_circuit is not None and self.min_circuit[1] <= 1:
+            return self.min_circuit
+        return None
 
     @property
     def ok(self) -> bool:
@@ -337,15 +354,11 @@ def check_conditions(g: PolyhedralGraph, w) -> ConditionReport:
         total = sum((w[e] for e in f.edge_ids), Fraction(0))
         if total != 1:
             face_bad.append((f.id, total))
-    circuit_checked = all(w[e] >= 0 for e in range(g.edge_count))
-    circuit_bad = None
-    if circuit_checked:
-        circuit, weight = min_nonfacial_circuit(g, w, faces)
-        if weight <= 1:
-            circuit_bad = (circuit, weight)
+    min_circuit = None
+    if all(w[e] >= 0 for e in range(g.edge_count)):
+        min_circuit = min_nonfacial_circuit(g, w, faces)
     return ConditionReport(
         bound_violations=bounds,
         face_violations=tuple(face_bad),
-        circuit_violation=circuit_bad,
-        circuit_checked=circuit_checked,
+        min_circuit=min_circuit,
     )

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import inscribe.decide as decide_module
+import inscribe.separation as separation_module
 from inscribe import (
     Certificate,
     IterationLimitError,
@@ -341,6 +342,26 @@ class TestVerifyCertificate:
         g = generate("kleetope(tetrahedron)")
         ok, problems = verify_certificate(decide_inscribable(g), g)
         assert ok, problems
+
+    @pytest.mark.parametrize("decide,family", [
+        (decide_circumscribable, "cube"),
+        (decide_inscribable, "dodecahedron"),
+    ])
+    def test_yes_runs_the_oracle_once(self, monkeypatch, decide, family):
+        g = generate(family)
+        cert = decide(g)
+        assert cert.is_yes
+        calls = []
+
+        def counted(g, w, faces=None):
+            calls.append(w)
+            return min_nonfacial_circuit(g, w, faces)
+
+        for module in (separation_module, decide_module):
+            monkeypatch.setattr(module, "min_nonfacial_circuit", counted)
+        ok, problems = verify_certificate(cert, g)
+        assert ok, problems
+        assert len(calls) == 1
 
     def test_tampered_weights_fail(self):
         g = generate("tetrahedron")

@@ -168,6 +168,26 @@ class TestBruteForce:
                     == min_nonfacial_circuit(g, w)[1]
                 )
 
+    def test_same_circuit_under_ties(self):
+        # few distinct weights make many circuits tie for the minimum; both
+        # oracles must pick the least canonical edge sequence among them
+        rng = random.Random(20261018)
+        for fam, n in [
+            ("tetrahedron", None),
+            ("octahedron", None),
+            ("cube", None),
+            ("wheel", 6),
+            ("prism", 5),
+            ("bipyramid", 4),
+            ("kleetope(tetrahedron)", None),
+        ]:
+            g = generate(fam, n)
+            for _ in range(100):
+                w = WeightVector.of(
+                    Fraction(rng.randint(0, 6), 2) for _ in range(g.edge_count)
+                )
+                assert min_nonfacial_circuit(g, w) == brute_force_min_nonfacial(g, w)
+
     def test_vertex_cap(self):
         g = generate("dodecahedron")
         with pytest.raises(VertexCapError):
