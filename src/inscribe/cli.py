@@ -10,9 +10,10 @@ Commands::
     angles <certificate.json> <file>     ideal dihedral angles from a certificate
     verify <certificate.json> <file>     re-check an emitted certificate
 
-``-`` reads the graph from standard input.  Exit codes: 0 for any
-successfully computed answer (yes or no), 2 for invalid input, 3 for an
-internal error or an exceeded iteration cap.
+``-`` reads the graph or the certificate from standard input; input that
+is not UTF-8 is invalid.  Exit codes: 0 for any successfully computed
+answer (yes or no), 2 for invalid input (including ``--max-iters`` below
+1), 3 for an internal error or an exceeded iteration cap.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ EXIT_INTERNAL = 3
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
 
 
@@ -119,6 +120,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    if args.max_iters is not None and args.max_iters < 1:
+        raise GraphError(f"--max-iters must be at least 1, got {args.max_iters}")
     g = parse_graph(_read_source(args.file))
     mode = "inscribable" if args.inscribable else "circumscribable"
     if args.fast_path and fast_path_four_connected(g):
@@ -210,11 +213,7 @@ def _cmd_verify(args) -> int:
 
 
 def _load_certificate(path: str) -> Certificate:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise GraphError(f"cannot read {path}: {exc}") from exc
+    text = _read_source(path)
     try:
         return certificate_from_json(text)
     except (ValueError, KeyError, TypeError) as exc:

@@ -86,8 +86,10 @@ def decide_circumscribable(
     oracle for the cheapest non-facial circuit; one that weighs less than
     1 + t becomes a new row.  Each round adds a distinct circuit, so the
     loop terminates; the cap (default 10 E) signals a bug, not an input
-    property.
+    property.  A cap below 1 raises ValueError.
     """
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     require_polyhedral(g)
     faces = trace_faces(g)
     cap = max_iterations if max_iterations is not None else 10 * g.edge_count

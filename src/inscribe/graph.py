@@ -114,9 +114,6 @@ class PolyhedralGraph:
         """Id of the edge between u and v; KeyError if absent."""
         return self._edge_ids[frozenset((u, v))]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return frozenset((u, v)) in self._edge_ids
-
     def other_end(self, eid: int, v: int) -> int:
         a, b = self.edges[eid]
         if v == a:
@@ -127,6 +124,12 @@ class PolyhedralGraph:
 
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
+
+    @cached_property
+    def _steinitz_report(self) -> SteinitzReport:
+        planar = euler_characteristic(self) == 2
+        three = self.vertex_count >= 4 and is_k_vertex_connected(self, 3)
+        return SteinitzReport(planar_spherical=planar, three_connected=three)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(self.other_end(e, v) for e in self.rotation[v])
@@ -224,11 +227,10 @@ def validate_steinitz(g: PolyhedralGraph) -> SteinitzReport:
 
     ``planar_spherical`` holds iff the traced faces satisfy Euler's
     formula (genus-0 embedding); ``three_connected`` iff the graph has no
-    vertex cut of size at most 2.
+    vertex cut of size at most 2.  The report is computed once per graph
+    object and kept on it.
     """
-    planar = euler_characteristic(g) == 2
-    three = g.vertex_count >= 4 and is_k_vertex_connected(g, 3)
-    return SteinitzReport(planar_spherical=planar, three_connected=three)
+    return g._steinitz_report
 
 
 def require_polyhedral(g: PolyhedralGraph) -> None:
@@ -377,9 +379,10 @@ def parse_graph(text: str, *, require_polyhedral: bool = True) -> PolyhedralGrap
             rows[i] = [int(tok) for tok in tail.split()]
         except ValueError:
             raise FormatError(f"line {lineno}: neighbor list is not integers")
-    missing = [i for i in range(n) if i not in rows]
-    if missing:
-        raise FormatError(f"no neighbor line for vertex {missing[0]}")
+    if len(rows) < n:
+        # rows holds distinct vertices below n, so one of 0..len(rows) is missing
+        missing = next(i for i in range(len(rows) + 1) if i not in rows)
+        raise FormatError(f"no neighbor line for vertex {missing}")
     g = PolyhedralGraph.from_neighbor_rotations([rows[i] for i in range(n)])
     if require_polyhedral:
         _require_polyhedral(g)

@@ -6,10 +6,11 @@ the open region is nonempty exactly when the closed system admits t > 0.
 It is stated over the nonnegative variables u_e = w_e - t and s = t + 1,
 so the bounds w_e >= t and t >= -1 hold by construction.
 
-The solver is a dense two-phase simplex on fraction-free integer rows:
-each row is a list of integers over one positive denominator, so the
-pivot loop builds no ``Fraction`` and there is no floating point
-anywhere; feasibility and optimality are exact.  The pivot rule is
+The solver is a two-phase simplex on sparse fraction-free integer rows:
+each row is a map of its nonzero integer entries over one positive
+denominator, so a pivot touches only nonzeros, the pivot loop builds no
+``Fraction`` and there is no floating point anywhere; feasibility and
+optimality are exact.  The pivot rule is
 steepest reduced cost with a permanent switch to Bland's rule after a
 run of degenerate pivots, which guarantees termination.
 """
@@ -160,69 +161,65 @@ def maximize_margin(s: ConstraintSystem) -> MarginSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau on fraction-free integer rows.
+    """Simplex tableau on fraction-free integer rows of nonzeros.
 
-    Row i stands for ``matrix[i] / den[i]`` with right-hand side
-    ``rhs[i] / den[i]``; the objective row is ``reduced / obj_den`` with
-    value ``value / obj_den``.  Every denominator is positive and every
-    row is kept primitive (the gcd of its integers and its denominator
-    is 1), so each row has one canonical form.  A basic column reads
-    ``den[i]`` in its own row and 0 elsewhere.  ``bland`` records whether
-    the last ``maximize`` fell back to Bland's rule.
+    Row i stands for ``rows[i] / den[i]``, a ``{column: int}`` map of its
+    nonzero entries, with right-hand side ``rhs[i] / den[i]``; the
+    objective row is ``reduced / obj_den``, a map of the nonzero reduced
+    costs, with value ``value / obj_den``.  Every denominator is positive
+    and every row is kept primitive (the gcd of its integers and its
+    denominator is 1), so each row has one canonical form.  A basic
+    column reads ``den[i]`` in its own row and is absent elsewhere.
+    ``bland`` records whether the last ``maximize`` fell back to Bland's
+    rule.
     """
 
-    def __init__(self, matrix, rhs, den, basis, ncols):
-        self.matrix = matrix
+    def __init__(self, rows, rhs, den, basis):
+        self.rows = rows
         self.rhs = rhs
         self.den = den
         self.basis = basis
-        self.ncols = ncols
-        self.reduced = [0] * ncols
+        self.reduced = {}
         self.value = 0
         self.obj_den = 1
         self.bland = False
 
     def set_objective(self, cost):
-        """Reduced costs and value of the integer cost vector ``cost``."""
-        basic = [(i, cost[bc]) for i, bc in enumerate(self.basis) if cost[bc]]
+        """Reduced costs and value of the sparse integer cost map ``cost``."""
+        basic = [(i, cost[bc]) for i, bc in enumerate(self.basis) if cost.get(bc)]
         d = math.lcm(*(self.den[i] for i, _ in basic))
-        reduced = [c * d for c in cost]
+        reduced = {j: c * d for j, c in cost.items()}
         value = 0
         for i, cb in basic:
             f = cb * (d // self.den[i])
-            row = self.matrix[i]
-            for j in range(self.ncols):
-                if row[j]:
-                    reduced[j] -= f * row[j]
+            for j, x in self.rows[i].items():
+                reduced[j] = reduced.get(j, 0) - f * x
             value += f * self.rhs[i]
-        for bc in self.basis:
-            reduced[bc] = 0
-        g = math.gcd(*reduced, value, d)
-        self.reduced = [x // g for x in reduced]
+        basic_cols = set(self.basis)
+        reduced = {j: x for j, x in reduced.items() if x and j not in basic_cols}
+        g = math.gcd(*reduced.values(), value, d)
+        self.reduced = {j: x // g for j, x in reduced.items()}
         self.value = value // g
         self.obj_den = d // g
 
     def pivot(self, r, c):
-        row = self.matrix[r]
+        row = self.rows[r]
+        # divide by the row's gcd, signed so that the pivot entry p > 0
+        g = math.gcd(*row.values(), self.rhs[r]) * (1 if row[c] > 0 else -1)
+        if g != 1:
+            row = {j: x // g for j, x in row.items()}
         p = row[c]
-        b = self.rhs[r]
-        if p < 0:
-            row = [-x for x in row]
-            p, b = -p, -b
-        g = math.gcd(*row, b)
-        if g > 1:
-            row = [x // g for x in row]
-            p, b = p // g, b // g
-        self.matrix[r] = row
+        b = self.rhs[r] // g
+        self.rows[r] = row
         self.rhs[r] = b
         self.den[r] = p
-        for i, other in enumerate(self.matrix):
-            a = other[c]
+        for i, other in enumerate(self.rows):
+            a = other.get(c)
             if a and i != r:
-                self.matrix[i], self.rhs[i], self.den[i] = _eliminate(
+                self.rows[i], self.rhs[i], self.den[i] = _eliminate(
                     other, self.rhs[i], self.den[i], a, row, b, p
                 )
-        a = self.reduced[c]
+        a = self.reduced.get(c)
         if a:
             # (reduced, -value) updates like a constraint row (row, rhs)
             self.reduced, value, self.obj_den = _eliminate(
@@ -236,27 +233,22 @@ class _Tableau:
         stall = 0
         pivots = 0
         while True:
-            enter = -1
-            if self.bland:
-                for j in range(self.ncols):
-                    if self.reduced[j] > 0:
-                        enter = j
-                        break
-            else:
-                best = 0
-                for j in range(self.ncols):
-                    v = self.reduced[j]
-                    if v > best:
-                        best = v
-                        enter = j
-            if enter < 0:
+            reduced = self.reduced
+            improving = [j for j, v in reduced.items() if v > 0]
+            if not improving:
                 return "optimal"
-            # minimum ratio rhs[i] / matrix[i][enter] over positive entries,
+            # Bland: the lowest improving column; otherwise the steepest
+            # reduced cost, the lowest column on ties
+            if self.bland:
+                enter = min(improving)
+            else:
+                enter = max(improving, key=lambda j: (reduced[j], -j))
+            # minimum ratio rhs[i] / rows[i][enter] over positive entries,
             # compared by cross-multiplying (den[i] cancels)
             leave = -1
             best_b = best_a = 0
-            for i in range(len(self.matrix)):
-                a = self.matrix[i][enter]
+            for i, row in enumerate(self.rows):
+                a = row.get(enter, 0)
                 if a > 0:
                     b = self.rhs[i]
                     if leave < 0:
@@ -287,13 +279,19 @@ class _Tableau:
 def _eliminate(row, b, d, a, prow, pb, p):
     """Clear entry a of the row (row, b) / d with the pivot row
     (prow, pb) / p, whose pivot entry is p:  (p row - a prow) / (d p),
-    reduced to primitive form."""
-    new = [p * x - a * y for x, y in zip(row, prow)]
+    reduced to primitive form.  Rows are maps of their nonzeros."""
+    new = {j: p * x for j, x in row.items()}
+    for j, y in prow.items():
+        x = new.get(j, 0) - a * y
+        if x:
+            new[j] = x
+        else:
+            del new[j]
     b = p * b - a * pb
     d *= p
-    g = math.gcd(*new, b, d)
+    g = math.gcd(*new.values(), b, d)
     if g > 1:
-        new = [x // g for x in new]
+        new = {j: x // g for j, x in new.items()}
         b //= g
         d //= g
     return new, b, d
@@ -307,12 +305,10 @@ def _solve_lp(n_vars, rows, target):
     drives artificial variables out.  Returns (status, x) with status
     'optimal', 'infeasible' or 'unbounded'; x holds Fractions.
     """
-    ineq_count = sum(1 for r in rows if r.relation != "=")
-    ncols = n_vars + ineq_count
-    matrix: list[list[int]] = []
+    matrix: list[dict[int, int]] = []
     rhs: list[int] = []
     den: list[int] = []
-    slack_col: list[int | None] = []
+    basis: list[int | None] = []
     next_slack = n_vars
     for row in rows:
         if row.relation not in ("<=", ">=", "="):
@@ -321,69 +317,49 @@ def _solve_lp(n_vars, rows, target):
         # a >= row is negated into a <= row; every inequality gets a slack
         sign = -1 if row.relation == ">=" else 1
         b = sign * row.rhs.numerator * (scale // row.rhs.denominator)
-        vec = [0] * ncols
-        for j, c in row.terms:
-            vec[j] = sign * c.numerator * (scale // c.denominator)
+        vec = {
+            j: sign * c.numerator * (scale // c.denominator) for j, c in row.terms if c
+        }
         sc = None
         if row.relation != "=":
             sc = next_slack
             vec[sc] = scale
             next_slack += 1
         if b < 0:
-            vec = [-x for x in vec]
+            vec = {j: -x for j, x in vec.items()}
             b = -b
         matrix.append(vec)
         rhs.append(b)
         den.append(scale)
-        slack_col.append(sc)
+        # a slack that stayed positive is the row's first basic column
+        basis.append(sc if sc is not None and vec[sc] > 0 else None)
 
-    m = len(matrix)
-    basis: list[int | None] = [None] * m
-    for i in range(m):
-        sc = slack_col[i]
-        if sc is not None and matrix[i][sc] > 0:
-            basis[i] = sc
-    art_rows = [i for i in range(m) if basis[i] is None]
-    art_start = ncols
+    art_start = next_slack
+    art_rows = [i for i, bc in enumerate(basis) if bc is None]
+    tab = _Tableau(matrix, rhs, den, basis)
     if art_rows:
-        n_art = len(art_rows)
-        for i in range(m):
-            matrix[i] = matrix[i] + [0] * n_art
         for k, i in enumerate(art_rows):
             matrix[i][art_start + k] = den[i]
             basis[i] = art_start + k
-        tab = _Tableau(matrix, rhs, den, basis, art_start + n_art)
-        phase1 = [0] * (art_start + n_art)
-        for k in range(n_art):
-            phase1[art_start + k] = -1
-        tab.set_objective(phase1)
+        tab.set_objective({art_start + k: -1 for k in range(len(art_rows))})
         if tab.maximize() != "optimal":
             raise InternalError("phase-1 objective is bounded by construction")
         if tab.value != 0:
             return "infeasible", None
-        for i in range(len(tab.matrix) - 1, -1, -1):
+        for i in range(len(tab.rows) - 1, -1, -1):
             if tab.basis[i] >= art_start:
-                row = tab.matrix[i]
-                piv = next((j for j in range(art_start) if row[j]), None)
+                piv = min((j for j in tab.rows[i] if j < art_start), default=None)
                 if piv is None:
-                    del tab.matrix[i]
-                    del tab.rhs[i]
-                    del tab.den[i]
-                    del tab.basis[i]
+                    del tab.rows[i], tab.rhs[i], tab.den[i], tab.basis[i]
                 else:
                     tab.pivot(i, piv)
-        tab.matrix = [r[:art_start] for r in tab.matrix]
-        tab.ncols = art_start
-    else:
-        tab = _Tableau(matrix, rhs, den, basis, ncols)
+        tab.rows = [{j: x for j, x in r.items() if j < art_start} for r in tab.rows]
 
-    cost = [0] * tab.ncols
-    cost[target] = 1
-    tab.set_objective(cost)
+    tab.set_objective({target: 1})
     status = tab.maximize()
     if status == "unbounded":
         return "unbounded", None
-    if any(v > 0 for v in tab.reduced):
+    if any(v > 0 for v in tab.reduced.values()):
         raise InternalError("simplex stopped with a positive reduced cost")
     x = [_F0] * n_vars
     for i, bc in enumerate(tab.basis):

@@ -116,14 +116,6 @@ class Circuit:
     def weight(self, w) -> Fraction:
         return sum((w[e] for e in self.edge_ids), Fraction(0))
 
-    def vertices(self, g: PolyhedralGraph) -> tuple[int, ...]:
-        out = []
-        for i, e in enumerate(self.edge_ids):
-            nxt = self.edge_ids[(i + 1) % len(self.edge_ids)]
-            (shared,) = set(g.edges[e]) & set(g.edges[nxt])
-            out.append(shared)
-        return tuple(out)
-
 
 def _canonical(ids: tuple[int, ...]) -> tuple[int, ...]:
     i = ids.index(min(ids))

@@ -2,9 +2,11 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import inscribe.graph as graph_module
 from inscribe import (
     WeightVector,
     dual,
@@ -15,6 +17,8 @@ from inscribe import (
     trace_faces,
 )
 from inscribe.cli import main
+
+CORPUS = Path(__file__).parents[1] / "corpus"
 
 
 def run_cli(capsys, argv, stdin=None):
@@ -75,6 +79,26 @@ class TestValidate:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["validate", "/nonexistent.pg"])
         assert code == 2
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pg"
+        bad.write_bytes(b"polygraph 1\n\xff\n")
+        code, _, err = run_cli(capsys, ["validate", str(bad)])
+        assert code == 2
+        assert "cannot read" in err and "Traceback" not in err
+
+    def test_non_utf8_stdin_exits_2(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"polygraph 1\n\xff\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, _, err = run_cli(capsys, ["validate", "-"])
+        assert code == 2
+        assert "cannot read -" in err
+
+    def test_huge_declared_vertex_count_exits_2(self, capsys):
+        text = "polygraph 1\nvertices 99999999999999999999\nv 0: 1 2\n"
+        code, _, err = run_cli(capsys, ["validate", "-"], stdin=text)
+        assert code == 2
+        assert "no neighbor line for vertex 1" in err
 
 
 class TestFaces:
@@ -208,6 +232,33 @@ class TestDecide:
         assert code == 3
         assert "internal error" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_iteration_cap_below_one_exits_2(self, capsys, cube_file, cap):
+        code, _, err = run_cli(
+            capsys, ["decide", "--circumscribable", cube_file, "--max-iters", cap]
+        )
+        assert code == 2
+        assert "must be at least 1" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("mode,calls", [
+        ("--inscribable", 2), ("--circumscribable", 1),
+    ])
+    def test_each_graph_is_checked_for_3_connectivity_once(
+        self, capsys, monkeypatch, mode, calls
+    ):
+        # the input and, for inscribability, its dual
+        checked = []
+        real = graph_module.is_k_vertex_connected
+
+        def counting(g, k):
+            checked.append(k)
+            return real(g, k)
+
+        monkeypatch.setattr(graph_module, "is_k_vertex_connected", counting)
+        code, _, _ = run_cli(capsys, ["decide", mode, str(CORPUS / "cube.pg")])
+        assert code == 0
+        assert checked == [3] * calls
+
     def test_determinism_byte_identical(self, capsys, kleetope_file):
         _, a, _ = run_cli(
             capsys, ["decide", "--inscribable", kleetope_file, "--format", "json"]
@@ -283,6 +334,13 @@ def _nonfacial_cut():
 
 class TestMalformedCertificates:
     """Malformed certificates exit 2 or FAIL; none raises."""
+
+    def test_non_utf8_certificate_exits_2(self, capsys, kleetope_file, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_bytes(b'{"answer": "\xff"}')
+        code, _, err = run_cli(capsys, ["verify", str(cert), kleetope_file])
+        assert code == 2
+        assert "cannot read" in err and "Traceback" not in err
 
     @pytest.fixture
     def no_cert(self, capsys, kleetope_file):

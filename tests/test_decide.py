@@ -63,6 +63,11 @@ class TestDecideCircumscribable:
         with pytest.raises(IterationLimitError):
             decide_circumscribable(generate("bipyramid", 3), max_iterations=1)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_is_rejected(self, cap):
+        with pytest.raises(ValueError, match="at least 1"):
+            decide_circumscribable(generate("cube"), max_iterations=cap)
+
     def test_kleetope_icosahedron(self):
         # the largest multi-round decision in the suite
         g = generate("kleetope(icosahedron)")
@@ -323,6 +328,10 @@ class TestGoldenCertificates:
             lambda: stack_on_faces(generate("bipyramid", 3), [0, 4, 5])),
         "kleetope_cube_inscribable": (
             decide_inscribable, lambda: generate("kleetope(cube)")),
+        # 120 rows before its 6 cuts; Bland's rule from the first pivot
+        # would reach another optimum
+        "kleetope_antiprism_6_circumscribable": (
+            decide_circumscribable, lambda: generate("kleetope(antiprism)", 6)),
     }
 
     @pytest.mark.parametrize("name", CASES)

@@ -90,6 +90,12 @@ class TestParse:
         with pytest.raises(FormatError):
             parse_graph("polygraph 1\nvertices 3\nv 0: 1\nv 1: 0\n")
 
+    def test_huge_declared_vertex_count(self):
+        # the search for the first missing line stops after the lines given
+        text = "polygraph 1\nvertices 99999999999999999999\nv 0: 1 2\n"
+        with pytest.raises(FormatError, match="^no neighbor line for vertex 1$"):
+            parse_graph(text)
+
     def test_nonspherical_raises_distinctly(self):
         with pytest.raises(EulerError) as info:
             parse_graph(format_graph(k5()))
@@ -150,6 +156,11 @@ class TestValidate:
         report = validate_steinitz(bowtie())
         assert report.planar_spherical
         assert not report.three_connected
+
+    def test_report_is_kept_on_the_graph(self):
+        g = generate("cube")
+        assert validate_steinitz(g) is validate_steinitz(g)
+        assert validate_steinitz(generate("cube")) is not validate_steinitz(g)
 
     def test_k5_fails_euler(self):
         report = validate_steinitz(k5())

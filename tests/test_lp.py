@@ -359,3 +359,44 @@ class TestReferenceVertexEnumeration:
             statuses[sol.status] = statuses.get(sol.status, 0) + 1
         assert statuses.get("optimal", 0) >= 20
         assert statuses.get("infeasible", 0) >= 20
+
+
+class TestTableauInvariant:
+    """Rows store only nonzeros, and the basis stays an identity."""
+
+    @staticmethod
+    def check(tab):
+        basic = set(tab.basis)
+        for i, row in enumerate(tab.rows):
+            assert 0 not in row.values()
+            assert row[tab.basis[i]] == tab.den[i] > 0
+            assert basic & row.keys() == {tab.basis[i]}
+        assert 0 not in tab.reduced.values()
+        assert not basic & tab.reduced.keys()
+
+    @pytest.mark.parametrize("family,n,cuts,phase2_pivots", [
+        ("cube", None, 0, 0),
+        ("prism", 5, 8, 0),
+        ("kleetope(bipyramid)", 3, 0, 2),
+    ])
+    def test_after_every_pivot(self, monkeypatch, family, n, cuts, phase2_pivots):
+        pivots = []  # one count per maximize call: phase 1, then phase 2
+        pivot = lp_module._Tableau.pivot
+        maximize = lp_module._Tableau.maximize
+
+        def checked_pivot(tab, r, c):
+            pivot(tab, r, c)
+            pivots[-1] += 1
+            self.check(tab)
+
+        def counted_maximize(tab):
+            pivots.append(0)
+            self.check(tab)
+            return maximize(tab)
+
+        monkeypatch.setattr(lp_module._Tableau, "pivot", checked_pivot)
+        monkeypatch.setattr(lp_module._Tableau, "maximize", counted_maximize)
+        solution = maximize_margin(dual_with_cuts(family, n, cuts))
+        assert solution.status == "optimal"
+        assert len(pivots) == 2 and pivots[0] > 0
+        assert pivots[1] == phase2_pivots
