@@ -21,10 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .decide import (
     Certificate,
+    _frac_str,
     certificate_from_json,
     certificate_to_json,
     decide_circumscribable,
@@ -56,10 +56,6 @@ def _read_source(path: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _cmd_validate(args) -> int:
@@ -134,7 +130,7 @@ def _cmd_decide(args) -> int:
             iterations=0,
             lp_status="skipped",
         )
-        _emit_certificate(cert, None, args.format, fast_path=True)
+        _emit_certificate(cert, None, args.format)
         return EXIT_OK
     if mode == "inscribable":
         cert = decide_inscribable(g, max_iterations=args.max_iters)
@@ -146,22 +142,17 @@ def _cmd_decide(args) -> int:
     return EXIT_OK
 
 
-def _emit_certificate(cert, angles, fmt, fast_path=False) -> None:
+def _emit_certificate(cert, angles, fmt) -> None:
     if fmt == "json":
-        text = certificate_to_json(cert, angles)
-        if fast_path:
-            doc = json.loads(text)
-            doc["fast_path"] = True
-            text = json.dumps(doc, indent=2) + "\n"
-        sys.stdout.write(text)
+        sys.stdout.write(certificate_to_json(cert, angles))
         return
     print(f"answer: {cert.answer}")
     print(f"graph_role: {cert.graph_role}")
-    if fast_path:
+    if cert.lp_status == "skipped":
         print("method: 4-connected fast path (no weight certificate)")
         return
     if cert.margin is not None:
-        print(f"margin: {_frac(cert.margin)}")
+        print(f"margin: {_frac_str(cert.margin)}")
     else:
         print("margin: none (face equalities contradictory)")
     print(f"iterations: {cert.iterations}")
@@ -169,11 +160,11 @@ def _emit_certificate(cert, angles, fmt, fast_path=False) -> None:
     if cert.weights is not None:
         print("weights:")
         for e in range(len(cert.weights)):
-            print(f"  edge {e}: {_frac(cert.weights[e])}")
+            print(f"  edge {e}: {_frac_str(cert.weights[e])}")
     if angles is not None:
         print("dihedral angles (fractions of pi):")
         for e in range(len(angles)):
-            print(f"  edge {e}: {_frac(angles[e])}")
+            print(f"  edge {e}: {_frac_str(angles[e])}")
 
 
 def _cmd_angles(args) -> int:
@@ -190,12 +181,12 @@ def _cmd_angles(args) -> int:
         raise GraphError(str(exc)) from exc
     if args.format == "json":
         print(json.dumps(
-            {str(e): _frac(angles[e]) for e in range(len(angles))}, indent=2
+            {str(e): _frac_str(angles[e]) for e in range(len(angles))}, indent=2
         ))
     else:
         for e in range(len(angles)):
             u, v = g.edges[e]
-            print(f"edge {e} ({u}-{v}): {_frac(angles[e])} pi")
+            print(f"edge {e} ({u}-{v}): {_frac_str(angles[e])} pi")
     return EXIT_OK
 
 

@@ -19,7 +19,14 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from .errors import IterationLimitError
-from .graph import DualPair, PolyhedralGraph, dual, require_polyhedral, trace_faces
+from .graph import (
+    DualPair,
+    PolyhedralGraph,
+    dual,
+    is_k_vertex_connected,
+    require_polyhedral,
+    trace_faces,
+)
 from .lp import MarginSolution, add_circuit_constraint, maximize_margin, new_system
 from .separation import (
     Circuit,
@@ -138,11 +145,10 @@ def decide_inscribable(
 def fast_path_four_connected(g: PolyhedralGraph) -> bool | None:
     """Shortcut: a 4-connected polyhedral graph is of both inscribable
     and circumscribable type.  Returns True in that case, None otherwise
-    (no weight certificate either way)."""
-    from .graph import is_k_vertex_connected
-
+    (no weight certificate either way).  A graph of at most 4 vertices is
+    not 4-connected."""
     require_polyhedral(g)
-    if is_k_vertex_connected(g, 4):
+    if g.vertex_count > 4 and is_k_vertex_connected(g, 4):
         return True
     return None
 
@@ -323,7 +329,9 @@ def _one_of(value, allowed: tuple[str, ...], field: str) -> str:
 def certificate_to_json(
     cert: Certificate, angles: DihedralAngles | None = None
 ) -> str:
-    """Deterministic JSON serialization; rationals as 'p/q' strings."""
+    """Deterministic JSON serialization; rationals as 'p/q' strings.  A
+    fast-path certificate (LP status 'skipped') ends with
+    ``"fast_path": true``."""
     doc: dict = {
         "answer": cert.answer,
         "graph_role": cert.graph_role,
@@ -347,6 +355,8 @@ def certificate_to_json(
             else None
         ),
     }
+    if cert.lp_status == "skipped":
+        doc["fast_path"] = True
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -131,6 +131,32 @@ class PolyhedralGraph:
         three = self.vertex_count >= 4 and is_k_vertex_connected(self, 3)
         return SteinitzReport(planar_spherical=planar, three_connected=three)
 
+    @cached_property
+    def _dual(self) -> tuple[PolyhedralGraph, tuple[int, ...], tuple[int, ...]]:
+        # the dual graph and both bijections of dual(self); not a DualPair,
+        # so that the graph holds no reference to itself
+        require_polyhedral(self)
+        incident = edge_faces(self)
+        primal_to_dual = [-1] * self.edge_count
+        dual_to_primal: list[int] = []
+        edges: list[tuple[int, int]] = []
+        rotation: list[tuple[int, ...]] = []
+        for face in trace_faces(self):
+            row = []
+            for e, _ in face.boundary:
+                if primal_to_dual[e] < 0:
+                    primal_to_dual[e] = len(edges)
+                    dual_to_primal.append(e)
+                    f1, f2 = incident[e]
+                    edges.append((face.id, f2 if f1 == face.id else f1))
+                row.append(primal_to_dual[e])
+            rotation.append(tuple(row))
+        d = PolyhedralGraph(len(rotation), tuple(edges), tuple(rotation))
+        # Whitney: the dual of a 3-connected plane graph is 3-connected,
+        # and V - E + F is the same for both graphs.
+        vars(d)["_steinitz_report"] = SteinitzReport(True, True)
+        return d, tuple(primal_to_dual), tuple(dual_to_primal)
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(self.other_end(e, v) for e in self.rotation[v])
 
@@ -288,39 +314,12 @@ def dual(g: PolyhedralGraph) -> DualPair:
     One dual vertex per face; for each primal edge, a dual edge between
     its two incident faces.  The dual rotation at a face lists its
     neighbors in face-boundary order, which embeds the dual on the same
-    sphere.  Raises if the input is not polyhedral; a parallel edge in
-    the dual would signal a non-3-connected primal and is rejected by
-    construction.
+    sphere.  Dual edges are numbered in the order one scan of the face
+    boundaries first meets their primal edges.  Raises if the input is
+    not polyhedral.  The dual is built once per graph object and kept on
+    it; being the dual of a polyhedral graph, it is polyhedral too.
     """
-    require_polyhedral(g)
-    faces = trace_faces(g)
-    incident = edge_faces(g)
-    neighbor_lists = []
-    for face in faces:
-        row = []
-        for e, _ in face.boundary:
-            f1, f2 = incident[e]
-            row.append(f2 if f1 == face.id else f1)
-        neighbor_lists.append(row)
-    dual_graph = PolyhedralGraph.from_neighbor_rotations(neighbor_lists)
-    # Recover the edge bijection by replaying the constructor's
-    # first-appearance numbering: dual edge ids appear in the same scan
-    # order as primal edges do across face boundaries.
-    primal_to_dual = [-1] * g.edge_count
-    counter = 0
-    for face in faces:
-        for e, _ in face.boundary:
-            if primal_to_dual[e] < 0:
-                primal_to_dual[e] = counter
-                counter += 1
-    if counter != dual_graph.edge_count:
-        raise EmbeddingError("dual edge count mismatch")
-    dual_to_primal = [-1] * g.edge_count
-    for e, d in enumerate(primal_to_dual):
-        if set(dual_graph.edges[d]) != set(incident[e]):
-            raise EmbeddingError("dual edge bijection inconsistent")
-        dual_to_primal[d] = e
-    return DualPair(g, dual_graph, tuple(primal_to_dual), tuple(dual_to_primal))
+    return DualPair(g, *g._dual)
 
 
 def parse_graph(text: str, *, require_polyhedral: bool = True) -> PolyhedralGraph:

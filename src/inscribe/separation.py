@@ -221,14 +221,9 @@ def min_nonfacial_circuit(
         f1, f2 = (faces[i] for i in incident[e])
         around1 = sorted(f1.edge_ids - {e})
         around2 = sorted(f2.edge_ids - {e})
-        seen: set[frozenset[int]] = set()
         for g1 in around1:
             for g2 in around2:
-                pair = frozenset((g1, g2))
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                sp = _shortest_path(g, nums, *g.edges[e], pair | {e})
+                sp = _shortest_path(g, nums, *g.edges[e], frozenset((e, g1, g2)))
                 if sp is None:
                     continue
                 dist, path = sp

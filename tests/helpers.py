@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import functools
+import random
 
-from inscribe import decide_circumscribable, decide_inscribable, generate
+from inscribe import (
+    decide_circumscribable,
+    decide_inscribable,
+    generate,
+    stack_on_faces,
+    trace_faces,
+)
 
 CORPUS_SPECS = (
     [
@@ -26,6 +33,22 @@ def corpus_name(family: str, n) -> str:
 @functools.lru_cache(maxsize=1)
 def corpus() -> dict:
     return {corpus_name(f, n): generate(f, n) for f, n in CORPUS_SPECS}
+
+
+def random_stacked_variant(rng: random.Random):
+    """A named corpus solid with an apex stacked on a random nonempty
+    subset of its faces."""
+    fam = rng.choice(
+        ["tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron",
+         "prism", "antiprism", "wheel", "bipyramid"]
+    )
+    n = rng.randint(3, 8) if fam in ("prism", "antiprism", "wheel", "bipyramid") else None
+    base = generate(fam, n)
+    nfaces = len(trace_faces(base))
+    chosen = [f for f in range(nfaces) if rng.random() < 0.5]
+    if not chosen:
+        chosen = [rng.randrange(nfaces)]
+    return f"{fam}({n})+{len(chosen)}apexes", stack_on_faces(base, chosen)
 
 
 def small_corpus() -> dict:

@@ -9,7 +9,13 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import circumscribable, corpus, inscribable, small_corpus
+from helpers import (
+    circumscribable,
+    corpus,
+    inscribable,
+    random_stacked_variant,
+    small_corpus,
+)
 
 from inscribe import (
     WeightVector,
@@ -22,7 +28,6 @@ from inscribe import (
     is_k_vertex_connected,
     min_nonfacial_circuit,
     solve_full_enumeration,
-    stack_on_faces,
     trace_faces,
     validate_steinitz,
 )
@@ -159,20 +164,6 @@ def test_criterion_6_tetrahedron_closed_form():
     )
 
 
-def _random_variant(rng: random.Random):
-    fam = rng.choice(
-        ["tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron",
-         "prism", "antiprism", "wheel", "bipyramid"]
-    )
-    n = rng.randint(3, 8) if fam in ("prism", "antiprism", "wheel", "bipyramid") else None
-    base = generate(fam, n)
-    nfaces = len(trace_faces(base))
-    chosen = [f for f in range(nfaces) if rng.random() < 0.5]
-    if not chosen:
-        chosen = [rng.randrange(nfaces)]
-    return f"{fam}({n})+{len(chosen)}apexes", stack_on_faces(base, chosen)
-
-
 def _check_structure(name, g):
     report = validate_steinitz(g)
     assert report.planar_spherical, name
@@ -244,7 +235,7 @@ def test_criterion_7_structural_invariants():
         _check_structure(name, g)
     rng = random.Random(477)
     for _ in range(100):
-        name, g = _random_variant(rng)
+        name, g = random_stacked_variant(rng)
         _check_structure(name, g)
     print(
         f"\nACCEPTANCE PASS [7] structural invariants: "

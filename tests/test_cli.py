@@ -213,6 +213,24 @@ class TestDecide:
         assert "verification: FAIL" in out
         assert "not 4-connected" in out
 
+    @pytest.mark.parametrize("mode", ["--inscribable", "--circumscribable"])
+    def test_fast_path_on_tetrahedron_takes_the_lp(self, capsys, tmp_path, mode):
+        tetra = str(CORPUS / "tetrahedron.pg")
+        argv = ["decide", mode, tetra, "--format", "json"]
+        code, lp, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, argv + ["--fast-path"])
+        assert (code, err) == (0, "")
+        assert out == lp
+        # a skipped certificate does not hold for it
+        octa = str(CORPUS / "octahedron.pg")
+        _, out, _ = run_cli(capsys, ["decide", mode, octa, "--fast-path", "--format", "json"])
+        cert = tmp_path / "cert.json"
+        cert.write_text(out)
+        code, out, err = run_cli(capsys, ["verify", str(cert), tetra])
+        assert (code, err) == (0, "")
+        assert "verification: FAIL" in out and "not 4-connected" in out
+
     def test_fast_path_falls_through_for_cube(self, capsys, cube_file):
         code, out, _ = run_cli(
             capsys,
@@ -241,12 +259,12 @@ class TestDecide:
         assert "must be at least 1" in err and "internal error" not in err
 
     @pytest.mark.parametrize("mode,calls", [
-        ("--inscribable", 2), ("--circumscribable", 1),
+        ("--inscribable", 1), ("--circumscribable", 1),
     ])
     def test_each_graph_is_checked_for_3_connectivity_once(
         self, capsys, monkeypatch, mode, calls
     ):
-        # the input and, for inscribability, its dual
+        # the input only: its dual is polyhedral by construction
         checked = []
         real = graph_module.is_k_vertex_connected
 
@@ -438,3 +456,25 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("polygraph 1")
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.pg")), ids=lambda p: p.stem)
+def test_every_command_runs_on_every_corpus_file(capsys, tmp_path, path):
+    graph = str(path)
+    for argv in (["validate", graph], ["faces", graph], ["dual", graph]):
+        code, _, err = run_cli(capsys, argv)
+        assert (code, err) == (0, ""), argv
+    cert = tmp_path / "cert.json"
+    for mode in ("--inscribable", "--circumscribable"):
+        for fast in ([], ["--fast-path"]):
+            argv = ["decide", mode, graph, "--format", "json", *fast]
+            code, out, err = run_cli(capsys, argv)
+            assert (code, err) == (0, ""), argv
+            cert.write_text(out)
+            doc = json.loads(out)
+            code, out, err = run_cli(capsys, ["verify", str(cert), graph])
+            assert (code, err) == (0, ""), argv
+            assert "verification: PASS" in out, argv
+            if mode == "--inscribable" and doc["weights"] is not None:
+                code, _, err = run_cli(capsys, ["angles", str(cert), graph])
+                assert (code, err) == (0, ""), argv

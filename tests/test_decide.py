@@ -9,6 +9,7 @@ import inscribe.separation as separation_module
 from inscribe import (
     Certificate,
     IterationLimitError,
+    PolyhedralGraph,
     WeightVector,
     certificate_from_json,
     certificate_to_json,
@@ -169,6 +170,21 @@ class TestDecideInscribable:
         assert check_conditions(pair.dual, cert.weights).ok
         assert tuple(cert.edge_bijection) == pair.primal_to_dual
 
+    def test_decide_angles_and_verify_build_one_dual(self, monkeypatch):
+        g = generate("cube")
+        built = []
+        real = PolyhedralGraph.__post_init__
+
+        def counting(graph):
+            built.append(graph.vertex_count)
+            real(graph)
+
+        monkeypatch.setattr(PolyhedralGraph, "__post_init__", counting)
+        cert = decide_inscribable(g)
+        dihedral_angles(cert, dual(g))
+        assert verify_certificate(cert, g) == (True, [])
+        assert built == [6]  # the cube's dual, the octahedron
+
 
 class TestDualityConsistency:
     @pytest.mark.parametrize("family,n", [
@@ -196,6 +212,14 @@ class TestFastPath:
         assert decide_inscribable(g).answer == "yes"
         assert decide_circumscribable(g).answer == "yes"
 
+    def test_tetrahedron_takes_the_lp(self):
+        # 4 vertices are too few to be 4-connected
+        g = generate("tetrahedron")
+        assert fast_path_four_connected(g) is None
+        ok, problems = verify_certificate(self.skipped_certificate("primal"), g)
+        assert not ok
+        assert "not 4-connected" in problems[0]
+
     def test_antiprism5_shortcut_agrees_with_lp(self):
         g = generate("antiprism", 5)
         assert fast_path_four_connected(g) is True
@@ -213,6 +237,12 @@ class TestFastPath:
             iterations=0,
             lp_status="skipped",
         )
+
+    def test_only_a_skipped_certificate_is_marked_fast_path(self):
+        text = certificate_to_json(self.skipped_certificate("dual"))
+        assert text.endswith('  "fast_path": true\n}\n')
+        lp = certificate_to_json(decide_circumscribable(generate("octahedron")))
+        assert '"fast_path"' not in lp
 
     @pytest.mark.parametrize("graph_role", ["primal", "dual"])
     def test_skipped_certificate_verifies_on_four_connected_only(self, graph_role):

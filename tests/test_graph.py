@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from helpers import corpus, random_stacked_variant
 
 from inscribe import (
     EmbeddingError,
@@ -7,6 +10,7 @@ from inscribe import (
     NotThreeConnectedError,
     PolyhedralGraph,
     dual,
+    edge_faces,
     euler_characteristic,
     format_graph,
     generate,
@@ -229,6 +233,46 @@ class TestDual:
             dual(bowtie())
         with pytest.raises(EulerError):
             dual(k5())
+
+    def test_dual_is_kept_on_the_graph(self):
+        g = generate("cube")
+        assert dual(g).dual is dual(g).dual
+
+    def test_matches_the_dual_built_from_neighbor_rotations(self):
+        rng = random.Random(2026)
+        graphs = list(corpus().items())
+        graphs += [random_stacked_variant(rng) for _ in range(100)]
+        for name, g in graphs:
+            pair = dual(g)
+            ref, primal_to_dual, dual_to_primal = reference_dual(g)
+            assert pair.dual.edges == ref.edges, name
+            assert pair.dual.rotation == ref.rotation, name
+            assert pair.primal_to_dual == primal_to_dual, name
+            assert pair.dual_to_primal == dual_to_primal, name
+            # the recorded report is the one the checks would compute
+            d = pair.dual
+            assert validate_steinitz(d).planar_spherical == (euler_characteristic(d) == 2), name
+            assert validate_steinitz(d).three_connected == is_k_vertex_connected(d, 3), name
+            assert validate_steinitz(d).is_polyhedral, name
+
+
+def reference_dual(g):
+    """The dual through from_neighbor_rotations, each primal edge mapped
+    to the dual edge that joins its two faces."""
+    incident = edge_faces(g)
+    neighbor_lists = []
+    for face in trace_faces(g):
+        row = []
+        for e, _ in face.boundary:
+            f1, f2 = incident[e]
+            row.append(f2 if f1 == face.id else f1)
+        neighbor_lists.append(row)
+    d = PolyhedralGraph.from_neighbor_rotations(neighbor_lists)
+    primal_to_dual = tuple(d.edge_id(*incident[e]) for e in range(g.edge_count))
+    dual_to_primal = [-1] * g.edge_count
+    for e, de in enumerate(primal_to_dual):
+        dual_to_primal[de] = e
+    return d, primal_to_dual, tuple(dual_to_primal)
 
 
 def assert_double_dual_matches(g):
