@@ -15,7 +15,6 @@ from .decide import (
     decide_circumscribable,
     decide_inscribable,
     dihedral_angles,
-    fast_path_four_connected,
     solve_full_enumeration,
     verify_certificate,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "dual",
     "edge_faces",
     "euler_characteristic",
-    "fast_path_four_connected",
     "format_graph",
     "generate",
     "is_k_vertex_connected",

@@ -30,7 +30,6 @@ from .decide import (
     decide_circumscribable,
     decide_inscribable,
     dihedral_angles,
-    fast_path_four_connected,
     verify_certificate,
 )
 from .errors import GraphError, InternalError
@@ -119,20 +118,7 @@ def _cmd_decide(args) -> int:
     if args.max_iters is not None and args.max_iters < 1:
         raise GraphError(f"--max-iters must be at least 1, got {args.max_iters}")
     g = parse_graph(_read_source(args.file))
-    mode = "inscribable" if args.inscribable else "circumscribable"
-    if args.fast_path and fast_path_four_connected(g):
-        cert = Certificate(
-            answer="yes",
-            graph_role="dual" if mode == "inscribable" else "primal",
-            margin=None,
-            weights=None,
-            cuts=(),
-            iterations=0,
-            lp_status="skipped",
-        )
-        _emit_certificate(cert, None, args.format)
-        return EXIT_OK
-    if mode == "inscribable":
+    if args.inscribable:
         cert = decide_inscribable(g, max_iterations=args.max_iters)
         angles = dihedral_angles(cert, dual(g)) if cert.is_yes else None
     else:
@@ -148,9 +134,6 @@ def _emit_certificate(cert, angles, fmt) -> None:
         return
     print(f"answer: {cert.answer}")
     print(f"graph_role: {cert.graph_role}")
-    if cert.lp_status == "skipped":
-        print("method: 4-connected fast path (no weight certificate)")
-        return
     if cert.margin is not None:
         print(f"margin: {_frac_str(cert.margin)}")
     else:
@@ -251,10 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--circumscribable", action="store_true")
     p.add_argument("file")
     add_format(p)
-    p.add_argument(
-        "--fast-path", action="store_true",
-        help="answer yes immediately for 4-connected graphs (no weight certificate)",
-    )
     p.add_argument(
         "--max-iters", type=int, default=None,
         help="cut-loop iteration cap (default 10*E)",

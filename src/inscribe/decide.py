@@ -23,7 +23,6 @@ from .graph import (
     DualPair,
     PolyhedralGraph,
     dual,
-    is_k_vertex_connected,
     require_polyhedral,
     trace_faces,
 )
@@ -43,8 +42,7 @@ class Certificate:
     """Outcome of a type decision, reproducible from its cut list.
 
     For a yes answer, ``weights`` is a witness on the tested graph's
-    edges and ``margin`` is its positive slack; a fast-path yes (LP
-    status 'skipped') has neither.  For a no answer,
+    edges and ``margin`` is its positive slack.  For a no answer,
     ``margin`` is the optimum of the LP rebuilt from ``cuts`` (None if
     it is infeasible): at most 0, an upper bound on the full system's
     optimum that need not equal it.  ``graph_role`` says which graph
@@ -59,7 +57,7 @@ class Certificate:
     weights: WeightVector | None
     cuts: tuple[tuple[int, ...], ...]
     iterations: int
-    lp_status: str  # 'optimal' | 'infeasible' | 'skipped' (fast path)
+    lp_status: str  # 'optimal' | 'infeasible'
     edge_bijection: tuple[int, ...] | None = None
 
     @property
@@ -140,17 +138,6 @@ def decide_inscribable(
     pair = dual(g)
     cert = decide_circumscribable(pair.dual, max_iterations=max_iterations)
     return replace(cert, graph_role="dual", edge_bijection=pair.primal_to_dual)
-
-
-def fast_path_four_connected(g: PolyhedralGraph) -> bool | None:
-    """Shortcut: a 4-connected polyhedral graph is of both inscribable
-    and circumscribable type.  Returns True in that case, None otherwise
-    (no weight certificate either way).  A graph of at most 4 vertices is
-    not 4-connected."""
-    require_polyhedral(g)
-    if g.vertex_count > 4 and is_k_vertex_connected(g, 4):
-        return True
-    return None
 
 
 def dihedral_angles(cert: Certificate, pair: DualPair) -> DihedralAngles:
@@ -234,16 +221,11 @@ def verify_certificate(
 
     Yes certificates: the recorded weighting must satisfy all three
     condition families exactly, and the minimum slack must reproduce a
-    value at least the recorded margin.  A fast-path yes (LP status
-    'skipped', no weights) holds exactly when the input is 4-connected.
-    No certificates: rebuilding the LP from the recorded cut list must
-    reproduce the recorded final state.  Returns (verdict, list of
-    failure messages).
+    value at least the recorded margin, and the LP must be recorded
+    optimal.  No certificates: rebuilding the LP from the recorded cut
+    list must reproduce the recorded final state.  Returns (verdict,
+    list of failure messages).
     """
-    if cert.lp_status == "skipped":
-        if fast_path_four_connected(g):
-            return True, []
-        return False, ["LP skipped but the graph is not 4-connected"]
     problems: list[str] = []
     if cert.graph_role == "dual":
         pair = dual(g)
@@ -262,6 +244,8 @@ def verify_certificate(
             return False, problems
         if cert.margin <= 0:
             problems.append(f"margin {cert.margin} is not positive")
+        if cert.lp_status != "optimal":
+            problems.append(f"yes certificate records LP status {cert.lp_status!r}")
         report = check_conditions(tested, cert.weights)
         if not report.ok:
             if report.bound_violations:
@@ -320,6 +304,13 @@ def _frac_parse(s: str) -> Fraction:
         raise ValueError(f"rational {s!r} has a zero denominator") from exc
 
 
+def _json_int(value, field: str) -> int:
+    # bool is a subclass of int, and a float would be truncated by int()
+    if type(value) is not int:
+        raise ValueError(f"{field} {value!r} is not a JSON integer")
+    return value
+
+
 def _one_of(value, allowed: tuple[str, ...], field: str) -> str:
     if value not in allowed:
         raise ValueError(f"{field} {value!r} is not one of {', '.join(allowed)}")
@@ -329,9 +320,7 @@ def _one_of(value, allowed: tuple[str, ...], field: str) -> str:
 def certificate_to_json(
     cert: Certificate, angles: DihedralAngles | None = None
 ) -> str:
-    """Deterministic JSON serialization; rationals as 'p/q' strings.  A
-    fast-path certificate (LP status 'skipped') ends with
-    ``"fast_path": true``."""
+    """Deterministic JSON serialization; rationals as 'p/q' strings."""
     doc: dict = {
         "answer": cert.answer,
         "graph_role": cert.graph_role,
@@ -355,8 +344,6 @@ def certificate_to_json(
             else None
         ),
     }
-    if cert.lp_status == "skipped":
-        doc["fast_path"] = True
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -373,20 +360,20 @@ def certificate_from_json(text: str) -> Certificate:
     bijection = None
     if doc.get("edge_bijection") is not None:
         raw = doc["edge_bijection"]
-        bijection = tuple(int(raw[str(e)]) for e in range(len(raw)))
-    answer = _one_of(doc["answer"], ("yes", "no"), "answer")
-    margin = _frac_parse(doc["margin"]) if doc.get("margin") is not None else None
-    # only a fast-path yes, which carries no weights or margin, skips the LP
-    statuses = ("optimal", "infeasible")
-    if answer == "yes" and weights is None and margin is None:
-        statuses += ("skipped",)
+        bijection = tuple(
+            _json_int(raw[str(e)], "edge_bijection value") for e in range(len(raw))
+        )
     return Certificate(
-        answer=answer,
+        answer=_one_of(doc["answer"], ("yes", "no"), "answer"),
         graph_role=_one_of(doc["graph_role"], ("primal", "dual"), "graph_role"),
-        margin=margin,
+        margin=_frac_parse(doc["margin"]) if doc.get("margin") is not None else None,
         weights=weights,
-        cuts=tuple(tuple(int(e) for e in c) for c in doc.get("cuts", [])),
-        iterations=int(doc["iterations"]),
-        lp_status=_one_of(doc.get("lp_status", "optimal"), statuses, "lp_status"),
+        cuts=tuple(
+            tuple(_json_int(e, "cut edge") for e in c) for c in doc.get("cuts", [])
+        ),
+        iterations=_json_int(doc["iterations"], "iterations"),
+        lp_status=_one_of(
+            doc.get("lp_status", "optimal"), ("optimal", "infeasible"), "lp_status"
+        ),
         edge_bijection=bijection,
     )

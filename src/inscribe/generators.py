@@ -11,7 +11,7 @@ import re
 from typing import Iterable, Sequence
 
 from .errors import EmbeddingError, GraphError, InternalError
-from .graph import PolyhedralGraph, trace_faces, validate_steinitz
+from .graph import PolyhedralGraph, dual, trace_faces, validate_steinitz
 
 FAMILIES = (
     "tetrahedron",
@@ -160,8 +160,6 @@ def _icosahedron() -> PolyhedralGraph:
 
 
 def _dodecahedron() -> PolyhedralGraph:
-    from .graph import dual
-
     return dual(_icosahedron()).dual
 
 

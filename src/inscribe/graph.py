@@ -94,12 +94,6 @@ class PolyhedralGraph:
                     edges.append((u, v))
                 row.append(eid)
             rotation.append(tuple(row))
-        # Every edge must be listed at both endpoints.
-        for eid, (u, v) in enumerate(edges):
-            if eid not in rotation[v] or eid not in rotation[u]:
-                raise EmbeddingError(
-                    f"edge {u}-{v} is not listed at both endpoints"
-                )
         return cls(n, tuple(edges), tuple(rotation))
 
     @property

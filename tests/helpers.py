@@ -6,11 +6,13 @@ import functools
 import random
 
 from inscribe import (
+    PolyhedralGraph,
     decide_circumscribable,
     decide_inscribable,
     generate,
     stack_on_faces,
     trace_faces,
+    validate_steinitz,
 )
 
 CORPUS_SPECS = (
@@ -49,6 +51,31 @@ def random_stacked_variant(rng: random.Random):
     if not chosen:
         chosen = [rng.randrange(nfaces)]
     return f"{fam}({n})+{len(chosen)}apexes", stack_on_faces(base, chosen)
+
+
+def delete_edge(g: PolyhedralGraph, e: int) -> PolyhedralGraph:
+    """g without edge e: each vertex keeps the cyclic order of its other
+    edges, and edge ids above e move down by one."""
+    rotation = tuple(
+        tuple(x - (x > e) for x in rot if x != e) for rot in g.rotation
+    )
+    return PolyhedralGraph(g.vertex_count, g.edges[:e] + g.edges[e + 1:], rotation)
+
+
+def random_polyhedral_graph(rng: random.Random):
+    """A random stacked variant with at most 14 vertices and 0-4 random
+    edge deletions, each kept only if the graph stays polyhedral.
+    Deletions merge faces, so faces of more sides appear."""
+    while True:
+        name, g = random_stacked_variant(rng)
+        if g.vertex_count <= 14:
+            break
+    for _ in range(rng.randint(0, 4)):
+        e = rng.randrange(g.edge_count)
+        h = delete_edge(g, e)
+        if validate_steinitz(h).is_polyhedral:
+            name, g = f"{name}-e{e}", h
+    return name, g
 
 
 def small_corpus() -> dict:

@@ -66,7 +66,8 @@ def test_criterion_1_known_answer_corpus():
 
 def test_criterion_2_four_connected_consistency():
     """Every 4-connected corpus graph answers yes for both decision
-    modes through the LP path (no fast-path shortcut involved)."""
+    modes, as the theorem says; the LP decides each one independently
+    of it."""
     four_connected = [
         (name, g)
         for name, g in corpus().items()

@@ -19,6 +19,7 @@ from inscribe import (
 from inscribe.cli import main
 
 CORPUS = Path(__file__).parents[1] / "corpus"
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, argv, stdin=None):
@@ -182,65 +183,6 @@ class TestDecide:
             main(["decide", "--inscribable", "--circumscribable", cube_file])
         assert info.value.code == 2
 
-    def test_fast_path_skips_lp_on_four_connected(self, capsys, tmp_path):
-        octa = tmp_path / "octa.pg"
-        octa.write_text(format_graph(generate("octahedron")))
-        code, out, _ = run_cli(
-            capsys,
-            ["decide", "--inscribable", str(octa), "--fast-path", "--format", "json"],
-        )
-        doc = json.loads(out)
-        assert doc["answer"] == "yes"
-        assert doc["fast_path"] is True
-        assert doc["weights"] is None
-
-    @pytest.mark.parametrize("mode", ["--inscribable", "--circumscribable"])
-    def test_fast_path_certificate_verifies(self, capsys, tmp_path, cube_file, mode):
-        octa = tmp_path / "octa.pg"
-        octa.write_text(format_graph(generate("octahedron")))
-        code, out, _ = run_cli(
-            capsys, ["decide", mode, str(octa), "--fast-path", "--format", "json"]
-        )
-        assert code == 0
-        cert = tmp_path / "cert.json"
-        cert.write_text(out)
-        code, out, err = run_cli(capsys, ["verify", str(cert), str(octa)])
-        assert (code, err) == (0, "")
-        assert "verification: PASS" in out
-        # the cube is 3-connected only, so the shortcut does not apply
-        code, out, _ = run_cli(capsys, ["verify", str(cert), cube_file])
-        assert code == 0
-        assert "verification: FAIL" in out
-        assert "not 4-connected" in out
-
-    @pytest.mark.parametrize("mode", ["--inscribable", "--circumscribable"])
-    def test_fast_path_on_tetrahedron_takes_the_lp(self, capsys, tmp_path, mode):
-        tetra = str(CORPUS / "tetrahedron.pg")
-        argv = ["decide", mode, tetra, "--format", "json"]
-        code, lp, err = run_cli(capsys, argv)
-        assert (code, err) == (0, "")
-        code, out, err = run_cli(capsys, argv + ["--fast-path"])
-        assert (code, err) == (0, "")
-        assert out == lp
-        # a skipped certificate does not hold for it
-        octa = str(CORPUS / "octahedron.pg")
-        _, out, _ = run_cli(capsys, ["decide", mode, octa, "--fast-path", "--format", "json"])
-        cert = tmp_path / "cert.json"
-        cert.write_text(out)
-        code, out, err = run_cli(capsys, ["verify", str(cert), tetra])
-        assert (code, err) == (0, "")
-        assert "verification: FAIL" in out and "not 4-connected" in out
-
-    def test_fast_path_falls_through_for_cube(self, capsys, cube_file):
-        code, out, _ = run_cli(
-            capsys,
-            ["decide", "--circumscribable", cube_file, "--fast-path", "--format", "json"],
-        )
-        doc = json.loads(out)
-        assert doc["answer"] == "yes"
-        assert "fast_path" not in doc
-        assert doc["weights"] is not None
-
     def test_iteration_cap_exits_3(self, capsys, tmp_path):
         bp = tmp_path / "bp3.pg"
         bp.write_text(format_graph(generate("bipyramid", 3)))
@@ -397,6 +339,43 @@ class TestMalformedCertificates:
         assert "PASS" not in out
         assert f"{field} {value!r} is not one of" in err
 
+    # Each one passed verify when numbers were read with int().
+    @pytest.mark.parametrize("source,tamper,reason", [
+        ("bipyramid", lambda d: d.update(cuts=[[e + 0.5 for e in c] for c in d["cuts"]]),
+         "cut edge 0.5 is not a JSON integer"),
+        ("bipyramid", lambda d: d.update(iterations=16.9),
+         "iterations 16.9 is not a JSON integer"),
+        ("bipyramid", lambda d: d.update(iterations=True),
+         "iterations True is not a JSON integer"),
+        ("cube", lambda d: d.update(edge_bijection={
+            e: x + 0.25 for e, x in d["edge_bijection"].items()}),
+         "edge_bijection value 0.25 is not a JSON integer"),
+        ("cube", lambda d: d["edge_bijection"].update({"1": True}),
+         "edge_bijection value True is not a JSON integer"),
+    ], ids=["cut-edge-float", "iterations-float", "iterations-bool",
+            "bijection-float", "bijection-bool"])
+    def test_non_integer_number_exits_2(
+        self, capsys, cube_file, tmp_path, source, tamper, reason
+    ):
+        if source == "bipyramid":
+            graph = tmp_path / "kleetope_bipyramid_3.pg"
+            graph.write_text(format_graph(generate("kleetope(bipyramid)", 3)))
+            graph = str(graph)
+            doc = json.loads((DATA / "kleetope_bipyramid_3_circumscribable.json").read_text())
+        else:
+            graph = cube_file
+            _, out, _ = run_cli(
+                capsys, ["decide", "--inscribable", cube_file, "--format", "json"]
+            )
+            doc = json.loads(out)
+        tamper(doc)
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["verify", str(cert), graph])
+        assert code == 2
+        assert "PASS" not in out
+        assert reason in err
+
     def test_top_level_array_exits_2(self, capsys, kleetope_file, tmp_path):
         cert = tmp_path / "cert.json"
         cert.write_text("[]")
@@ -466,15 +445,16 @@ def test_every_command_runs_on_every_corpus_file(capsys, tmp_path, path):
         assert (code, err) == (0, ""), argv
     cert = tmp_path / "cert.json"
     for mode in ("--inscribable", "--circumscribable"):
-        for fast in ([], ["--fast-path"]):
-            argv = ["decide", mode, graph, "--format", "json", *fast]
-            code, out, err = run_cli(capsys, argv)
+        argv = ["decide", mode, graph, "--format", "json"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        cert.write_text(out)
+        doc = json.loads(out)
+        if doc["answer"] == "yes":
+            assert doc["weights"] is not None and doc["margin"] is not None, argv
+        code, out, err = run_cli(capsys, ["verify", str(cert), graph])
+        assert (code, err) == (0, ""), argv
+        assert "verification: PASS" in out, argv
+        if mode == "--inscribable" and doc["answer"] == "yes":
+            code, _, err = run_cli(capsys, ["angles", str(cert), graph])
             assert (code, err) == (0, ""), argv
-            cert.write_text(out)
-            doc = json.loads(out)
-            code, out, err = run_cli(capsys, ["verify", str(cert), graph])
-            assert (code, err) == (0, ""), argv
-            assert "verification: PASS" in out, argv
-            if mode == "--inscribable" and doc["weights"] is not None:
-                code, _, err = run_cli(capsys, ["angles", str(cert), graph])
-                assert (code, err) == (0, ""), argv

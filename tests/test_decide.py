@@ -1,8 +1,11 @@
+import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import random_polyhedral_graph
 
 import inscribe.decide as decide_module
 import inscribe.separation as separation_module
@@ -18,7 +21,6 @@ from inscribe import (
     decide_inscribable,
     dihedral_angles,
     dual,
-    fast_path_four_connected,
     generate,
     min_nonfacial_circuit,
     solve_full_enumeration,
@@ -202,68 +204,28 @@ class TestDualityConsistency:
         assert decide_circumscribable(g).answer == decide_inscribable(pair.dual).answer
 
 
-class TestFastPath:
-    def test_octahedron_shortcut(self):
-        assert fast_path_four_connected(generate("octahedron")) is True
-
-    def test_cube_absent_but_lp_says_yes(self):
-        g = generate("cube")
-        assert fast_path_four_connected(g) is None
-        assert decide_inscribable(g).answer == "yes"
-        assert decide_circumscribable(g).answer == "yes"
-
-    def test_tetrahedron_takes_the_lp(self):
-        # 4 vertices are too few to be 4-connected
-        g = generate("tetrahedron")
-        assert fast_path_four_connected(g) is None
-        ok, problems = verify_certificate(self.skipped_certificate("primal"), g)
-        assert not ok
-        assert "not 4-connected" in problems[0]
-
-    def test_antiprism5_shortcut_agrees_with_lp(self):
-        g = generate("antiprism", 5)
-        assert fast_path_four_connected(g) is True
-        assert decide_inscribable(g).answer == "yes"
-        assert decide_circumscribable(g).answer == "yes"
-
-    @staticmethod
-    def skipped_certificate(graph_role):
-        return Certificate(
-            answer="yes",
-            graph_role=graph_role,
-            margin=None,
-            weights=None,
-            cuts=(),
-            iterations=0,
-            lp_status="skipped",
-        )
-
-    def test_only_a_skipped_certificate_is_marked_fast_path(self):
-        text = certificate_to_json(self.skipped_certificate("dual"))
-        assert text.endswith('  "fast_path": true\n}\n')
-        lp = certificate_to_json(decide_circumscribable(generate("octahedron")))
-        assert '"fast_path"' not in lp
-
-    @pytest.mark.parametrize("graph_role", ["primal", "dual"])
-    def test_skipped_certificate_verifies_on_four_connected_only(self, graph_role):
-        cert = certificate_from_json(
-            certificate_to_json(self.skipped_certificate(graph_role))
-        )
-        assert cert.lp_status == "skipped"
-        assert verify_certificate(cert, generate("octahedron")) == (True, [])
-        ok, problems = verify_certificate(cert, generate("cube"))
-        assert not ok
-        assert "not 4-connected" in problems[0]
-
-    @pytest.mark.parametrize("change", [
-        {"answer": "no"},
-        {"margin": F(1, 4)},
-        {"weights": WeightVector((F(1, 4),) * 12)},
-    ], ids=["answer-no", "with-margin", "with-weights"])
-    def test_skipped_needs_a_bare_yes(self, change):
-        cert = replace(self.skipped_certificate("primal"), **change)
-        with pytest.raises(ValueError, match="lp_status 'skipped' is not one of"):
-            certificate_from_json(certificate_to_json(cert))
+class TestRandomPolyhedralGraphs:
+    def test_answers_are_certified_and_consistent(self):
+        rng = random.Random(20261018)
+        for _ in range(40):
+            name, g = random_polyhedral_graph(rng)
+            pair = dual(g)
+            insc, circ = decide_inscribable(g), decide_circumscribable(g)
+            for cert in (insc, circ):
+                back = certificate_from_json(certificate_to_json(cert))
+                assert back == cert, name
+                assert verify_certificate(back, g) == (True, []), name
+                if cert.is_yes:
+                    assert cert.weights is not None, name
+                    assert cert.margin is not None and cert.margin > 0, name
+            assert insc.answer == decide_circumscribable(pair.dual).answer, name
+            assert circ.answer == decide_inscribable(pair.dual).answer, name
+            if g.vertex_count <= 12:
+                full, _ = solve_full_enumeration(pair.dual)
+                full_yes = full.status == "optimal" and full.margin > 0
+                assert insc.is_yes == full_yes, name
+                if insc.is_yes:
+                    assert insc.margin == full.margin, name
 
 
 class TestDihedralAngles:
@@ -341,6 +303,34 @@ class TestCertificateSerialization:
         text = certificate_to_json(cert)
         assert '"margin": "1/6"' in text
         assert '"1/3"' in text
+
+    # a yes with no weights or margin, as the removed 4-connected fast
+    # path wrote it
+    BARE_SKIPPED_YES = """{
+  "answer": "yes",
+  "graph_role": "dual",
+  "margin": null,
+  "weights": null,
+  "angles": null,
+  "cuts": [],
+  "iterations": 0,
+  "lp_status": "skipped",
+  "edge_bijection": null,
+  "fast_path": true
+}
+"""
+
+    @pytest.mark.parametrize("change", [
+        {"answer": "no"},
+        {"margin": "1/4"},
+        {"weights": {str(e): "1/4" for e in range(12)}},
+        {},
+    ], ids=["answer-no", "with-margin", "with-weights", "bare-yes"])
+    def test_skipped_status_is_rejected(self, change):
+        # every answer comes from the LP, so no certificate skips it
+        text = json.dumps({**json.loads(self.BARE_SKIPPED_YES), **change})
+        with pytest.raises(ValueError, match="lp_status 'skipped' is not one of"):
+            certificate_from_json(text)
 
 
 class TestGoldenCertificates:
@@ -427,3 +417,9 @@ class TestVerifyCertificate:
         )
         ok, _ = verify_certificate(flipped, g)
         assert not ok
+        # a yes needs an optimal LP
+        cube = generate("cube")
+        infeasible = replace(decide_inscribable(cube), lp_status="infeasible")
+        ok, problems = verify_certificate(infeasible, cube)
+        assert not ok
+        assert problems == ["yes certificate records LP status 'infeasible'"]
