@@ -25,7 +25,6 @@ from .errors import (
     FormatError,
     GraphError,
     InternalError,
-    IterationLimitError,
     NotThreeConnectedError,
     VertexCapError,
 )
@@ -41,6 +40,7 @@ from .graph import (
     format_graph,
     is_k_vertex_connected,
     parse_graph,
+    require_polyhedral,
     trace_faces,
     validate_steinitz,
 )
@@ -79,7 +79,6 @@ __all__ = [
     "FormatError",
     "GraphError",
     "InternalError",
-    "IterationLimitError",
     "MarginSolution",
     "NotThreeConnectedError",
     "PolyhedralGraph",
@@ -108,6 +107,7 @@ __all__ = [
     "min_nonfacial_circuit",
     "new_system",
     "parse_graph",
+    "require_polyhedral",
     "solve_full_enumeration",
     "stack_on_faces",
     "trace_faces",

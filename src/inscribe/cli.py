@@ -12,8 +12,7 @@ Commands::
 
 ``-`` reads the graph or the certificate from standard input; input that
 is not UTF-8 is invalid.  Exit codes: 0 for any successfully computed
-answer (yes or no), 2 for invalid input (including ``--max-iters`` below
-1), 3 for an internal error or an exceeded iteration cap.
+answer (yes or no), 2 for invalid input, 3 for an internal error.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def _read_source(path: str) -> str:
 
 
 def _cmd_validate(args) -> int:
-    g = parse_graph(_read_source(args.file), require_polyhedral=False)
+    g = parse_graph(_read_source(args.file))
     report = validate_steinitz(g)
     if args.format == "json":
         print(json.dumps({
@@ -72,7 +71,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_faces(args) -> int:
-    g = parse_graph(_read_source(args.file), require_polyhedral=False)
+    g = parse_graph(_read_source(args.file))
     faces = trace_faces(g)
     if args.format == "json":
         print(json.dumps([
@@ -115,14 +114,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    if args.max_iters is not None and args.max_iters < 1:
-        raise GraphError(f"--max-iters must be at least 1, got {args.max_iters}")
     g = parse_graph(_read_source(args.file))
     if args.inscribable:
-        cert = decide_inscribable(g, max_iterations=args.max_iters)
+        cert = decide_inscribable(g)
         angles = dihedral_angles(cert, dual(g)) if cert.is_yes else None
     else:
-        cert = decide_circumscribable(g, max_iterations=args.max_iters)
+        cert = decide_circumscribable(g)
         angles = None
     _emit_certificate(cert, angles, args.format)
     return EXIT_OK
@@ -153,10 +150,6 @@ def _emit_certificate(cert, angles, fmt) -> None:
 def _cmd_angles(args) -> int:
     cert = _load_certificate(args.certificate)
     g = parse_graph(_read_source(args.file))
-    if not cert.is_yes:
-        raise GraphError("certificate answer is 'no'; no angles exist")
-    if cert.graph_role != "dual":
-        raise GraphError("angles need an inscribability (dual-role) certificate")
     pair = dual(g)
     try:
         angles = dihedral_angles(cert, pair)
@@ -234,10 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--circumscribable", action="store_true")
     p.add_argument("file")
     add_format(p)
-    p.add_argument(
-        "--max-iters", type=int, default=None,
-        help="cut-loop iteration cap (default 10*E)",
-    )
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("angles", help="ideal dihedral angles from a certificate")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from .errors import IterationLimitError
 from .graph import (
     DualPair,
     PolyhedralGraph,
@@ -82,25 +81,22 @@ class DihedralAngles:
         return len(self.coefficients)
 
 
-def decide_circumscribable(
-    g: PolyhedralGraph, *, max_iterations: int | None = None
-) -> Certificate:
+def decide_circumscribable(g: PolyhedralGraph) -> Certificate:
     """Decide circumscribable type of g by cut generation.
 
     Maximizes the margin and, while it is positive, asks the separation
     oracle for the cheapest non-facial circuit; one that weighs less than
-    1 + t becomes a new row.  Each round adds a distinct circuit, so the
-    loop terminates; the cap (default 10 E) signals a bug, not an input
-    property.  A cap below 1 raises ValueError.
+    1 + t becomes a new row.  The loop ends by itself: maximize_margin
+    re-checks every row exactly at the point it returns, so a circuit
+    violated there is not yet a row, and add_circuit_constraint rejects
+    repeats and faces besides.  Each round thus adds a distinct
+    non-facial circuit, of which there are finitely many, and a
+    certificate's ``iterations`` is always ``len(cuts) + 1``.
     """
-    if max_iterations is not None and max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     require_polyhedral(g)
-    faces = trace_faces(g)
-    cap = max_iterations if max_iterations is not None else 10 * g.edge_count
     system = new_system(g)
     cuts: list[tuple[int, ...]] = []
-    for iteration in range(1, cap + 1):
+    while True:
         solution = maximize_margin(system)
         if solution.status == "infeasible" or solution.margin <= 0:
             return Certificate(
@@ -109,10 +105,10 @@ def decide_circumscribable(
                 margin=solution.margin,
                 weights=None,
                 cuts=tuple(cuts),
-                iterations=iteration,
+                iterations=len(cuts) + 1,
                 lp_status=solution.status,
             )
-        circuit, weight = min_nonfacial_circuit(g, solution.weights, faces)
+        circuit, weight = min_nonfacial_circuit(g, solution.weights)
         if weight - solution.margin < 1:
             system = add_circuit_constraint(system, circuit)
             cuts.append(circuit.edge_ids)
@@ -123,20 +119,17 @@ def decide_circumscribable(
             margin=solution.margin,
             weights=solution.weights,
             cuts=tuple(cuts),
-            iterations=iteration,
+            iterations=len(cuts) + 1,
             lp_status="optimal",
         )
-    raise IterationLimitError(f"cut loop exceeded {cap} iterations")
 
 
-def decide_inscribable(
-    g: PolyhedralGraph, *, max_iterations: int | None = None
-) -> Certificate:
+def decide_inscribable(g: PolyhedralGraph) -> Certificate:
     """Decide inscribable type of g: its planar dual must be of
     circumscribable type.  The certificate's weights are indexed by dual
     edge ids; the bijection from primal edge ids is included."""
     pair = dual(g)
-    cert = decide_circumscribable(pair.dual, max_iterations=max_iterations)
+    cert = decide_circumscribable(pair.dual)
     return replace(cert, graph_role="dual", edge_bijection=pair.primal_to_dual)
 
 
@@ -219,12 +212,14 @@ def verify_certificate(
 ) -> tuple[bool, list[str]]:
     """Independently re-check a certificate against its input graph.
 
+    Every certificate: each recorded cut must add to the LP in turn, and
+    ``iterations`` must be ``len(cuts) + 1``, as the cut loop records it.
     Yes certificates: the recorded weighting must satisfy all three
     condition families exactly, and the minimum slack must reproduce a
     value at least the recorded margin, and the LP must be recorded
-    optimal.  No certificates: rebuilding the LP from the recorded cut
-    list must reproduce the recorded final state.  Returns (verdict,
-    list of failure messages).
+    optimal; no LP is solved.  No certificates: the LP rebuilt from the
+    recorded cut list must reproduce the recorded final state.  Returns
+    (verdict, list of failure messages).
     """
     problems: list[str] = []
     if cert.graph_role == "dual":
@@ -235,6 +230,19 @@ def verify_certificate(
     else:
         require_polyhedral(g)
         tested = g
+    if cert.iterations != len(cert.cuts) + 1:
+        problems.append(
+            f"{cert.iterations} iterations recorded for {len(cert.cuts)} cuts, "
+            f"not {len(cert.cuts) + 1}"
+        )
+    # a yes solves no LP, so one without cuts needs no system
+    system = new_system(tested) if cert.cuts or not cert.is_yes else None
+    for key in cert.cuts:
+        try:
+            system = add_circuit_constraint(system, Circuit.from_edge_set(tested, key))
+        except ValueError as exc:
+            problems.append(f"cut {list(key)} does not rebuild: {exc}")
+            return False, problems
     if cert.is_yes:
         if cert.weights is None or cert.margin is None:
             problems.append("yes certificate lacks weights or margin")
@@ -263,15 +271,6 @@ def verify_certificate(
                     f"recomputed slack {slack} below recorded margin {cert.margin}"
                 )
     else:
-        system = new_system(tested)
-        for key in cert.cuts:
-            try:
-                system = add_circuit_constraint(
-                    system, Circuit.from_edge_set(tested, key)
-                )
-            except ValueError as exc:
-                problems.append(f"cut {list(key)} does not rebuild: {exc}")
-                return False, problems
         solution = maximize_margin(system)
         if cert.lp_status == "infeasible":
             if solution.status != "infeasible":

@@ -46,7 +46,3 @@ class VertexCapError(ValueError):
 
 class InternalError(RuntimeError):
     """A postcondition the implementation guarantees was violated."""
-
-
-class IterationLimitError(InternalError):
-    """The cut-generation loop exceeded its iteration cap."""

@@ -264,10 +264,6 @@ def require_polyhedral(g: PolyhedralGraph) -> None:
         raise NotThreeConnectedError("graph is not 3-connected", graph=g)
 
 
-# parse_graph's keyword of the same name shadows the function in its body.
-_require_polyhedral = require_polyhedral
-
-
 def is_k_vertex_connected(g: PolyhedralGraph, k: int) -> bool:
     """True iff removing any k-1 vertices leaves the graph connected.
 
@@ -316,7 +312,7 @@ def dual(g: PolyhedralGraph) -> DualPair:
     return DualPair(g, *g._dual)
 
 
-def parse_graph(text: str, *, require_polyhedral: bool = True) -> PolyhedralGraph:
+def parse_graph(text: str) -> PolyhedralGraph:
     """Parse the polygraph v1 file format.
 
     Format::
@@ -330,10 +326,10 @@ def parse_graph(text: str, *, require_polyhedral: bool = True) -> PolyhedralGrap
     ignored.  Edge ids are assigned in order of first appearance of each
     unordered pair, scanning vertices in increasing order.
 
-    With ``require_polyhedral`` (the default), a spherical embedding that
-    fails Euler's formula raises :class:`EulerError` and a non-3-connected
-    graph raises :class:`NotThreeConnectedError`; both carry the parsed
-    graph for inspection.
+    Checks the format (:class:`FormatError`) and the rotation system
+    (:class:`EmbeddingError`) only.  Sphericity and 3-connectivity are
+    left to :func:`validate_steinitz`, and enforced by
+    :func:`require_polyhedral` in every function that needs them.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -376,10 +372,7 @@ def parse_graph(text: str, *, require_polyhedral: bool = True) -> PolyhedralGrap
         # rows holds distinct vertices below n, so one of 0..len(rows) is missing
         missing = next(i for i in range(len(rows) + 1) if i not in rows)
         raise FormatError(f"no neighbor line for vertex {missing}")
-    g = PolyhedralGraph.from_neighbor_rotations([rows[i] for i in range(n)])
-    if require_polyhedral:
-        _require_polyhedral(g)
-    return g
+    return PolyhedralGraph.from_neighbor_rotations([rows[i] for i in range(n)])
 
 
 def format_graph(g: PolyhedralGraph) -> str:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InternalError, VertexCapError
-from .graph import Face, PolyhedralGraph, edge_faces, trace_faces
+from .graph import PolyhedralGraph, edge_faces, trace_faces
 
 #: Default vertex cap for exhaustive cycle enumeration.
 DEFAULT_VERTEX_CAP = 16
@@ -198,11 +198,7 @@ def min_cycle_through_edge(
     return Circuit.from_cycle_edges(g, (e,) + path), Fraction(dist + nums[e], denom)
 
 
-def min_nonfacial_circuit(
-    g: PolyhedralGraph,
-    w,
-    faces: tuple[Face, ...] | None = None,
-) -> tuple[Circuit, Fraction]:
+def min_nonfacial_circuit(g: PolyhedralGraph, w) -> tuple[Circuit, Fraction]:
     """Globally cheapest simple circuit that does not bound a face.
 
     For each edge e with incident faces f1, f2, minimizes the cycle
@@ -213,8 +209,7 @@ def min_nonfacial_circuit(
     """
     _check_weights(g, w, nonnegative=True)
     nums, denom = _scaled(w)
-    if faces is None:
-        faces = trace_faces(g)
+    faces = trace_faces(g)
     incident = edge_faces(g)
     best: tuple[int, tuple[int, ...]] | None = None
     for e in range(g.edge_count):
@@ -343,7 +338,7 @@ def check_conditions(g: PolyhedralGraph, w) -> ConditionReport:
             face_bad.append((f.id, total))
     min_circuit = None
     if all(w[e] >= 0 for e in range(g.edge_count)):
-        min_circuit = min_nonfacial_circuit(g, w, faces)
+        min_circuit = min_nonfacial_circuit(g, w)
     return ConditionReport(
         bound_violations=bounds,
         face_violations=tuple(face_bad),

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import inscribe.graph as graph_module
 from inscribe import (
+    InternalError,
     WeightVector,
     dual,
     format_graph,
@@ -16,10 +18,17 @@ from inscribe import (
     parse_graph,
     trace_faces,
 )
-from inscribe.cli import main
+from inscribe.cli import build_parser, main
 
 CORPUS = Path(__file__).parents[1] / "corpus"
 DATA = Path(__file__).parent / "data"
+
+# planar with a cut vertex: two triangles sharing vertex 0
+BOWTIE = "polygraph 1\nvertices 5\nv 0: 1 2 3 4\nv 1: 0 2\nv 2: 1 0\nv 3: 0 4\nv 4: 3 0\n"
+# 3-connected, but no rotation system embeds it on the sphere
+K5 = "polygraph 1\nvertices 5\n" + "".join(
+    f"v {u}: {' '.join(str(v) for v in range(5) if v != u)}\n" for u in range(5)
+)
 
 
 def run_cli(capsys, argv, stdin=None):
@@ -65,8 +74,7 @@ class TestValidate:
         assert json.loads(out) == {"planar_spherical": True, "three_connected": True}
 
     def test_validate_reports_failure_with_exit_zero(self, capsys):
-        bowtie = "polygraph 1\nvertices 5\nv 0: 1 2 3 4\nv 1: 0 2\nv 2: 1 0\nv 3: 0 4\nv 4: 3 0\n"
-        code, out, _ = run_cli(capsys, ["validate", "-"], stdin=bowtie)
+        code, out, _ = run_cli(capsys, ["validate", "-"], stdin=BOWTIE)
         assert code == 0
         assert "three_connected: false" in out
 
@@ -183,22 +191,14 @@ class TestDecide:
             main(["decide", "--inscribable", "--circumscribable", cube_file])
         assert info.value.code == 2
 
-    def test_iteration_cap_exits_3(self, capsys, tmp_path):
-        bp = tmp_path / "bp3.pg"
-        bp.write_text(format_graph(generate("bipyramid", 3)))
-        code, _, err = run_cli(
-            capsys, ["decide", "--circumscribable", str(bp), "--max-iters", "1"]
-        )
-        assert code == 3
-        assert "internal error" in err
+    def test_internal_error_exits_3(self, capsys, monkeypatch, cube_file):
+        def broken(system):
+            raise InternalError("solver returned a negative variable")
 
-    @pytest.mark.parametrize("cap", ["0", "-3"])
-    def test_iteration_cap_below_one_exits_2(self, capsys, cube_file, cap):
-        code, _, err = run_cli(
-            capsys, ["decide", "--circumscribable", cube_file, "--max-iters", cap]
-        )
-        assert code == 2
-        assert "must be at least 1" in err and "internal error" not in err
+        monkeypatch.setattr("inscribe.decide.maximize_margin", broken)
+        code, out, err = run_cli(capsys, ["decide", "--circumscribable", cube_file])
+        assert (code, out) == (3, "")
+        assert "internal error" in err
 
     @pytest.mark.parametrize("mode,calls", [
         ("--inscribable", 1), ("--circumscribable", 1),
@@ -421,7 +421,58 @@ class TestMalformedCertificates:
         assert "sums to" in err and "internal error" not in err
 
 
+class TestNonPolyhedralInput:
+    """Parsing checks the format and the embedding only; every command
+    that needs a polyhedral graph rejects one that is not."""
+
+    @pytest.mark.parametrize("text,message", [
+        (BOWTIE, "graph is not 3-connected"),
+        (K5, "embedding fails Euler's formula (not spherical)"),
+    ], ids=["bowtie", "K5"])
+    def test_exits_2(self, capsys, tmp_path, cube_file, kleetope_file, text, message):
+        graph = tmp_path / "graph.pg"
+        graph.write_text(text)
+        graph = str(graph)
+        argvs = [["dual", graph]]
+        argvs += [["decide", mode, graph] for mode in ("--inscribable", "--circumscribable")]
+        for source, mode in [
+            (cube_file, "--inscribable"),
+            (cube_file, "--circumscribable"),
+            (kleetope_file, "--inscribable"),
+        ]:
+            _, out, _ = run_cli(capsys, ["decide", mode, source, "--format", "json"])
+            cert = tmp_path / f"{Path(source).stem}{mode}.json"
+            cert.write_text(out)
+            argvs += [["verify", str(cert), graph], ["angles", str(cert), graph]]
+        for argv in argvs:
+            assert run_cli(capsys, argv) == (2, "", f"error: {message}\n"), argv
+
+
 class TestUsage:
+    def test_each_command_has_exactly_its_arguments(self, capsys):
+        # a new option must change this test
+        def arguments(p):
+            return [
+                " ".join(a.option_strings) or a.dest for a in p._actions if a.dest != "help"
+            ]
+
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert arguments(parser) == ["command"]
+        assert {name: arguments(p) for name, p in sub.choices.items()} == {
+            "validate": ["file", "--format"],
+            "faces": ["file", "--format"],
+            "dual": ["file", "--format"],
+            "generate": ["family", "n"],
+            "decide": ["--inscribable", "--circumscribable", "file", "--format"],
+            "angles": ["certificate", "file", "--format"],
+            "verify": ["certificate", "file", "--format"],
+        }
+        with pytest.raises(SystemExit) as info:
+            main(["decide", "--circumscribable", "cube.pg", "--max-iters", "3"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --max-iters 3" in capsys.readouterr().err
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

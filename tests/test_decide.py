@@ -11,7 +11,6 @@ import inscribe.decide as decide_module
 import inscribe.separation as separation_module
 from inscribe import (
     Certificate,
-    IterationLimitError,
     PolyhedralGraph,
     WeightVector,
     certificate_from_json,
@@ -61,16 +60,6 @@ class TestDecideCircumscribable:
         assert cert.answer == "yes"
         assert check_conditions(g, cert.weights).ok
 
-    def test_iteration_cap(self):
-        # bipyramid(3) needs a cut, so one LP solve cannot finish
-        with pytest.raises(IterationLimitError):
-            decide_circumscribable(generate("bipyramid", 3), max_iterations=1)
-
-    @pytest.mark.parametrize("cap", [0, -3])
-    def test_cap_below_one_is_rejected(self, cap):
-        with pytest.raises(ValueError, match="at least 1"):
-            decide_circumscribable(generate("cube"), max_iterations=cap)
-
     def test_kleetope_icosahedron(self):
         # the largest multi-round decision in the suite
         g = generate("kleetope(icosahedron)")
@@ -82,12 +71,14 @@ class TestDecideCircumscribable:
         ok, problems = verify_certificate(cert, g)
         assert ok, problems
 
-    def test_cut_list_reproduces_final_lp(self):
+    def test_cut_list_reproduces_final_lp(self, monkeypatch):
         # prism(3) inscribability goes through its dual and needs a cut
         g = dual(generate("prism", 3)).dual
         cert = decide_circumscribable(g)
         assert cert.answer == "yes"
         assert len(cert.cuts) >= 1
+        # verify rebuilds the cuts of a yes but solves no LP
+        monkeypatch.setattr(decide_module, "maximize_margin", None)
         ok, problems = verify_certificate(cert, g)
         assert ok, problems
 
@@ -132,10 +123,10 @@ class TestNoAtFirstNonPositiveMargin:
     def test_separation_sees_only_positive_weights(self, monkeypatch, decide, family, n):
         calls = []
 
-        def checked(g, w, faces=None):
+        def checked(g, w):
             assert all(x > 0 for x in w)
             calls.append(w)
-            return min_nonfacial_circuit(g, w, faces)
+            return min_nonfacial_circuit(g, w)
 
         monkeypatch.setattr(decide_module, "min_nonfacial_circuit", checked)
         cert = decide(generate(family, n))
@@ -215,6 +206,8 @@ class TestRandomPolyhedralGraphs:
                 back = certificate_from_json(certificate_to_json(cert))
                 assert back == cert, name
                 assert verify_certificate(back, g) == (True, []), name
+                assert cert.iterations == len(cert.cuts) + 1, name
+                assert len(set(cert.cuts)) == len(cert.cuts), name
                 if cert.is_yes:
                     assert cert.weights is not None, name
                     assert cert.margin is not None and cert.margin > 0, name
@@ -382,9 +375,9 @@ class TestVerifyCertificate:
         assert cert.is_yes
         calls = []
 
-        def counted(g, w, faces=None):
+        def counted(g, w):
             calls.append(w)
-            return min_nonfacial_circuit(g, w, faces)
+            return min_nonfacial_circuit(g, w)
 
         for module in (separation_module, decide_module):
             monkeypatch.setattr(module, "min_nonfacial_circuit", counted)
@@ -423,3 +416,23 @@ class TestVerifyCertificate:
         ok, problems = verify_certificate(infeasible, cube)
         assert not ok
         assert problems == ["yes certificate records LP status 'infeasible'"]
+
+    def test_yes_cuts_and_iterations_are_checked(self):
+        g = generate("kleetope(bipyramid)", 3)
+        doc = json.loads((DATA / "kleetope_bipyramid_3_circumscribable.json").read_text())
+        assert doc["answer"] == "yes"
+        doc.update(cuts=[[0, 1, 999]], iterations=-7)
+        ok, problems = verify_certificate(certificate_from_json(json.dumps(doc)), g)
+        assert not ok
+        assert problems == [
+            "-7 iterations recorded for 1 cuts, not 2",
+            "cut [0, 1, 999] does not rebuild: edge set names an unknown edge",
+        ]
+
+    def test_no_iterations_are_checked(self):
+        g = generate("kleetope(tetrahedron)")
+        cert = decide_inscribable(g)
+        assert (cert.answer, cert.cuts, cert.iterations) == ("no", (), 1)
+        ok, problems = verify_certificate(replace(cert, iterations=42), g)
+        assert not ok
+        assert problems == ["42 iterations recorded for 0 cuts, not 1"]

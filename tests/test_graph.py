@@ -16,6 +16,7 @@ from inscribe import (
     generate,
     is_k_vertex_connected,
     parse_graph,
+    require_polyhedral,
     trace_faces,
     validate_steinitz,
 )
@@ -100,14 +101,18 @@ class TestParse:
         with pytest.raises(FormatError, match="^no neighbor line for vertex 1$"):
             parse_graph(text)
 
+    # parsing checks the format and the embedding; require_polyhedral
+    # checks the rest
     def test_nonspherical_raises_distinctly(self):
+        assert parse_graph(format_graph(k5())) == k5()
         with pytest.raises(EulerError) as info:
-            parse_graph(format_graph(k5()))
+            require_polyhedral(parse_graph(format_graph(k5())))
         assert info.value.graph is not None
 
     def test_not_three_connected_carries_graph(self):
+        assert parse_graph(format_graph(bowtie())) == bowtie()
         with pytest.raises(NotThreeConnectedError) as info:
-            parse_graph(format_graph(bowtie()))
+            require_polyhedral(parse_graph(format_graph(bowtie())))
         # the parsed graph is still inspectable
         assert len(trace_faces(info.value.graph)) == 3
 
