@@ -9,7 +9,6 @@ cut generation keeps the circuit family implicit.
 
 from .decide import (
     Certificate,
-    DihedralAngles,
     certificate_from_json,
     certificate_to_json,
     decide_circumscribable,
@@ -26,7 +25,6 @@ from .errors import (
     GraphError,
     InternalError,
     NotThreeConnectedError,
-    VertexCapError,
 )
 from .generators import generate, kleetope, stack_on_faces
 from .graph import (
@@ -55,7 +53,6 @@ from .lp import (
 from .separation import (
     Circuit,
     ConditionReport,
-    WeightVector,
     all_nonfacial_circuits,
     brute_force_min_nonfacial,
     check_conditions,
@@ -70,7 +67,6 @@ __all__ = [
     "Circuit",
     "ConditionReport",
     "ConstraintSystem",
-    "DihedralAngles",
     "DualPair",
     "DuplicateCircuitError",
     "EmbeddingError",
@@ -84,8 +80,6 @@ __all__ = [
     "PolyhedralGraph",
     "Row",
     "SteinitzReport",
-    "VertexCapError",
-    "WeightVector",
     "add_circuit_constraint",
     "all_nonfacial_circuits",
     "brute_force_min_nonfacial",

@@ -183,7 +183,7 @@ def _load_certificate(path: str) -> Certificate:
     text = _read_source(path)
     try:
         return certificate_from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise GraphError(f"malformed certificate {path}: {exc}") from exc
 
 

@@ -28,9 +28,7 @@ from .graph import (
 from .lp import MarginSolution, add_circuit_constraint, maximize_margin, new_system
 from .separation import (
     Circuit,
-    WeightVector,
-    _scaled,
-    all_nonfacial_circuits,
+    brute_force_min_nonfacial,
     check_conditions,
     min_nonfacial_circuit,
 )
@@ -53,7 +51,7 @@ class Certificate:
     answer: str  # 'yes' | 'no'
     graph_role: str  # 'primal' | 'dual'
     margin: Fraction | None
-    weights: WeightVector | None
+    weights: tuple[Fraction, ...] | None
     cuts: tuple[tuple[int, ...], ...]
     iterations: int
     lp_status: str  # 'optimal' | 'infeasible'
@@ -62,23 +60,6 @@ class Certificate:
     @property
     def is_yes(self) -> bool:
         return self.answer == "yes"
-
-
-@dataclass(frozen=True)
-class DihedralAngles:
-    """Ideal dihedral angles as exact rational multiples of pi.
-
-    ``coefficients[e]`` is the angle coefficient for primal edge e,
-    strictly between 0 and 1.
-    """
-
-    coefficients: tuple[Fraction, ...]
-
-    def __getitem__(self, e: int) -> Fraction:
-        return self.coefficients[e]
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
 
 
 def decide_circumscribable(g: PolyhedralGraph) -> Certificate:
@@ -133,14 +114,15 @@ def decide_inscribable(g: PolyhedralGraph) -> Certificate:
     return replace(cert, graph_role="dual", edge_bijection=pair.primal_to_dual)
 
 
-def dihedral_angles(cert: Certificate, pair: DualPair) -> DihedralAngles:
-    """Ideal dihedral angles of the inscribed realization.
+def dihedral_angles(cert: Certificate, pair: DualPair) -> tuple[Fraction, ...]:
+    """Ideal dihedral angles of the inscribed realization, as exact
+    rational multiples of pi.
 
     Requires a yes certificate produced on ``pair.dual`` for the
-    inscribability of ``pair.primal``.  Each primal edge e gets the
-    coefficient 1 - 2 w(e*) of pi, where w is the certificate weighting
-    of the dual edge e*.  Raises ValueError if w misses a unit face sum
-    or gives a coefficient outside (0, 1).
+    inscribability of ``pair.primal``.  Entry e is the coefficient of pi
+    for primal edge e, strictly in (0, 1): 1 - 2 w(e*), where w is the
+    certificate weighting of the dual edge e*.  Raises ValueError if w
+    misses a unit face sum or gives a coefficient outside (0, 1).
     """
     if not cert.is_yes:
         raise ValueError("dihedral angles require a yes certificate")
@@ -159,20 +141,20 @@ def dihedral_angles(cert: Certificate, pair: DualPair) -> DihedralAngles:
         if not 0 < c < 1:
             raise ValueError(f"angle coefficient {c} outside (0, 1)")
         coeffs.append(c)
-    return DihedralAngles(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def solve_full_enumeration(g: PolyhedralGraph) -> tuple[MarginSolution, int]:
     """Optimum of the margin LP with ALL non-facial circuits as rows.
 
-    Enumerates every non-facial circuit up front, then refines an active
-    set: solve, scan the complete list exactly for the most violated row,
-    add it, repeat.  On return the solution has been checked against
-    every enumerated row, so it is the exact optimum of the full system.
-    Returns the solution and the number of LP solves.
+    Refines an active set against the exhaustive reference oracle:
+    solve, take the least circuit over every non-facial circuit, add it
+    while it is violated, repeat.  The least circuit is violated exactly
+    when some circuit is, so on return the solution satisfies every
+    row, and it is the exact optimum of the full system.  Returns the
+    solution and the number of LP solves.
     """
     require_polyhedral(g)
-    circuits = all_nonfacial_circuits(g)
     system = new_system(g)
     solves = 0
     while True:
@@ -180,31 +162,10 @@ def solve_full_enumeration(g: PolyhedralGraph) -> tuple[MarginSolution, int]:
         solves += 1
         if solution.status == "infeasible":
             return solution, solves
-        worst = _most_violated(circuits, solution)
-        if worst is None:
+        circuit, weight = brute_force_min_nonfacial(g, solution.weights)
+        if weight - solution.margin >= 1:
             return solution, solves
-        system = add_circuit_constraint(system, worst)
-
-
-def _most_violated(
-    circuits: tuple[Circuit, ...], solution: MarginSolution
-) -> Circuit | None:
-    """Most violated circuit row at the LP point, None if all hold.
-
-    Scans with common-denominator integers so the comparison is exact.
-    """
-    nums, _ = _scaled((*solution.weights, 1 + solution.margin))
-    threshold = nums.pop()
-    worst = None
-    worst_key = None
-    for c in circuits:
-        s = sum(nums[e] for e in c.edge_ids)
-        if s < threshold:
-            key = (s, c.edge_ids)
-            if worst_key is None or key < worst_key:
-                worst_key = key
-                worst = c
-    return worst
+        system = add_circuit_constraint(system, circuit)
 
 
 def verify_certificate(
@@ -212,24 +173,28 @@ def verify_certificate(
 ) -> tuple[bool, list[str]]:
     """Independently re-check a certificate against its input graph.
 
-    Every certificate: each recorded cut must add to the LP in turn, and
-    ``iterations`` must be ``len(cuts) + 1``, as the cut loop records it.
-    Yes certificates: the recorded weighting must satisfy all three
-    condition families exactly, and the minimum slack must reproduce a
-    value at least the recorded margin, and the LP must be recorded
-    optimal; no LP is solved.  No certificates: the LP rebuilt from the
-    recorded cut list must reproduce the recorded final state.  Returns
-    (verdict, list of failure messages).
+    Every certificate: each recorded cut must add to the LP in turn,
+    ``iterations`` must be ``len(cuts) + 1``, as the cut loop records it,
+    and ``edge_bijection`` must be the dual's for the 'dual' role and
+    absent for the 'primal' one.  Yes certificates: the recorded
+    weighting must satisfy all three condition families exactly, its
+    minimum slack must equal the recorded margin (the LP optimum that a
+    genuine yes reaches), and the LP must be recorded optimal; no LP is
+    solved.  No certificates: they carry no weights, and the LP rebuilt
+    from the recorded cut list must reproduce the recorded final state.
+    Returns (verdict, list of failure messages).
     """
     problems: list[str] = []
     if cert.graph_role == "dual":
         pair = dual(g)
         tested = pair.dual
-        if cert.edge_bijection is not None and tuple(cert.edge_bijection) != pair.primal_to_dual:
+        if cert.edge_bijection != pair.primal_to_dual:
             problems.append("recorded edge bijection does not match the dual")
     else:
         require_polyhedral(g)
         tested = g
+        if cert.edge_bijection is not None:
+            problems.append("primal certificate records an edge bijection")
     if cert.iterations != len(cert.cuts) + 1:
         problems.append(
             f"{cert.iterations} iterations recorded for {len(cert.cuts)} cuts, "
@@ -266,11 +231,13 @@ def verify_certificate(
         else:
             w = cert.weights
             slack = min(min(w), Fraction(1, 2) - max(w), report.min_circuit[1] - 1)
-            if slack < cert.margin:
+            if slack != cert.margin:
                 problems.append(
-                    f"recomputed slack {slack} below recorded margin {cert.margin}"
+                    f"recomputed slack {slack} differs from recorded margin {cert.margin}"
                 )
     else:
+        if cert.weights is not None:
+            problems.append("no certificate carries weights")
         solution = maximize_margin(system)
         if cert.lp_status == "infeasible":
             if solution.status != "infeasible":
@@ -317,7 +284,7 @@ def _one_of(value, allowed: tuple[str, ...], field: str) -> str:
 
 
 def certificate_to_json(
-    cert: Certificate, angles: DihedralAngles | None = None
+    cert: Certificate, angles: tuple[Fraction, ...] | None = None
 ) -> str:
     """Deterministic JSON serialization; rationals as 'p/q' strings."""
     doc: dict = {
@@ -353,16 +320,14 @@ def certificate_from_json(text: str) -> Certificate:
     weights = None
     if doc.get("weights") is not None:
         raw = doc["weights"]
-        weights = WeightVector(
-            tuple(_frac_parse(raw[str(e)]) for e in range(len(raw)))
-        )
+        weights = tuple(_frac_parse(raw[str(e)]) for e in range(len(raw)))
     bijection = None
     if doc.get("edge_bijection") is not None:
         raw = doc["edge_bijection"]
         bijection = tuple(
             _json_int(raw[str(e)], "edge_bijection value") for e in range(len(raw))
         )
-    return Certificate(
+    cert = Certificate(
         answer=_one_of(doc["answer"], ("yes", "no"), "answer"),
         graph_role=_one_of(doc["graph_role"], ("primal", "dual"), "graph_role"),
         margin=_frac_parse(doc["margin"]) if doc.get("margin") is not None else None,
@@ -376,3 +341,18 @@ def certificate_from_json(text: str) -> Certificate:
         ),
         edge_bijection=bijection,
     )
+    # angles are derived data: 1 - 2 w(e*) for each primal edge e
+    angles = doc.get("angles")
+    if angles is not None:
+        if not (cert.is_yes and cert.graph_role == "dual" and weights and bijection):
+            raise ValueError(
+                "angles belong only to a dual-role yes with weights and an edge bijection"
+            )
+        if len(angles) != len(bijection):
+            raise ValueError(f"{len(angles)} angles for {len(bijection)} edges")
+        for e, d in enumerate(bijection):
+            if not 0 <= d < len(weights):
+                raise ValueError(f"edge_bijection value {d} names no weighted edge")
+            if _frac_parse(angles[str(e)]) != 1 - 2 * weights[d]:
+                raise ValueError(f"angle of edge {e} is not 1 - 2 w({d})")
+    return cert

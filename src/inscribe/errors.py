@@ -40,9 +40,5 @@ class DuplicateCircuitError(ValueError):
     """A circuit constraint was added twice to the same system."""
 
 
-class VertexCapError(ValueError):
-    """Graph too large for exhaustive cycle enumeration."""
-
-
 class InternalError(RuntimeError):
     """A postcondition the implementation guarantees was violated."""

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import DuplicateCircuitError, InternalError
 from .graph import PolyhedralGraph, trace_faces
-from .separation import Circuit, WeightVector
+from .separation import Circuit
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -133,7 +133,7 @@ class MarginSolution:
 
     status: str  # 'optimal' | 'infeasible'
     margin: Fraction | None
-    weights: WeightVector | None
+    weights: tuple[Fraction, ...] | None
 
 
 def maximize_margin(s: ConstraintSystem) -> MarginSolution:
@@ -155,9 +155,7 @@ def maximize_margin(s: ConstraintSystem) -> MarginSolution:
         if not row.satisfied_by(x):
             raise InternalError(f"solver returned a point violating a {row.kind} row")
     t = x[s.margin_index] - 1
-    return MarginSolution(
-        "optimal", t, WeightVector(tuple(u + t for u in x[: s.edge_count]))
-    )
+    return MarginSolution("optimal", t, tuple(u + t for u in x[: s.edge_count]))
 
 
 class _Tableau:

@@ -21,35 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import InternalError, VertexCapError
+from .errors import InternalError
 from .graph import PolyhedralGraph, edge_faces, trace_faces
-
-#: Default vertex cap for exhaustive cycle enumeration.
-DEFAULT_VERTEX_CAP = 16
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Exact rational weight per edge, indexed by edge id."""
-
-    weights: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, values: Iterable) -> "WeightVector":
-        return cls(tuple(Fraction(v) for v in values))
-
-    @classmethod
-    def uniform(cls, edge_count: int, value) -> "WeightVector":
-        return cls((Fraction(value),) * edge_count)
-
-    def __getitem__(self, e: int) -> Fraction:
-        return self.weights[e]
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(self.weights)
 
 
 @dataclass(frozen=True)
@@ -62,24 +35,6 @@ class Circuit:
     """
 
     edge_ids: tuple[int, ...]
-
-    @classmethod
-    def from_cycle_edges(
-        cls, g: PolyhedralGraph, edge_ids: Sequence[int]
-    ) -> "Circuit":
-        """Canonical circuit from edge ids given in cyclic order."""
-        ids = tuple(edge_ids)
-        if len(ids) < 3 or len(set(ids)) != len(ids):
-            raise ValueError("a circuit needs at least 3 distinct edges")
-        verts = set()
-        for i, e in enumerate(ids):
-            shared = set(g.edges[e]) & set(g.edges[ids[(i + 1) % len(ids)]])
-            if len(shared) != 1:
-                raise ValueError("edges are not in cyclic order")
-            verts |= shared
-        if len(verts) != len(ids):
-            raise ValueError("edge sequence is not a simple cycle")
-        return cls(_canonical(ids))
 
     @classmethod
     def from_edge_set(cls, g: PolyhedralGraph, edge_ids: Iterable[int]) -> "Circuit":
@@ -109,9 +64,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.edge_ids)
-
-    def __contains__(self, e: int) -> bool:
-        return e in self.edge_ids
 
     def weight(self, w) -> Fraction:
         return sum((w[e] for e in self.edge_ids), Fraction(0))
@@ -195,7 +147,7 @@ def min_cycle_through_edge(
     if sp is None:
         return None
     dist, path = sp
-    return Circuit.from_cycle_edges(g, (e,) + path), Fraction(dist + nums[e], denom)
+    return Circuit.from_edge_set(g, (e,) + path), Fraction(dist + nums[e], denom)
 
 
 def min_nonfacial_circuit(g: PolyhedralGraph, w) -> tuple[Circuit, Fraction]:
@@ -228,7 +180,7 @@ def min_nonfacial_circuit(g: PolyhedralGraph, w) -> tuple[Circuit, Fraction]:
     if best is None:
         raise InternalError("polyhedral graph has no non-facial circuit")
     weight, ids = best
-    return Circuit.from_cycle_edges(g, ids), Fraction(weight, denom)
+    return Circuit.from_edge_set(g, ids), Fraction(weight, denom)
 
 
 @lru_cache(maxsize=64)
@@ -259,18 +211,10 @@ def all_nonfacial_circuits(g: PolyhedralGraph) -> tuple[Circuit, ...]:
     return tuple(out)
 
 
-def brute_force_min_nonfacial(
-    g: PolyhedralGraph,
-    w,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> tuple[Circuit, Fraction]:
-    """Reference oracle: minimum over the exhaustive non-facial circuit
-    list.  Agrees with :func:`min_nonfacial_circuit` on the minimal
-    weight; the circuit itself may differ under ties."""
-    if g.vertex_count > vertex_cap:
-        raise VertexCapError(
-            f"{g.vertex_count} vertices exceed the enumeration cap {vertex_cap}"
-        )
+def brute_force_min_nonfacial(g: PolyhedralGraph, w) -> tuple[Circuit, Fraction]:
+    """Reference oracle: the least (weight, canonical edge sequence)
+    circuit over the exhaustive non-facial circuit list, the same one
+    :func:`min_nonfacial_circuit` returns.  Accepts negative weights."""
     _check_weights(g, w, nonnegative=False)
     circuits = all_nonfacial_circuits(g)
     nums, denom = _scaled(w)

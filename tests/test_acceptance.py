@@ -18,7 +18,6 @@ from helpers import (
 )
 
 from inscribe import (
-    WeightVector,
     brute_force_min_nonfacial,
     check_conditions,
     dihedral_angles,
@@ -115,7 +114,7 @@ def test_criterion_4_separation_oracle_equivalence():
     total = 0
     for name, g in graphs.items():
         for _ in range(trials_per_graph):
-            w = WeightVector.of(
+            w = tuple(
                 F(rng.randint(0, 128), rng.choice([1, 2, 3, 4, 5, 8, 16, 32]))
                 for _ in range(g.edge_count)
             )
@@ -158,7 +157,7 @@ def test_criterion_6_tetrahedron_closed_form():
     assert tuple(circ.weights) == (F(1, 3),) * 6
     insc = inscribable(g)
     angles = dihedral_angles(insc, dual(g))
-    assert angles.coefficients == (F(1, 3),) * 6
+    assert angles == (F(1, 3),) * 6
     print(
         "\nACCEPTANCE PASS [6] tetrahedron closed form: "
         "margin 1/6, weights 1/3, angles pi/3"

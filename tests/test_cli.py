@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,6 @@ import pytest
 import inscribe.graph as graph_module
 from inscribe import (
     InternalError,
-    WeightVector,
     dual,
     format_graph,
     generate,
@@ -254,8 +254,13 @@ class TestAnglesAndVerify:
         _, out, _ = run_cli(
             capsys, ["decide", "--inscribable", cube_file, "--format", "json"]
         )
+        # weights 1/5 miss every unit face sum; the angles 1 - 2/5 agree
+        # with them, so the certificate parses and verify rejects it
+        doc = json.loads(out)
+        doc["weights"] = dict.fromkeys(doc["weights"], "1/5")
+        doc["angles"] = dict.fromkeys(doc["angles"], "3/5")
         cert = tmp_path / "cert.json"
-        cert.write_text(out.replace('"1/3"', '"1/5"'))
+        cert.write_text(json.dumps(doc))
         code, out, _ = run_cli(capsys, ["verify", str(cert), cube_file])
         assert code == 0
         assert "FAIL" in out
@@ -288,7 +293,7 @@ def _kleetope_dual():
 
 def _nonfacial_cut():
     d = _kleetope_dual()
-    circuit, _ = min_nonfacial_circuit(d, WeightVector.uniform(d.edge_count, 1))
+    circuit, _ = min_nonfacial_circuit(d, (1,) * d.edge_count)
     return list(circuit.edge_ids)
 
 
@@ -376,6 +381,29 @@ class TestMalformedCertificates:
         assert "PASS" not in out
         assert reason in err
 
+    @pytest.mark.parametrize("command", ["verify", "angles"])
+    def test_angles_that_disagree_with_the_weights_exit_2(
+        self, capsys, cube_file, tmp_path, command
+    ):
+        _, out, _ = run_cli(
+            capsys, ["decide", "--inscribable", cube_file, "--format", "json"]
+        )
+        doc = json.loads(out)
+        doc["angles"] = dict.fromkeys(doc["angles"], "1/7")
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, [command, str(cert), cube_file])
+        assert (code, out) == (2, "")
+        assert "angle of edge 0 is not 1 - 2 w" in err
+
+    @pytest.mark.parametrize("command", ["verify", "angles"])
+    def test_deeply_nested_json_exits_2(self, capsys, cube_file, tmp_path, command):
+        cert = tmp_path / "cert.json"
+        cert.write_text("[" * 100000 + "]" * 100000)
+        code, _, err = run_cli(capsys, [command, str(cert), cube_file])
+        assert code == 2
+        assert "malformed certificate" in err and "Traceback" not in err
+
     def test_top_level_array_exits_2(self, capsys, kleetope_file, tmp_path):
         cert = tmp_path / "cert.json"
         cert.write_text("[]")
@@ -414,8 +442,11 @@ class TestMalformedCertificates:
         _, out, _ = run_cli(
             capsys, ["decide", "--inscribable", cube_file, "--format", "json"]
         )
+        # without recorded angles, the angles command derives them
+        doc = json.loads(out.replace('"1/3"', '"1/5"', 1))
+        doc["angles"] = None
         cert = tmp_path / "cert.json"
-        cert.write_text(out.replace('"1/3"', '"1/5"', 1))
+        cert.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, ["angles", str(cert), cube_file])
         assert code == 2
         assert "sums to" in err and "internal error" not in err
@@ -509,3 +540,39 @@ def test_every_command_runs_on_every_corpus_file(capsys, tmp_path, path):
         if mode == "--inscribable" and doc["answer"] == "yes":
             code, _, err = run_cli(capsys, ["angles", str(cert), graph])
             assert (code, err) == (0, ""), argv
+
+
+def test_mutated_certificates_exit_0_or_2(capsys, tmp_path):
+    """Seeded mutations of every corpus certificate the cli benchmark
+    decides (files of at most 8 vertices, both questions): delete a key
+    or retype a value, at the top level or one level down.  verify and
+    angles each answer with exit 0 or 2 and never raise."""
+    retypes = (None, 0, -1, 1.5, True, "x", [], {})
+    rng = random.Random(20261018)
+    runs = 0
+    for path in sorted(CORPUS.glob("*.pg")):
+        if parse_graph(path.read_text()).vertex_count > 8:
+            continue
+        for mode in ("--inscribable", "--circumscribable"):
+            _, out, _ = run_cli(capsys, ["decide", mode, str(path), "--format", "json"])
+            for _ in range(30):
+                doc = json.loads(out)
+                parent = doc
+                key = rng.choice(sorted(doc))
+                child = doc[key]
+                if isinstance(child, (dict, list)) and child and rng.random() < 0.5:
+                    parent = child
+                    key = rng.choice(sorted(child) if isinstance(child, dict)
+                                     else range(len(child)))
+                mutation = rng.randrange(len(retypes) + 1)
+                if mutation == len(retypes):
+                    del parent[key]
+                else:
+                    parent[key] = retypes[mutation]
+                cert = tmp_path / "cert.json"
+                cert.write_text(json.dumps(doc))
+                for command in ("verify", "angles"):
+                    code, _, err = run_cli(capsys, [command, str(cert), str(path)])
+                    assert code in (0, 2), (path.name, mode, doc, command, err)
+                    runs += 1
+    assert runs == 5 * 2 * 30 * 2

@@ -12,7 +12,6 @@ import inscribe.separation as separation_module
 from inscribe import (
     Certificate,
     PolyhedralGraph,
-    WeightVector,
     certificate_from_json,
     certificate_to_json,
     check_conditions,
@@ -227,7 +226,7 @@ class TestDihedralAngles:
         pair = dual(g)
         cert = decide_inscribable(g)
         angles = dihedral_angles(cert, pair)
-        assert all(a == F(1, 3) for a in angles.coefficients)
+        assert angles == (F(1, 3),) * 6
 
     def test_quarter_weight_gives_right_angle(self):
         # the octahedron's dual is the cube; unit sums over quadrilateral
@@ -238,7 +237,7 @@ class TestDihedralAngles:
         cert = decide_inscribable(g)
         assert all(x == F(1, 4) for x in cert.weights)
         angles = dihedral_angles(cert, pair)
-        assert all(a == F(1, 2) for a in angles.coefficients)
+        assert angles == (F(1, 2),) * 12
 
     def test_rejects_no_certificates(self):
         g = generate("kleetope(tetrahedron)")
@@ -265,7 +264,7 @@ class TestDihedralAngles:
             F(1, 2) if {a, b} == {u, v} or not {a, b} & {u, v} else F(1, 4)
             for a, b in pair.dual.edges
         )
-        cert = replace(decide_inscribable(g), weights=WeightVector(w))
+        cert = replace(decide_inscribable(g), weights=w)
         with pytest.raises(ValueError, match="outside"):
             dihedral_angles(cert, pair)
 
@@ -296,6 +295,27 @@ class TestCertificateSerialization:
         text = certificate_to_json(cert)
         assert '"margin": "1/6"' in text
         assert '"1/3"' in text
+
+    @pytest.mark.parametrize("family,tamper,message", [
+        ("cube", lambda d: d.update(angles=dict.fromkeys(d["angles"], "1/7")),
+         "angle of edge 0 is not 1 - 2 w"),
+        ("cube", lambda d: d["angles"].pop("11"), "11 angles for 12 edges"),
+        ("cube", lambda d: d["edge_bijection"].update({"0": 99}),
+         "edge_bijection value 99 names no weighted edge"),
+        ("kleetope(tetrahedron)",
+         lambda d: d.update(weights={str(e): "1/3" for e in range(18)},
+                            angles={str(e): "1/3" for e in range(18)}),
+         "angles belong only to a dual-role yes"),
+    ], ids=["every-angle-1/7", "angle-missing", "bijection-out-of-range", "no-with-angles"])
+    def test_angles_must_follow_from_the_weights(self, family, tamper, message):
+        g = generate(family)
+        cert = decide_inscribable(g)
+        angles = dihedral_angles(cert, dual(g)) if cert.is_yes else None
+        doc = json.loads(certificate_to_json(cert, angles))
+        assert certificate_from_json(json.dumps(doc)) == cert
+        tamper(doc)
+        with pytest.raises(ValueError, match=message):
+            certificate_from_json(json.dumps(doc))
 
     # a yes with no weights or margin, as the removed 4-connected fast
     # path wrote it
@@ -428,6 +448,22 @@ class TestVerifyCertificate:
             "-7 iterations recorded for 1 cuts, not 2",
             "cut [0, 1, 999] does not rebuild: edge set names an unknown edge",
         ]
+
+    @pytest.mark.parametrize("decide,family,change,problem", [
+        (decide_inscribable, "cube", {"edge_bijection": None},
+         "recorded edge bijection does not match the dual"),
+        (decide_circumscribable, "cube", {"edge_bijection": tuple(range(12))},
+         "primal certificate records an edge bijection"),
+        (decide_inscribable, "kleetope(tetrahedron)", {"weights": (F(1, 3),) * 18},
+         "no certificate carries weights"),
+        (decide_inscribable, "cube", {"margin": F(1, 100)},
+         "recomputed slack 1/6 differs from recorded margin 1/100"),
+    ], ids=["dual-without-bijection", "primal-with-bijection", "no-with-weights",
+            "yes-below-optimum"])
+    def test_bijection_weights_and_margin_are_checked(self, decide, family, change, problem):
+        g = generate(family)
+        ok, problems = verify_certificate(replace(decide(g), **change), g)
+        assert (ok, problems) == (False, [problem])
 
     def test_no_iterations_are_checked(self):
         g = generate("kleetope(tetrahedron)")

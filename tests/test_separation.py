@@ -5,8 +5,6 @@ import pytest
 
 from inscribe import (
     Circuit,
-    VertexCapError,
-    WeightVector,
     all_nonfacial_circuits,
     brute_force_min_nonfacial,
     check_conditions,
@@ -15,12 +13,13 @@ from inscribe import (
     min_nonfacial_circuit,
     trace_faces,
 )
+from inscribe.separation import _canonical
 
 THIRD = Fraction(1, 3)
 
 
 def uniform(g, value=THIRD):
-    return WeightVector.uniform(g.edge_count, value)
+    return (Fraction(value),) * g.edge_count
 
 
 class TestCircuit:
@@ -30,8 +29,8 @@ class TestCircuit:
         ids = c.edge_ids
         rotated = ids[2:] + ids[:2]
         reflected = tuple(reversed(ids))
-        assert Circuit.from_cycle_edges(g, rotated) == c
-        assert Circuit.from_cycle_edges(g, reflected) == c
+        assert _canonical(rotated) == ids
+        assert _canonical(reflected) == ids
 
     def test_from_edge_set_matches_cycle_order(self):
         g = generate("octahedron")
@@ -81,7 +80,7 @@ class TestMinCycleThroughEdge:
 
     def test_negative_weights_rejected(self):
         g = generate("tetrahedron")
-        w = WeightVector.of([-1] + [1] * 5)
+        w = (Fraction(-1),) + (Fraction(1),) * 5
         with pytest.raises(ValueError):
             min_cycle_through_edge(g, w, 1)
 
@@ -108,7 +107,7 @@ class TestMinNonfacialCircuit:
     def test_cube_with_one_cheap_face(self):
         g = generate("cube")
         cheap = trace_faces(g)[0].edge_ids
-        w = WeightVector.of(
+        w = tuple(
             Fraction(1, 10) if e in cheap else THIRD for e in range(g.edge_count)
         )
         _, weight = min_nonfacial_circuit(g, w)
@@ -118,7 +117,7 @@ class TestMinNonfacialCircuit:
 
     def test_returned_circuit_is_nonfacial_and_weight_consistent(self):
         g = generate("antiprism", 5)
-        w = WeightVector.of(
+        w = tuple(
             Fraction(i % 7 + 1, 11) for i in range(g.edge_count)
         )
         circuit, weight = min_nonfacial_circuit(g, w)
@@ -127,7 +126,7 @@ class TestMinNonfacialCircuit:
 
     def test_zero_weights_give_zero(self):
         g = generate("cube")
-        _, weight = min_nonfacial_circuit(g, WeightVector.uniform(g.edge_count, 0))
+        _, weight = min_nonfacial_circuit(g, uniform(g, 0))
         assert weight == 0
 
     def test_monotone_in_each_weight(self):
@@ -135,15 +134,15 @@ class TestMinNonfacialCircuit:
         rng = random.Random(3)
         for _ in range(25):
             vals = [Fraction(rng.randint(0, 8), 4) for _ in range(g.edge_count)]
-            base = min_nonfacial_circuit(g, WeightVector.of(vals))[1]
+            base = min_nonfacial_circuit(g, tuple(vals))[1]
             e = rng.randrange(g.edge_count)
             vals[e] += Fraction(rng.randint(1, 4), 4)
-            bumped = min_nonfacial_circuit(g, WeightVector.of(vals))[1]
+            bumped = min_nonfacial_circuit(g, tuple(vals))[1]
             assert bumped >= base
 
     def test_deterministic(self):
         g = generate("prism", 5)
-        w = WeightVector.of(Fraction(i % 5, 7) for i in range(g.edge_count))
+        w = tuple(Fraction(i % 5, 7) for i in range(g.edge_count))
         assert min_nonfacial_circuit(g, w) == min_nonfacial_circuit(g, w)
 
 
@@ -159,7 +158,7 @@ class TestBruteForce:
         ]:
             g = generate(fam, n)
             for _ in range(40):
-                w = WeightVector.of(
+                w = tuple(
                     Fraction(rng.randint(0, 96), rng.choice([1, 2, 3, 4, 8, 16]))
                     for _ in range(g.edge_count)
                 )
@@ -183,18 +182,15 @@ class TestBruteForce:
         ]:
             g = generate(fam, n)
             for _ in range(100):
-                w = WeightVector.of(
+                w = tuple(
                     Fraction(rng.randint(0, 6), 2) for _ in range(g.edge_count)
                 )
                 assert min_nonfacial_circuit(g, w) == brute_force_min_nonfacial(g, w)
 
-    def test_vertex_cap(self):
+    def test_dodecahedron_matches_oracle(self):
+        # 20 vertices: the exhaustive enumeration has no size cap
         g = generate("dodecahedron")
-        with pytest.raises(VertexCapError):
-            brute_force_min_nonfacial(g, uniform(g))
-        # configurable cap admits larger graphs
-        circuit, weight = brute_force_min_nonfacial(g, uniform(g), vertex_cap=20)
-        assert weight == min_nonfacial_circuit(g, uniform(g))[1]
+        assert brute_force_min_nonfacial(g, uniform(g)) == min_nonfacial_circuit(g, uniform(g))
 
     def test_enumeration_counts(self):
         # classical cycle counts minus the face boundaries
@@ -214,14 +210,14 @@ class TestCheckConditions:
 
     def test_k4_uniform_half_violates_bounds_and_faces(self):
         g = generate("tetrahedron")
-        report = check_conditions(g, WeightVector.uniform(6, Fraction(1, 2)))
+        report = check_conditions(g, uniform(g, Fraction(1, 2)))
         assert set(report.bound_violations) == set(range(6))
         assert {total for _, total in report.face_violations} == {Fraction(3, 2)}
         assert not report.ok
 
     def test_octahedron_uniform_quarter_violates_faces_only(self):
         g = generate("octahedron")
-        report = check_conditions(g, WeightVector.uniform(12, Fraction(1, 4)))
+        report = check_conditions(g, uniform(g, Fraction(1, 4)))
         assert report.bound_violations == ()
         assert len(report.face_violations) == 8
         assert {total for _, total in report.face_violations} == {Fraction(3, 4)}
@@ -231,7 +227,7 @@ class TestCheckConditions:
         # (spoke + rim + spoke) at 1 and every weight inside (0, 1/2),
         # but the rim triangle is a non-facial circuit of weight 1/5
         g = generate("bipyramid", 3)
-        w = WeightVector.of(
+        w = tuple(
             Fraction(1, 15) if 0 not in g.edges[e] and 1 not in g.edges[e]
             else Fraction(7, 15)
             for e in range(g.edge_count)
@@ -247,7 +243,7 @@ class TestCheckConditions:
 
     def test_negative_weight_skips_circuit_scan(self):
         g = generate("tetrahedron")
-        w = WeightVector.of([Fraction(-1, 4)] + [THIRD] * 5)
+        w = (Fraction(-1, 4),) + (THIRD,) * 5
         report = check_conditions(g, w)
         assert 0 in report.bound_violations
         assert not report.circuit_checked
