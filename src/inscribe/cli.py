@@ -150,9 +150,11 @@ def _emit_certificate(cert, angles, fmt) -> None:
 def _cmd_angles(args) -> int:
     cert = _load_certificate(args.certificate)
     g = parse_graph(_read_source(args.file))
-    pair = dual(g)
+    ok, problems = verify_certificate(cert, g)
+    if not ok:
+        raise GraphError("certificate fails verification: " + "; ".join(problems))
     try:
-        angles = dihedral_angles(cert, pair)
+        angles = dihedral_angles(cert, dual(g))
     except ValueError as exc:
         raise GraphError(str(exc)) from exc
     if args.format == "json":

@@ -313,16 +313,31 @@ def certificate_to_json(
     return json.dumps(doc, indent=2) + "\n"
 
 
+_CERTIFICATE_KEYS = frozenset((
+    "answer", "graph_role", "margin", "weights", "angles", "cuts",
+    "iterations", "lp_status", "edge_bijection",
+))
+
+
 def certificate_from_json(text: str) -> Certificate:
+    """Parse a certificate; it must carry exactly the keys that
+    :func:`certificate_to_json` writes."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("certificate is not a JSON object")
+    missing = sorted(_CERTIFICATE_KEYS - doc.keys())
+    unknown = sorted(doc.keys() - _CERTIFICATE_KEYS)
+    if missing or unknown:
+        raise ValueError(f"certificate keys missing {missing}, unknown {unknown}")
+    cuts = doc["cuts"]
+    if not isinstance(cuts, list) or not all(isinstance(c, list) for c in cuts):
+        raise ValueError("cuts is not a JSON list of lists")
     weights = None
-    if doc.get("weights") is not None:
+    if doc["weights"] is not None:
         raw = doc["weights"]
         weights = tuple(_frac_parse(raw[str(e)]) for e in range(len(raw)))
     bijection = None
-    if doc.get("edge_bijection") is not None:
+    if doc["edge_bijection"] is not None:
         raw = doc["edge_bijection"]
         bijection = tuple(
             _json_int(raw[str(e)], "edge_bijection value") for e in range(len(raw))
@@ -330,19 +345,15 @@ def certificate_from_json(text: str) -> Certificate:
     cert = Certificate(
         answer=_one_of(doc["answer"], ("yes", "no"), "answer"),
         graph_role=_one_of(doc["graph_role"], ("primal", "dual"), "graph_role"),
-        margin=_frac_parse(doc["margin"]) if doc.get("margin") is not None else None,
+        margin=_frac_parse(doc["margin"]) if doc["margin"] is not None else None,
         weights=weights,
-        cuts=tuple(
-            tuple(_json_int(e, "cut edge") for e in c) for c in doc.get("cuts", [])
-        ),
+        cuts=tuple(tuple(_json_int(e, "cut edge") for e in c) for c in cuts),
         iterations=_json_int(doc["iterations"], "iterations"),
-        lp_status=_one_of(
-            doc.get("lp_status", "optimal"), ("optimal", "infeasible"), "lp_status"
-        ),
+        lp_status=_one_of(doc["lp_status"], ("optimal", "infeasible"), "lp_status"),
         edge_bijection=bijection,
     )
     # angles are derived data: 1 - 2 w(e*) for each primal edge e
-    angles = doc.get("angles")
+    angles = doc["angles"]
     if angles is not None:
         if not (cert.is_yes and cert.graph_role == "dual" and weights and bijection):
             raise ValueError(

@@ -1,12 +1,23 @@
 """Minimum-weight non-facial circuits.
 
-The main oracle, :func:`min_nonfacial_circuit`, finds the cheapest simple
-circuit that is not a face boundary.  It relies on a structural fact about
-sphere embeddings: a simple circuit through edge e that uses every other
-edge of one of e's incident faces *is* that face, so every non-facial
-circuit through e avoids at least one further edge of each incident face.
-Minimizing the cycle through e over all such avoided pairs therefore
-covers every non-facial circuit.
+The main oracle, :func:`min_nonfacial_circuit`, finds the least
+(weight, canonical edge sequence) simple circuit that is not a face
+boundary.  It relies on a structural fact about sphere embeddings: a
+simple circuit through edge e that uses every other edge of one of e's
+incident faces *is* that face, so every non-facial circuit through e
+avoids at least one further edge of each incident face.
+
+Each circuit is looked for only from its least edge e = uv: a shortest
+u-v path over the edges above e.  A face of e with an edge below e can
+never be that path, so it needs no avoided edge; a face whose other
+edges all lie above e loses one of them in each search, in every way.
+This stays exact.  Let e0 be the least edge of the least circuit C*.
+The search from the endpoint of e0 where the canonical form of C*
+starts, avoiding one edge of each face that C* misses, returns C*: any
+other path it could prefer closes a non-facial circuit of no greater
+weight whose canonical form is smaller.  Both ends of every edge are
+searched, and each search stops at the best weight found so far, since
+a heavier path is never chosen.
 
 :func:`brute_force_min_nonfacial` is the independent reference oracle: it
 enumerates every simple cycle of the graph outright.
@@ -15,11 +26,12 @@ enumerates every simple cycle of the graph outright.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .errors import InternalError
 from .graph import PolyhedralGraph, edge_faces, trace_faces
@@ -95,33 +107,34 @@ def _scaled(w) -> tuple[list[int], int]:
 
 
 def _shortest_path(
-    g: PolyhedralGraph,
+    adj: Sequence[Sequence[tuple[int, int]]],
     nums: Sequence[int],
     source: int,
     target: int,
-    banned: frozenset[int],
+    banned: Container[int],
+    bound: int | None = None,
 ) -> tuple[int, tuple[int, ...]] | None:
-    """Min-weight source-target path avoiding banned edges, or None.
+    """Min-weight source-target path over ``adj`` avoiding banned edges.
 
-    Requires nonnegative integer weights.  Ties are broken by the
-    lexicographic order of the path's edge id sequence, which makes the
-    result unique.
+    ``adj[v]`` lists the (edge, other end) pairs at v that the search
+    may use.  Requires nonnegative integer weights.  Ties are broken by
+    the lexicographic order of the path's edge id sequence, which makes
+    the result unique.  Returns None if no path weighs at most ``bound``.
     """
     best: dict[int, tuple[int, tuple[int, ...]]] = {}
     settled = set()
     heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), source)]
     while heap:
         dist, path, v = heapq.heappop(heap)
+        if bound is not None and dist > bound:
+            return None
         if v in settled:
             continue
         settled.add(v)
         if v == target:
             return dist, path
-        for e in g.rotation[v]:
-            if e in banned:
-                continue
-            u = g.other_end(e, v)
-            if u in settled:
+        for e, u in adj[v]:
+            if e in banned or u in settled:
                 continue
             cand = (dist + nums[e], path + (e,))
             if u not in best or cand < best[u]:
@@ -143,7 +156,8 @@ def min_cycle_through_edge(
         raise ValueError("the required edge cannot be forbidden")
     _check_weights(g, w, nonnegative=True)
     nums, denom = _scaled(w)
-    sp = _shortest_path(g, nums, *g.edges[e], banned | {e})
+    adj = [[(x, g.other_end(x, v)) for x in rot] for v, rot in enumerate(g.rotation)]
+    sp = _shortest_path(adj, nums, *g.edges[e], banned | {e})
     if sp is None:
         return None
     dist, path = sp
@@ -153,30 +167,38 @@ def min_cycle_through_edge(
 def min_nonfacial_circuit(g: PolyhedralGraph, w) -> tuple[Circuit, Fraction]:
     """Globally cheapest simple circuit that does not bound a face.
 
-    For each edge e with incident faces f1, f2, minimizes the cycle
-    through e that avoids one further edge of f1 and one of f2; see the
-    module docstring for why this covers all non-facial circuits.  Ties
-    are broken by the canonical circuit form, so the result is
+    Looks for each circuit only from its least edge e, over the edges
+    above e; see the module docstring for why this finds the least
+    (weight, canonical edge sequence) circuit, so the result is
     deterministic.  Requires nonnegative weights.
     """
     _check_weights(g, w, nonnegative=True)
     nums, denom = _scaled(w)
     faces = trace_faces(g)
     incident = edge_faces(g)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
     best: tuple[int, tuple[int, ...]] | None = None
-    for e in range(g.edge_count):
-        f1, f2 = (faces[i] for i in incident[e])
-        around1 = sorted(f1.edge_ids - {e})
-        around2 = sorted(f2.edge_ids - {e})
-        for g1 in around1:
-            for g2 in around2:
-                sp = _shortest_path(g, nums, *g.edges[e], frozenset((e, g1, g2)))
+    for e in reversed(range(g.edge_count)):
+        u, v = g.edges[e]
+        # a face with an edge below e is never the path; a face whose
+        # other edges all lie above e loses one of them in each search
+        avoid = [
+            faces[i].edge_ids - {e} for i in incident[e] if min(faces[i].edge_ids) == e
+        ]
+        for banned in itertools.product(*avoid):
+            for source, target in ((u, v), (v, u)):
+                bound = None if best is None else best[0] - nums[e]
+                sp = _shortest_path(adj, nums, source, target, banned, bound)
                 if sp is None:
                     continue
+                # the key is the canonical form when read from the
+                # circuit's canonical start, and larger from its other end
                 dist, path = sp
-                key = (dist + nums[e], _canonical((e,) + path))
+                key = (dist + nums[e], (e,) + path)
                 if best is None or key < best:
                     best = key
+        adj[u].append((e, v))
+        adj[v].append((e, u))
     if best is None:
         raise InternalError("polyhedral graph has no non-facial circuit")
     weight, ids = best

@@ -286,6 +286,21 @@ class TestAnglesAndVerify:
         code, _, err = run_cli(capsys, ["angles", str(cert), kleetope_file])
         assert code == 2
 
+    @pytest.mark.parametrize("field,value", [("margin", None), ("iterations", -1)])
+    def test_angles_checks_the_certificate_first(
+        self, capsys, cube_file, tmp_path, field, value
+    ):
+        _, out, _ = run_cli(
+            capsys, ["decide", "--inscribable", cube_file, "--format", "json"]
+        )
+        doc = json.loads(out)
+        doc[field] = value
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["angles", str(cert), cube_file])
+        assert (code, out) == (2, "")
+        assert "certificate fails verification" in err
+
 
 def _kleetope_dual():
     return dual(generate("kleetope(tetrahedron)")).dual
@@ -379,6 +394,38 @@ class TestMalformedCertificates:
         code, out, err = run_cli(capsys, ["verify", str(cert), graph])
         assert code == 2
         assert "PASS" not in out
+        assert reason in err
+
+    @pytest.mark.parametrize("key", [
+        "answer", "graph_role", "margin", "weights", "angles", "cuts",
+        "iterations", "lp_status", "edge_bijection",
+    ])
+    @pytest.mark.parametrize("command", ["verify", "angles"])
+    def test_deleting_any_key_exits_2(self, capsys, cube_file, tmp_path, key, command):
+        _, out, _ = run_cli(
+            capsys, ["decide", "--inscribable", cube_file, "--format", "json"]
+        )
+        doc = json.loads(out)
+        del doc[key]
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, [command, str(cert), cube_file])
+        assert (code, out) == (2, "")
+        assert f"missing ['{key}']" in err
+
+    @pytest.mark.parametrize("change,reason", [
+        (lambda d: d.update(fast_path=True), "unknown ['fast_path']"),
+        (lambda d: d.update(cuts={}), "cuts is not a JSON list of lists"),
+        (lambda d: d.update(cuts=["012"]), "cuts is not a JSON list of lists"),
+    ], ids=["extra-key", "cuts-object", "cut-string"])
+    def test_other_key_sets_and_cut_types_exit_2(
+        self, capsys, kleetope_file, no_cert, tmp_path, change, reason
+    ):
+        change(no_cert)
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(no_cert))
+        code, out, err = run_cli(capsys, ["verify", str(cert), kleetope_file])
+        assert (code, out) == (2, "")
         assert reason in err
 
     @pytest.mark.parametrize("command", ["verify", "angles"])

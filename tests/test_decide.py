@@ -81,6 +81,14 @@ class TestDecideCircumscribable:
         ok, problems = verify_certificate(cert, g)
         assert ok, problems
 
+    def test_prism_60(self):
+        # two 60-gon faces: an oracle that runs one search per pair of
+        # avoided face edges at every edge takes seconds here
+        g = generate("prism", 60)
+        cert = decide_circumscribable(g)
+        assert (cert.answer, cert.margin, cert.iterations) == ("yes", F(1, 60), 1)
+        assert verify_certificate(cert, g) == (True, [])
+
 
 class TestNoAtFirstNonPositiveMargin:
     """A relaxation optimum of at most 0 bounds the full optimum, so the
@@ -318,7 +326,7 @@ class TestCertificateSerialization:
             certificate_from_json(json.dumps(doc))
 
     # a yes with no weights or margin, as the removed 4-connected fast
-    # path wrote it
+    # path wrote it, less its `fast_path` key, which is now unknown
     BARE_SKIPPED_YES = """{
   "answer": "yes",
   "graph_role": "dual",
@@ -328,8 +336,7 @@ class TestCertificateSerialization:
   "cuts": [],
   "iterations": 0,
   "lp_status": "skipped",
-  "edge_bijection": null,
-  "fast_path": true
+  "edge_bijection": null
 }
 """
 

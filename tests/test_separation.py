@@ -5,12 +5,14 @@ import pytest
 
 from inscribe import (
     Circuit,
+    PolyhedralGraph,
     all_nonfacial_circuits,
     brute_force_min_nonfacial,
     check_conditions,
     generate,
     min_cycle_through_edge,
     min_nonfacial_circuit,
+    stack_on_faces,
     trace_faces,
 )
 from inscribe.separation import _canonical
@@ -187,6 +189,36 @@ class TestBruteForce:
                 )
                 assert min_nonfacial_circuit(g, w) == brute_force_min_nonfacial(g, w)
 
+    def test_same_circuit_under_other_edge_numberings(self):
+        # the oracle looks for each circuit from its least edge id, so
+        # renumber the edges: stack pyramids on some faces, permute the
+        # vertex labels, and shuffle the edge ids and endpoint order;
+        # tied weights, zeros included
+        rng = random.Random(20261019)
+        for fam, n in [
+            ("tetrahedron", None),
+            ("cube", None),
+            ("octahedron", None),
+            ("prism", 5),
+            ("antiprism", 4),
+            ("wheel", 6),
+            ("bipyramid", 5),
+        ]:
+            base = generate(fam, n)
+            faces = len(trace_faces(base))
+            stacked = stack_on_faces(base, rng.sample(range(faces), faces // 3 + 1))
+            for g in (base, stacked):
+                for variant in (g, _permuted(g, rng), _shuffled(g, rng)):
+                    for _ in range(12):
+                        w = tuple(
+                            Fraction(rng.randint(0, 4), 2)
+                            for _ in range(variant.edge_count)
+                        )
+                        assert (
+                            min_nonfacial_circuit(variant, w)
+                            == brute_force_min_nonfacial(variant, w)
+                        )
+
     def test_dodecahedron_matches_oracle(self):
         # 20 vertices: the exhaustive enumeration has no size cap
         g = generate("dodecahedron")
@@ -197,6 +229,33 @@ class TestBruteForce:
         assert len(all_nonfacial_circuits(generate("tetrahedron"))) == 7 - 4
         assert len(all_nonfacial_circuits(generate("cube"))) == 28 - 6
         assert len(all_nonfacial_circuits(generate("octahedron"))) == 63 - 8
+
+
+def _permuted(g, rng):
+    """g with its vertices relabelled at random, so its edges are
+    numbered in another order."""
+    label = list(range(g.vertex_count))
+    rng.shuffle(label)
+    old = {label[v]: v for v in range(g.vertex_count)}
+    return PolyhedralGraph.from_neighbor_rotations([
+        [label[g.other_end(e, old[v])] for e in g.rotation[old[v]]]
+        for v in range(g.vertex_count)
+    ])
+
+
+def _shuffled(g, rng):
+    """g with its edge ids and each edge's endpoint order shuffled.
+
+    Edge ids from ``from_neighbor_rotations`` grow with the first
+    endpoint's label, so the least edge's first endpoint always holds
+    the canonical second edge; shuffled ids break that pattern."""
+    new_id = list(range(g.edge_count))
+    rng.shuffle(new_id)
+    edges = [None] * g.edge_count
+    for e, (u, v) in enumerate(g.edges):
+        edges[new_id[e]] = (u, v) if rng.random() < 0.5 else (v, u)
+    rotation = tuple(tuple(new_id[e] for e in rot) for rot in g.rotation)
+    return PolyhedralGraph(g.vertex_count, tuple(edges), rotation)
 
 
 class TestCheckConditions:
