@@ -10,7 +10,9 @@ maximize a shared slack t over the circuit rows generated so far.  That
 optimum bounds the full (exponential) system's from above, so one of at
 most 0 answers no.  Otherwise every weight is at least t > 0, and the
 shortest-path oracle either finds a violated circuit row to add or shows
-that the optimum is the full one, and the answer is yes.
+that the optimum is the full one, and the answer is yes.  A no carries
+the LP multipliers that prove its bound, so it is checked, like a yes,
+without solving an LP.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+
+from .errors import InternalError
 from .graph import (
     DualPair,
     PolyhedralGraph,
@@ -25,7 +29,13 @@ from .graph import (
     require_polyhedral,
     trace_faces,
 )
-from .lp import MarginSolution, add_circuit_constraint, maximize_margin, new_system
+from .lp import (
+    MarginSolution,
+    add_circuit_constraint,
+    maximize_margin,
+    multiplier_problems,
+    new_system,
+)
 from .separation import (
     Circuit,
     brute_force_min_nonfacial,
@@ -39,13 +49,18 @@ class Certificate:
     """Outcome of a type decision, reproducible from its cut list.
 
     For a yes answer, ``weights`` is a witness on the tested graph's
-    edges and ``margin`` is its positive slack.  For a no answer,
-    ``margin`` is the optimum of the LP rebuilt from ``cuts`` (None if
-    it is infeasible): at most 0, an upper bound on the full system's
-    optimum that need not equal it.  ``graph_role`` says which graph
-    carried the conditions: the input itself ('primal') or its planar
-    dual ('dual'); in the dual case ``edge_bijection`` maps each input
-    edge id to the tested dual edge id.
+    edges and ``margin`` is its positive slack; ``multipliers`` is None.
+    For a no answer, ``margin`` is at most 0 (None when the LP rebuilt
+    from ``cuts`` is infeasible), an upper bound on the full system's
+    optimum that need not equal it, and ``multipliers`` proves it: one
+    exact LP multiplier per row of that LP, in the order the rows are
+    built (E ``upper`` rows by edge id, the ``face`` rows by face id,
+    one ``circuit`` row per cut in order), >= 0 on upper rows, free on
+    face rows and <= 0 on circuit rows.  ``decide`` records the exact LP
+    optimum as the margin.  ``graph_role`` says which graph carried the
+    conditions: the input itself ('primal') or its planar dual ('dual');
+    in the dual case ``edge_bijection`` maps each input edge id to the
+    tested dual edge id.
     """
 
     answer: str  # 'yes' | 'no'
@@ -56,6 +71,7 @@ class Certificate:
     iterations: int
     lp_status: str  # 'optimal' | 'infeasible'
     edge_bijection: tuple[int, ...] | None = None
+    multipliers: tuple[Fraction, ...] | None = None
 
     @property
     def is_yes(self) -> bool:
@@ -72,7 +88,9 @@ def decide_circumscribable(g: PolyhedralGraph) -> Certificate:
     violated there is not yet a row, and add_circuit_constraint rejects
     repeats and faces besides.  Each round thus adds a distinct
     non-facial circuit, of which there are finitely many, and a
-    certificate's ``iterations`` is always ``len(cuts) + 1``.
+    certificate's ``iterations`` is always ``len(cuts) + 1``.  A no
+    carries the final LP's multipliers, checked here as ``verify``
+    checks them; a failed check raises InternalError.
     """
     require_polyhedral(g)
     system = new_system(g)
@@ -80,6 +98,10 @@ def decide_circumscribable(g: PolyhedralGraph) -> Certificate:
     while True:
         solution = maximize_margin(system)
         if solution.status == "infeasible" or solution.margin <= 0:
+            y = solution.multipliers()
+            problems = multiplier_problems(system, y, solution.margin)
+            if problems:
+                raise InternalError("LP multipliers fail: " + "; ".join(problems))
             return Certificate(
                 answer="no",
                 graph_role="primal",
@@ -88,6 +110,7 @@ def decide_circumscribable(g: PolyhedralGraph) -> Certificate:
                 cuts=tuple(cuts),
                 iterations=len(cuts) + 1,
                 lp_status=solution.status,
+                multipliers=y,
             )
         circuit, weight = min_nonfacial_circuit(g, solution.weights)
         if weight - solution.margin < 1:
@@ -179,10 +202,14 @@ def verify_certificate(
     absent for the 'primal' one.  Yes certificates: the recorded
     weighting must satisfy all three condition families exactly, its
     minimum slack must equal the recorded margin (the LP optimum that a
-    genuine yes reaches), and the LP must be recorded optimal; no LP is
-    solved.  No certificates: they carry no weights, and the LP rebuilt
-    from the recorded cut list must reproduce the recorded final state.
-    Returns (verdict, list of failure messages).
+    genuine yes reaches), the LP must be recorded optimal, and there are
+    no multipliers.  No certificates: they carry no weights, the margin
+    is null exactly when the LP is recorded infeasible and otherwise at
+    most 0, and the multipliers must prove it on the LP rebuilt from the
+    cut list (:func:`~inscribe.lp.multiplier_problems`): signed by row
+    relation, with y^T A >= e_s and y^T b = margin + 1 when optimal, and
+    y^T A >= 0 and y^T b < 0 when infeasible.  Neither answer solves an
+    LP.  Returns (verdict, list of failure messages).
     """
     problems: list[str] = []
     if cert.graph_role == "dual":
@@ -219,6 +246,8 @@ def verify_certificate(
             problems.append(f"margin {cert.margin} is not positive")
         if cert.lp_status != "optimal":
             problems.append(f"yes certificate records LP status {cert.lp_status!r}")
+        if cert.multipliers is not None:
+            problems.append("yes certificate carries multipliers")
         report = check_conditions(tested, cert.weights)
         if not report.ok:
             if report.bound_violations:
@@ -238,19 +267,16 @@ def verify_certificate(
     else:
         if cert.weights is not None:
             problems.append("no certificate carries weights")
-        solution = maximize_margin(system)
-        if cert.lp_status == "infeasible":
-            if solution.status != "infeasible":
-                problems.append("recorded infeasible but the rebuilt LP is feasible")
+        if cert.lp_status == "infeasible" and cert.margin is not None:
+            problems.append(f"infeasible LP records margin {cert.margin}")
+        elif cert.lp_status == "optimal" and cert.margin is None:
+            problems.append("optimal LP records no margin")
+        elif cert.margin is not None and cert.margin > 0:
+            problems.append(f"no certificate records positive margin {cert.margin}")
+        elif cert.multipliers is None:
+            problems.append("no certificate lacks multipliers")
         else:
-            if solution.status != "optimal":
-                problems.append("rebuilt LP is infeasible but certificate records an optimum")
-            elif solution.margin != cert.margin:
-                problems.append(
-                    f"rebuilt optimum {solution.margin} differs from recorded {cert.margin}"
-                )
-            elif solution.margin > 0:
-                problems.append("recorded no but the rebuilt optimum is positive")
+            problems.extend(multiplier_problems(system, cert.multipliers, cert.margin))
     return not problems, problems
 
 
@@ -304,6 +330,11 @@ def certificate_to_json(
         "cuts": [list(c) for c in cert.cuts],
         "iterations": cert.iterations,
         "lp_status": cert.lp_status,
+        "multipliers": (
+            [_frac_str(y) for y in cert.multipliers]
+            if cert.multipliers is not None
+            else None
+        ),
         "edge_bijection": (
             {str(e): d for e, d in enumerate(cert.edge_bijection)}
             if cert.edge_bijection is not None
@@ -315,7 +346,7 @@ def certificate_to_json(
 
 _CERTIFICATE_KEYS = frozenset((
     "answer", "graph_role", "margin", "weights", "angles", "cuts",
-    "iterations", "lp_status", "edge_bijection",
+    "iterations", "lp_status", "multipliers", "edge_bijection",
 ))
 
 
@@ -332,6 +363,11 @@ def certificate_from_json(text: str) -> Certificate:
     cuts = doc["cuts"]
     if not isinstance(cuts, list) or not all(isinstance(c, list) for c in cuts):
         raise ValueError("cuts is not a JSON list of lists")
+    multipliers = doc["multipliers"]
+    if multipliers is not None:
+        if not isinstance(multipliers, list):
+            raise ValueError("multipliers is not a JSON list")
+        multipliers = tuple(_frac_parse(y) for y in multipliers)
     weights = None
     if doc["weights"] is not None:
         raw = doc["weights"]
@@ -351,6 +387,7 @@ def certificate_from_json(text: str) -> Certificate:
         iterations=_json_int(doc["iterations"], "iterations"),
         lp_status=_one_of(doc["lp_status"], ("optimal", "infeasible"), "lp_status"),
         edge_bijection=bijection,
+        multipliers=multipliers,
     )
     # angles are derived data: 1 - 2 w(e*) for each primal edge e
     angles = doc["angles"]

@@ -13,14 +13,27 @@ denominator, so a pivot touches only nonzeros, the pivot loop builds no
 optimality are exact.  The pivot rule is
 steepest reduced cost with a permanent switch to Bland's rule after a
 run of degenerate pivots, which guarantees termination.
+
+Every solve also yields exact LP multipliers y, one per row, read on
+demand off the final tableau (``MarginSolution.multipliers``).  Each
+row's artificial column stays in the tableau through phase 2 without
+being priced, so it never enters the basis and the pivots are those of
+a tableau without it; with the rows' slack columns it carries the
+inverse of the final basis, whose reduced costs are -y.  By LP duality,
+y proves the optimum from the rows alone: signed >= 0 on '<=' rows,
+<= 0 on '>=' rows and free on '=' rows, with every column of y^T A at
+least e_s and y^T b = margin + 1.  When phase 1 ends above 0, the same
+columns give a Farkas ray: y^T A >= 0 and y^T b < 0.
+:func:`multiplier_problems` checks either with a few sparse sums and no
+solver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DuplicateCircuitError, InternalError
 from .graph import PolyhedralGraph, trace_faces
@@ -129,11 +142,22 @@ def add_circuit_constraint(s: ConstraintSystem, circuit: Circuit) -> ConstraintS
 
 @dataclass(frozen=True)
 class MarginSolution:
-    """Exact optimum of the margin LP."""
+    """Exact optimum of the margin LP.
+
+    Calling ``multipliers()`` reads the LP multipliers of the solved
+    system's rows, in row order, off the final tableau; they are
+    computed only when asked for.  For 'optimal' they prove that no
+    point has a margin above ``margin``, for 'infeasible' that the rows
+    have no point at all (a Farkas ray); :func:`multiplier_problems`
+    checks either.
+    """
 
     status: str  # 'optimal' | 'infeasible'
     margin: Fraction | None
     weights: tuple[Fraction, ...] | None
+    multipliers: Callable[[], tuple[Fraction, ...]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 def maximize_margin(s: ConstraintSystem) -> MarginSolution:
@@ -144,9 +168,9 @@ def maximize_margin(s: ConstraintSystem) -> MarginSolution:
     re-verified to be nonnegative and to satisfy every row exactly, then
     mapped back to t = s - 1 and w_e = u_e + t.
     """
-    status, x = _solve_lp(s.variable_count, s.rows, s.margin_index)
+    status, x, multipliers = _solve_lp(s.variable_count, s.rows, s.margin_index)
     if status == "infeasible":
-        return MarginSolution("infeasible", None, None)
+        return MarginSolution("infeasible", None, None, multipliers)
     if status != "optimal":
         raise InternalError(f"margin LP cannot be {status}: bounds are built in")
     if any(v < 0 for v in x):
@@ -155,7 +179,62 @@ def maximize_margin(s: ConstraintSystem) -> MarginSolution:
         if not row.satisfied_by(x):
             raise InternalError(f"solver returned a point violating a {row.kind} row")
     t = x[s.margin_index] - 1
-    return MarginSolution("optimal", t, tuple(u + t for u in x[: s.edge_count]))
+    return MarginSolution(
+        "optimal", t, tuple(u + t for u in x[: s.edge_count]), multipliers
+    )
+
+
+_SIGN_RULES = {"<=": (1, ">= 0"), ">=": (-1, "<= 0"), "=": (0, "free")}
+
+
+def multiplier_problems(
+    s: ConstraintSystem, y: Sequence[Fraction], margin: Fraction | None
+) -> list[str]:
+    """What keeps y from proving, with no solver, that no point of s
+    has a margin above ``margin`` (or, with ``margin`` None, that s has
+    no point at all); an empty list when y proves it.
+
+    y holds one multiplier per row of s, >= 0 on '<=' rows, <= 0 on
+    '>=' rows and free on '=' rows, so every point x of the rows has
+    y^T A x <= y^T b.  Over x >= 0, columns of y^T A at least e_s then give
+    s <= y^T b, the margin bound y^T b - 1, which must equal ``margin``;
+    columns of y^T A at least 0 with y^T b < 0 leave no point.  The cost is
+    one pass over the rows' nonzero terms.
+    """
+    if len(y) != len(s.rows):
+        return [f"{len(y)} multipliers for {len(s.rows)} rows"]
+    problems = []
+    used = [(i, row, yi) for i, (row, yi) in enumerate(zip(s.rows, y)) if yi]
+    # integer sums in units of 1 / (d m): d clears the multipliers'
+    # denominators and m the rows'
+    d = math.lcm(*(yi.denominator for _, _, yi in used))
+    m = math.lcm(
+        *(c.denominator for _, row, _ in used for _, c in row.terms),
+        *(row.rhs.denominator for _, row, _ in used),
+    )
+    column = [0] * s.variable_count
+    value = 0
+    for i, row, yi in used:
+        sign, rule = _SIGN_RULES[row.relation]
+        if yi.numerator * sign < 0:
+            problems.append(f"multiplier {i} of {row.kind} row {row.ref} is {yi}, not {rule}")
+        scaled = yi.numerator * (d // yi.denominator)
+        for j, c in row.terms:
+            column[j] += scaled * c.numerator * (m // c.denominator)
+        value += scaled * row.rhs.numerator * (m // row.rhs.denominator)
+    if margin is not None:
+        column[s.margin_index] -= d * m
+    short = [j for j, c in enumerate(column) if c < 0]
+    if short:
+        bound = "0" if margin is None else "e_s"
+        problems.append(f"columns {short} of y^T A fall below {bound}")
+    value = Fraction(value, d * m)
+    if margin is None:
+        if value >= 0:
+            problems.append(f"ray gives y^T b = {value}, not below 0")
+    elif value != margin + 1:
+        problems.append(f"multipliers bound the margin by {value - 1}, not {margin}")
+    return problems
 
 
 class _Tableau:
@@ -169,14 +248,15 @@ class _Tableau:
     denominator is 1), so each row has one canonical form.  A basic
     column reads ``den[i]`` in its own row and is absent elsewhere.
     ``bland`` records whether the last ``maximize`` fell back to Bland's
-    rule.
+    rule.  Only columns below ``priced`` may enter the basis.
     """
 
-    def __init__(self, rows, rhs, den, basis):
+    def __init__(self, rows, rhs, den, basis, priced):
         self.rows = rows
         self.rhs = rhs
         self.den = den
         self.basis = basis
+        self.priced = priced
         self.reduced = {}
         self.value = 0
         self.obj_den = 1
@@ -230,9 +310,10 @@ class _Tableau:
         self.bland = False
         stall = 0
         pivots = 0
+        priced = self.priced
         while True:
             reduced = self.reduced
-            improving = [j for j, v in reduced.items() if v > 0]
+            improving = [j for j, v in reduced.items() if v > 0 and j < priced]
             if not improving:
                 return "optimal"
             # Bland: the lowest improving column; otherwise the steepest
@@ -300,13 +381,17 @@ def _solve_lp(n_vars, rows, target):
 
     Each row is scaled to integers by the lcm of its denominators, which
     becomes the row's denominator; inequality rows get slacks and phase 1
-    drives artificial variables out.  Returns (status, x) with status
-    'optimal', 'infeasible' or 'unbounded'; x holds Fractions.
+    drives artificial variables out.  Returns (status, x, multipliers)
+    with status 'optimal', 'infeasible' or 'unbounded'; x holds
+    Fractions, and ``multipliers()`` reads the LP multipliers of the
+    rows (a Farkas ray when infeasible) off the final reduced costs.
     """
     matrix: list[dict[int, int]] = []
     rhs: list[int] = []
     den: list[int] = []
     basis: list[int | None] = []
+    # y_i = signs[i] * pi_i, pi the multipliers of the stored rows
+    signs: list[int] = []
     next_slack = n_vars
     for row in rows:
         if row.relation not in ("<=", ">=", "="):
@@ -326,41 +411,68 @@ def _solve_lp(n_vars, rows, target):
         if b < 0:
             vec = {j: -x for j, x in vec.items()}
             b = -b
+            sign = -sign
         matrix.append(vec)
         rhs.append(b)
         den.append(scale)
+        signs.append(sign)
         # a slack that stayed positive is the row's first basic column
         basis.append(sc if sc is not None and vec[sc] > 0 else None)
 
     art_start = next_slack
     art_rows = [i for i, bc in enumerate(basis) if bc is None]
-    tab = _Tableau(matrix, rhs, den, basis)
+    tab = _Tableau(matrix, rhs, den, basis, art_start + len(art_rows))
+    for k, i in enumerate(art_rows):
+        matrix[i][art_start + k] = den[i]
+        basis[i] = art_start + k
+    # each row's first basic column is a unit column of the original
+    # rows: its reduced cost is its cost less the row's multiplier
+    unit_columns = tuple(basis)
     if art_rows:
-        for k, i in enumerate(art_rows):
-            matrix[i][art_start + k] = den[i]
-            basis[i] = art_start + k
-        tab.set_objective({art_start + k: -1 for k in range(len(art_rows))})
+        cost = {art_start + k: -1 for k in range(len(art_rows))}
+        tab.set_objective(cost)
         if tab.maximize() != "optimal":
             raise InternalError("phase-1 objective is bounded by construction")
         if tab.value != 0:
-            return "infeasible", None
+            return "infeasible", None, _multiplier_reader(tab, cost, unit_columns, signs)
         for i in range(len(tab.rows) - 1, -1, -1):
             if tab.basis[i] >= art_start:
                 piv = min((j for j in tab.rows[i] if j < art_start), default=None)
                 if piv is None:
+                    # a redundant row; the basic artificial leaves with
+                    # it, so the row that column belongs to reads y = 0
                     del tab.rows[i], tab.rhs[i], tab.den[i], tab.basis[i]
                 else:
                     tab.pivot(i, piv)
-        tab.rows = [{j: x for j, x in r.items() if j < art_start} for r in tab.rows]
+        # artificial columns stay in the rows, never to enter again
+        tab.priced = art_start
 
-    tab.set_objective({target: 1})
+    cost = {target: 1}
+    tab.set_objective(cost)
     status = tab.maximize()
     if status == "unbounded":
-        return "unbounded", None
-    if any(v > 0 for v in tab.reduced.values()):
+        return "unbounded", None, None
+    if any(v > 0 for j, v in tab.reduced.items() if j < art_start):
         raise InternalError("simplex stopped with a positive reduced cost")
     x = [_F0] * n_vars
     for i, bc in enumerate(tab.basis):
         if bc < n_vars:
             x[bc] = Fraction(tab.rhs[i], tab.den[i])
-    return "optimal", x
+    return "optimal", x, _multiplier_reader(tab, cost, unit_columns, signs)
+
+
+def _multiplier_reader(tab, cost, unit_columns, signs):
+    """A function reading y off the tableau's current reduced costs:
+    pi_i = cost(c) - d(c) for row i's unit column c, and y_i = signs[i]
+    pi_i undoes the row's sign flips (scaling left the unit columns
+    unit)."""
+    reduced, obj_den = tab.reduced, tab.obj_den
+
+    def read():
+        y = []
+        for c, sign in zip(unit_columns, signs):
+            pi = cost.get(c, 0) * obj_den - reduced.get(c, 0)
+            y.append(Fraction(sign * pi, obj_den) if pi else _F0)
+        return tuple(y)
+
+    return read

@@ -398,7 +398,7 @@ class TestMalformedCertificates:
 
     @pytest.mark.parametrize("key", [
         "answer", "graph_role", "margin", "weights", "angles", "cuts",
-        "iterations", "lp_status", "edge_bijection",
+        "iterations", "lp_status", "multipliers", "edge_bijection",
     ])
     @pytest.mark.parametrize("command", ["verify", "angles"])
     def test_deleting_any_key_exits_2(self, capsys, cube_file, tmp_path, key, command):
@@ -417,7 +417,10 @@ class TestMalformedCertificates:
         (lambda d: d.update(fast_path=True), "unknown ['fast_path']"),
         (lambda d: d.update(cuts={}), "cuts is not a JSON list of lists"),
         (lambda d: d.update(cuts=["012"]), "cuts is not a JSON list of lists"),
-    ], ids=["extra-key", "cuts-object", "cut-string"])
+        (lambda d: d.update(multipliers={}), "multipliers is not a JSON list"),
+        (lambda d: d["multipliers"].__setitem__(0, 0), "rational 0 is not a 'p/q' string"),
+    ], ids=["extra-key", "cuts-object", "cut-string", "multipliers-object",
+            "multiplier-number"])
     def test_other_key_sets_and_cut_types_exit_2(
         self, capsys, kleetope_file, no_cert, tmp_path, change, reason
     ):
@@ -623,3 +626,45 @@ def test_mutated_certificates_exit_0_or_2(capsys, tmp_path):
                     assert code in (0, 2), (path.name, mode, doc, command, err)
                     runs += 1
     assert runs == 5 * 2 * 30 * 2
+
+
+def mutate_polygraph(text: str, rng: random.Random) -> str:
+    """One seeded mutation of polygraph text: delete or duplicate a
+    token, swap two neighbours of a vertex, or grow the declared vertex
+    count by 1 to 3."""
+    lines = [line.split() for line in text.splitlines()]
+    kind = rng.choice(("delete", "duplicate", "swap", "grow"))
+    if kind == "grow":
+        tokens = next(t for t in lines if t[:1] == ["vertices"])
+        tokens[1] = str(int(tokens[1]) + rng.randint(1, 3))
+    elif kind == "swap":
+        tokens = rng.choice([t for t in lines if t[:1] == ["v"] and len(t) >= 4])
+        a, b = rng.sample(range(2, len(tokens)), 2)
+        tokens[a], tokens[b] = tokens[b], tokens[a]
+    else:
+        tokens = rng.choice([t for t in lines if t])
+        k = rng.randrange(len(tokens))
+        if kind == "delete":
+            del tokens[k]
+        else:
+            tokens.insert(k, tokens[k])
+    return "".join(" ".join(t) + "\n" for t in lines)
+
+
+def test_mutated_polygraph_text_exits_0_or_2(capsys, tmp_path):
+    """Seeded mutations of every corpus file through validate and both
+    decisions: each run exits 0 or 2 and none raises."""
+    rng = random.Random(20261018)
+    codes = {0: 0, 2: 0}
+    for path in sorted(CORPUS.glob("*.pg")):
+        for _ in range(12):
+            text = mutate_polygraph(path.read_text(), rng)
+            graph = tmp_path / "mutated.pg"
+            graph.write_text(text)
+            for argv in (["validate"], ["decide", "--inscribable"],
+                         ["decide", "--circumscribable"]):
+                code, _, err = run_cli(capsys, argv + [str(graph)])
+                assert code in codes, (path.name, text, argv, err)
+                codes[code] += 1
+    assert sum(codes.values()) == 7 * 12 * 3
+    assert codes[0] and codes[2]

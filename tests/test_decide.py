@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -8,9 +10,11 @@ import pytest
 from helpers import random_polyhedral_graph
 
 import inscribe.decide as decide_module
+import inscribe.lp as lp_module
 import inscribe.separation as separation_module
 from inscribe import (
     Certificate,
+    InternalError,
     PolyhedralGraph,
     certificate_from_json,
     certificate_to_json,
@@ -23,12 +27,51 @@ from inscribe import (
     min_nonfacial_circuit,
     solve_full_enumeration,
     stack_on_faces,
+    trace_faces,
     verify_certificate,
 )
 
 F = Fraction
 
 DATA = Path(__file__).parent / "data"
+
+
+def cuboctahedron():
+    """The cuboctahedron from its vertices, the permutations of
+    (+-1, +-1, 0): 12 vertices, 24 edges, 8 triangles and 6 squares.
+    Each vertex lists its neighbours (squared distance 2) by angle in
+    a right-handed frame whose normal is the vertex itself, so that
+    every rotation is counterclockwise seen from outside."""
+    points = sorted(
+        {p for x in (1, -1) for y in (1, -1) for p in itertools.permutations((x, y, 0))}
+    )
+
+    def cross(a, b):
+        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0])
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    rotations = []
+    for p in points:
+        a = cross(p, (1, 2, 3))
+        b = cross(p, a)
+        offsets = {i: tuple(x - y for x, y in zip(q, p)) for i, q in enumerate(points)}
+        near = [i for i, d in offsets.items() if dot(d, d) == 2]
+        near.sort(key=lambda i: math.atan2(dot(offsets[i], b), dot(offsets[i], a)))
+        rotations.append(near)
+    return PolyhedralGraph.from_neighbor_rotations(rotations)
+
+
+# No answers of each LP outcome: face rows only (kleetope), an upper and
+# a circuit row among them (stacked prism, one cut), and a Farkas ray
+NO_CASES = {
+    "kleetope-bipyramid-3": (decide_inscribable, lambda: generate("kleetope(bipyramid)", 3)),
+    "stacked-prism-3": (
+        decide_circumscribable, lambda: stack_on_faces(generate("prism", 3), [1, 3, 4])),
+    "cuboctahedron": (decide_circumscribable, cuboctahedron),
+}
 
 
 class TestDecideCircumscribable:
@@ -88,6 +131,43 @@ class TestDecideCircumscribable:
         cert = decide_circumscribable(g)
         assert (cert.answer, cert.margin, cert.iterations) == ("yes", F(1, 60), 1)
         assert verify_certificate(cert, g) == (True, [])
+
+
+class TestInfeasibleFaceSums:
+    """Every cuboctahedron edge borders one triangle and one square, so
+    the face sums give the edges a total weight of 8 over the triangles
+    and 6 over the squares.  The LP is infeasible, and the no carries a
+    Farkas ray in place of a margin."""
+
+    def test_cuboctahedron(self):
+        g = cuboctahedron()
+        assert (g.vertex_count, g.edge_count) == (12, 24)
+        assert sorted(len(f.edge_ids) for f in trace_faces(g)) == [3] * 8 + [4] * 6
+
+    @pytest.mark.parametrize("decide,graph", [
+        (decide_circumscribable, cuboctahedron),
+        (decide_inscribable, lambda: dual(cuboctahedron()).dual),
+    ], ids=["cuboctahedron-circumscribable", "rhombic-dodecahedron-inscribable"])
+    def test_no_with_a_farkas_ray(self, decide, graph):
+        g = graph()
+        cert = decide(g)
+        assert (cert.answer, cert.lp_status, cert.margin, cert.cuts) == (
+            "no", "infeasible", None, ())
+        assert verify_certificate(cert, g) == (True, [])
+        back = certificate_from_json(certificate_to_json(cert))
+        assert back == cert
+        assert verify_certificate(back, g) == (True, [])
+
+    @pytest.mark.parametrize("margin,problem", [
+        ("5", "infeasible LP records margin 5"),
+        ("0", "infeasible LP records margin 0"),
+    ])
+    def test_infeasible_no_with_a_margin_fails(self, margin, problem):
+        g = cuboctahedron()
+        doc = json.loads(certificate_to_json(decide_circumscribable(g)))
+        doc["margin"] = margin
+        cert = certificate_from_json(json.dumps(doc))
+        assert verify_certificate(cert, g) == (False, [problem])
 
 
 class TestNoAtFirstNonPositiveMargin:
@@ -326,7 +406,8 @@ class TestCertificateSerialization:
             certificate_from_json(json.dumps(doc))
 
     # a yes with no weights or margin, as the removed 4-connected fast
-    # path wrote it, less its `fast_path` key, which is now unknown
+    # path wrote it, less its `fast_path` key, which is now unknown, and
+    # with the `multipliers` key that the parser requires
     BARE_SKIPPED_YES = """{
   "answer": "yes",
   "graph_role": "dual",
@@ -336,6 +417,7 @@ class TestCertificateSerialization:
   "cuts": [],
   "iterations": 0,
   "lp_status": "skipped",
+  "multipliers": null,
   "edge_bijection": null
 }
 """
@@ -354,11 +436,14 @@ class TestCertificateSerialization:
 
 
 class TestGoldenCertificates:
-    """Multi-round certificates pinned byte for byte: a change to the LP
-    kernel must keep the pivot sequence, so every optimum and every cut
-    stays the same."""
+    """Certificates pinned byte for byte, the multi-round ones and a no: a
+    change to the LP kernel must keep the pivot sequence, so every
+    optimum, every cut and every multiplier stays the same."""
 
     CASES = {
+        # the one no, margin -1/18: its multipliers are pinned too
+        "kleetope_bipyramid_3_inscribable": (
+            decide_inscribable, lambda: generate("kleetope(bipyramid)", 3)),
         "kleetope_antiprism_4_circumscribable": (
             decide_circumscribable, lambda: generate("kleetope(antiprism)", 4)),
         "kleetope_bipyramid_3_circumscribable": (
@@ -465,8 +550,17 @@ class TestVerifyCertificate:
          "no certificate carries weights"),
         (decide_inscribable, "cube", {"margin": F(1, 100)},
          "recomputed slack 1/6 differs from recorded margin 1/100"),
+        (decide_inscribable, "cube", {"multipliers": (F(0),) * 20},
+         "yes certificate carries multipliers"),
+        (decide_inscribable, "kleetope(tetrahedron)", {"multipliers": None},
+         "no certificate lacks multipliers"),
+        (decide_inscribable, "kleetope(tetrahedron)", {"margin": None},
+         "optimal LP records no margin"),
+        (decide_inscribable, "kleetope(tetrahedron)", {"margin": F(1, 9)},
+         "no certificate records positive margin 1/9"),
     ], ids=["dual-without-bijection", "primal-with-bijection", "no-with-weights",
-            "yes-below-optimum"])
+            "yes-below-optimum", "yes-with-multipliers", "no-without-multipliers",
+            "optimal-no-without-margin", "no-with-positive-margin"])
     def test_bijection_weights_and_margin_are_checked(self, decide, family, change, problem):
         g = generate(family)
         ok, problems = verify_certificate(replace(decide(g), **change), g)
@@ -479,3 +573,62 @@ class TestVerifyCertificate:
         ok, problems = verify_certificate(replace(cert, iterations=42), g)
         assert not ok
         assert problems == ["42 iterations recorded for 0 cuts, not 1"]
+
+
+class TestNoMultipliers:
+    """A no is verified from its LP multipliers, with no LP solved."""
+
+    @pytest.mark.parametrize("case", NO_CASES)
+    def test_verify_solves_no_lp(self, monkeypatch, case):
+        decide, graph = NO_CASES[case]
+        g = graph()
+        cert = decide(g)
+        assert not cert.is_yes and cert.multipliers is not None
+        monkeypatch.setattr(decide_module, "maximize_margin", None)
+        monkeypatch.setattr(lp_module, "_solve_lp", None)
+        assert verify_certificate(cert, g) == (True, [])
+
+    def test_one_row_of_each_kind(self):
+        decide, graph = NO_CASES["stacked-prism-3"]
+        g = graph()
+        cert = decide(g)
+        assert (cert.margin, len(cert.cuts)) == (0, 1)
+        y = cert.multipliers
+        assert len(y) == g.edge_count + len(trace_faces(g)) + 1
+        assert y[6] == F(2, 3)  # upper row of edge 6
+        assert y[-1] == F(-1, 3)  # the circuit row of the one cut
+
+    @pytest.mark.parametrize("case,change,problems", [
+        ("stacked-prism-3", lambda y: y[:6] + [-y[6]] + y[7:], [
+            "multiplier 6 of upper row 6 is -2/3, not >= 0",
+            "columns [6, 20] of y^T A fall below e_s",
+            "multipliers bound the margin by -10/3, not 0",
+        ]),
+        ("stacked-prism-3", lambda y: y[:-1] + [-y[-1]], [
+            "multiplier 33 of circuit row (11, 13, 15) is 1/3, not <= 0",
+            "multipliers bound the margin by 2, not 0",
+        ]),
+        ("kleetope-bipyramid-3", lambda y: y[:27] + [F(1, 9)] + y[28:], [
+            "multipliers bound the margin by 1/3, not -1/18",
+        ]),
+        ("kleetope-bipyramid-3", lambda y: y[:-1], ["37 multipliers for 38 rows"]),
+        ("cuboctahedron", lambda y: [-x for x in y], ["ray gives y^T b = 2, not below 0"]),
+    ], ids=["upper-sign-flipped", "circuit-sign-flipped", "face-entry-changed",
+            "entry-dropped", "ray-negated"])
+    def test_corrupted_multipliers_fail(self, case, change, problems):
+        decide, graph = NO_CASES[case]
+        g = graph()
+        cert = decide(g)
+        tampered = replace(cert, multipliers=tuple(change(list(cert.multipliers))))
+        assert verify_certificate(tampered, g) == (False, problems)
+
+    def test_decide_checks_the_multipliers(self, monkeypatch):
+        def no_ray(system):
+            return replace(
+                lp_module.maximize_margin(system),
+                multipliers=lambda: (F(0),) * len(system.rows),
+            )
+
+        monkeypatch.setattr(decide_module, "maximize_margin", no_ray)
+        with pytest.raises(InternalError, match="LP multipliers fail: ray gives"):
+            decide_circumscribable(cuboctahedron())

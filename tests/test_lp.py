@@ -18,6 +18,7 @@ from inscribe import (
     new_system,
     trace_faces,
 )
+from inscribe.lp import multiplier_problems
 
 F = Fraction
 
@@ -356,6 +357,8 @@ class TestReferenceVertexEnumeration:
             sol = maximize_margin(s)
             expected = vertex_enumeration_margin(s)
             assert (sol.status, sol.margin) == expected, s.rows
+            # a dual solution proving the optimum, or a Farkas ray
+            assert multiplier_problems(s, sol.multipliers(), sol.margin) == [], s.rows
             statuses[sol.status] = statuses.get(sol.status, 0) + 1
         assert statuses.get("optimal", 0) >= 20
         assert statuses.get("infeasible", 0) >= 20
