@@ -12,7 +12,13 @@ denominator, so a pivot touches only nonzeros, the pivot loop builds no
 ``Fraction`` and there is no floating point anywhere; feasibility and
 optimality are exact.  The pivot rule is
 steepest reduced cost with a permanent switch to Bland's rule after a
-run of degenerate pivots, which guarantees termination.
+run of degenerate pivots, which guarantees termination.  Phase 1
+maximizes minus the sum of the artificial variables, which is never
+positive, so it stops the moment its value reaches 0, its known optimum,
+rather than pivoting on until no reduced cost is positive.  Every
+artificial still basic then sits at 0: it is pivoted out on a
+non-artificial entry of its row, a degenerate pivot, or leaves with its
+row when the row has none (the row is redundant).
 
 Every solve also yields exact LP multipliers y, one per row, read on
 demand off the final tableau (``MarginSolution.multipliers``).  Each
@@ -248,7 +254,9 @@ class _Tableau:
     denominator is 1), so each row has one canonical form.  A basic
     column reads ``den[i]`` in its own row and is absent elsewhere.
     ``bland`` records whether the last ``maximize`` fell back to Bland's
-    rule.  Only columns below ``priced`` may enter the basis.
+    rule.  Only columns below ``priced`` may enter the basis.  While
+    ``nonpositive`` is set the objective can never exceed 0 (phase 1),
+    so ``maximize`` stops as soon as its value reaches 0.
     """
 
     def __init__(self, rows, rhs, den, basis, priced):
@@ -257,6 +265,7 @@ class _Tableau:
         self.den = den
         self.basis = basis
         self.priced = priced
+        self.nonpositive = False
         self.reduced = {}
         self.value = 0
         self.obj_den = 1
@@ -312,6 +321,8 @@ class _Tableau:
         pivots = 0
         priced = self.priced
         while True:
+            if self.nonpositive and self.value == 0:
+                return "optimal"
             reduced = self.reduced
             improving = [j for j, v in reduced.items() if v > 0 and j < priced]
             if not improving:
@@ -380,8 +391,13 @@ def _solve_lp(n_vars, rows, target):
     """Maximize x[target] over x >= 0 subject to the rows.
 
     Each row is scaled to integers by the lcm of its denominators, which
-    becomes the row's denominator; inequality rows get slacks and phase 1
-    drives artificial variables out.  Returns (status, x, multipliers)
+    becomes the row's denominator; inequality rows get slacks, and each
+    row without a positive slack gets an artificial variable.  Phase 1
+    maximizes minus their sum and stops as soon as that reaches 0; below
+    0 at its optimum the rows have no point.  An artificial left basic
+    at 0 is then pivoted out on the lowest non-artificial column of its
+    row, or deleted with its row when the row has no such column, and
+    phase 2 maximizes x[target].  Returns (status, x, multipliers)
     with status 'optimal', 'infeasible' or 'unbounded'; x holds
     Fractions, and ``multipliers()`` reads the LP multipliers of the
     rows (a Farkas ray when infeasible) off the final reduced costs.
@@ -431,10 +447,12 @@ def _solve_lp(n_vars, rows, target):
     if art_rows:
         cost = {art_start + k: -1 for k in range(len(art_rows))}
         tab.set_objective(cost)
+        tab.nonpositive = True
         if tab.maximize() != "optimal":
             raise InternalError("phase-1 objective is bounded by construction")
         if tab.value != 0:
             return "infeasible", None, _multiplier_reader(tab, cost, unit_columns, signs)
+        # phase 1 stopped at 0, so every artificial still basic is at 0
         for i in range(len(tab.rows) - 1, -1, -1):
             if tab.basis[i] >= art_start:
                 piv = min((j for j in tab.rows[i] if j < art_start), default=None)
@@ -446,6 +464,7 @@ def _solve_lp(n_vars, rows, target):
                     tab.pivot(i, piv)
         # artificial columns stay in the rows, never to enter again
         tab.priced = art_start
+        tab.nonpositive = False
 
     cost = {target: 1}
     tab.set_objective(cost)

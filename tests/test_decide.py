@@ -265,6 +265,14 @@ class TestDecideInscribable:
         assert verify_certificate(cert, g) == (True, [])
         assert built == [6]  # the cube's dual, the octahedron
 
+    def test_antiprism_40(self):
+        # a phase 1 that runs past its objective's 0 makes hundreds of
+        # degenerate pivots on this dual
+        g = generate("antiprism", 40)
+        cert = decide_inscribable(g)
+        assert (cert.answer, cert.margin, cert.iterations) == ("yes", F(1, 4), 1)
+        assert verify_certificate(cert, g) == (True, [])
+
 
 class TestDualityConsistency:
     @pytest.mark.parametrize("family,n", [

@@ -403,3 +403,93 @@ class TestTableauInvariant:
         assert solution.status == "optimal"
         assert len(pivots) == 2 and pivots[0] > 0
         assert pivots[1] == phase2_pivots
+
+
+def record_pivots(monkeypatch):
+    """Wrap ``_Tableau.maximize`` and ``_Tableau.pivot`` to log every
+    pivot of a solve as (phase, objective value before it): phase 0 or 1
+    inside the first or second ``maximize`` call, None between them."""
+    log, phase, inside = [], [-1], [False]
+    pivot = lp_module._Tableau.pivot
+    maximize = lp_module._Tableau.maximize
+
+    def logging_pivot(tab, r, c):
+        log.append((phase[0] if inside[0] else None, tab.value))
+        pivot(tab, r, c)
+
+    def logging_maximize(tab):
+        phase[0] += 1
+        inside[0] = True
+        try:
+            return maximize(tab)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(lp_module._Tableau, "pivot", logging_pivot)
+    monkeypatch.setattr(lp_module._Tableau, "maximize", logging_maximize)
+    return log, phase
+
+
+def all_triples_system(duplicate=False):
+    """Four edge variables and s, with the upper rows and one 3-edge
+    face equality for each triple of edges; ``duplicate`` repeats the
+    first face row, which makes it redundant."""
+    E = 4
+    rows = [Row(((e, F(1)), (E, F(2))), "<=", F(5, 2), "upper", e) for e in range(E)]
+    faces = [
+        Row(tuple((e, F(1)) for e in f) + ((E, F(3)),), "=", F(4), "face", i)
+        for i, f in enumerate(itertools.combinations(range(E), 3))
+    ]
+    rows += faces + faces[:1] * duplicate
+    return ConstraintSystem(E, tuple(rows), frozenset(), frozenset())
+
+
+class TestPhaseOneStop:
+    """Phase 1 maximizes minus the sum of the artificials, which is
+    never positive, so it stops as soon as its value reaches 0."""
+
+    @pytest.mark.parametrize("family,n,cuts", [
+        ("octahedron", None, 0),
+        ("icosahedron", None, 0),
+        ("antiprism", 8, 0),
+        ("prism", 5, 8),
+        ("kleetope(bipyramid)", 3, 0),
+    ])
+    def test_no_pivot_at_value_0(self, monkeypatch, family, n, cuts):
+        log, phase = record_pivots(monkeypatch)
+        solution = maximize_margin(dual_with_cuts(family, n, cuts))
+        assert solution.status == "optimal"
+        assert phase == [1]
+        phase_1 = [value for ph, value in log if ph == 0]
+        assert phase_1 and 0 not in phase_1
+
+    def test_antiprism_8_pivot_count(self, monkeypatch):
+        # the dual's phase 1 reaches 0 early; run to the end it made 101
+        # pivots in all
+        log, _ = record_pivots(monkeypatch)
+        solution = maximize_margin(dual_with_cuts("antiprism", 8, 0))
+        assert solution.margin == F(1, 4)
+        assert len(log) == 17
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_drive_out_after_early_stop(self, monkeypatch, duplicate):
+        s = all_triples_system(duplicate)
+        art_start = s.variable_count + row_counts(s)["upper"]
+        art_rows = row_counts(s)["face"]
+        ends = []  # (value, basic artificials, rows) as each phase ends
+        maximize = lp_module._Tableau.maximize
+
+        def recording(tab):
+            status = maximize(tab)
+            ends.append((tab.value, sum(bc >= art_start for bc in tab.basis), len(tab.rows)))
+            return status
+
+        monkeypatch.setattr(lp_module._Tableau, "maximize", recording)
+        solution = maximize_margin(s)
+        # phase 1 stops at 0 with all but one artificial still basic;
+        # with the duplicate, the drive-out deletes one redundant row
+        assert ends[0] == (0, art_rows - 1, len(s.rows))
+        assert ends[1][1:] == (0, len(s.rows) - duplicate)
+        assert (solution.status, solution.margin) == vertex_enumeration_margin(s)
+        assert solution.margin == F(1, 6)
+        assert multiplier_problems(s, solution.multipliers(), solution.margin) == []
