@@ -18,7 +18,6 @@ from .decide import (
     verify_certificate,
 )
 from .errors import (
-    DuplicateCircuitError,
     EmbeddingError,
     EulerError,
     FormatError,
@@ -68,7 +67,6 @@ __all__ = [
     "ConditionReport",
     "ConstraintSystem",
     "DualPair",
-    "DuplicateCircuitError",
     "EmbeddingError",
     "EulerError",
     "Face",

@@ -98,7 +98,7 @@ def decide_circumscribable(g: PolyhedralGraph) -> Certificate:
     while True:
         solution = maximize_margin(system)
         if solution.status == "infeasible" or solution.margin <= 0:
-            y = solution.multipliers()
+            y = solution.multipliers
             problems = multiplier_problems(system, y, solution.margin)
             if problems:
                 raise InternalError("LP multipliers fail: " + "; ".join(problems))
@@ -196,7 +196,8 @@ def verify_certificate(
 ) -> tuple[bool, list[str]]:
     """Independently re-check a certificate against its input graph.
 
-    Every certificate: each recorded cut must add to the LP in turn,
+    Every certificate: each recorded cut must be a canonical edge id
+    tuple (:class:`~inscribe.separation.Circuit`) and add to the LP in turn,
     ``iterations`` must be ``len(cuts) + 1``, as the cut loop records it,
     and ``edge_bijection`` must be the dual's for the 'dual' role and
     absent for the 'primal' one.  Yes certificates: the recorded
@@ -231,7 +232,10 @@ def verify_certificate(
     system = new_system(tested) if cert.cuts or not cert.is_yes else None
     for key in cert.cuts:
         try:
-            system = add_circuit_constraint(system, Circuit.from_edge_set(tested, key))
+            circuit = Circuit.from_edge_set(tested, key)
+            system = add_circuit_constraint(system, circuit)
+            if circuit.edge_ids != key:
+                raise ValueError(f"its canonical form is {list(circuit.edge_ids)}")
         except ValueError as exc:
             problems.append(f"cut {list(key)} does not rebuild: {exc}")
             return False, problems

@@ -255,13 +255,12 @@ def validate_steinitz(g: PolyhedralGraph) -> SteinitzReport:
 
 def require_polyhedral(g: PolyhedralGraph) -> None:
     """Raise :class:`EulerError` if g's embedding is not spherical, or
-    :class:`NotThreeConnectedError` if g is not 3-connected; both carry
-    g."""
+    :class:`NotThreeConnectedError` if g is not 3-connected."""
     report = validate_steinitz(g)
     if not report.planar_spherical:
-        raise EulerError("embedding fails Euler's formula (not spherical)", graph=g)
+        raise EulerError("embedding fails Euler's formula (not spherical)")
     if not report.three_connected:
-        raise NotThreeConnectedError("graph is not 3-connected", graph=g)
+        raise NotThreeConnectedError("graph is not 3-connected")
 
 
 def is_k_vertex_connected(g: PolyhedralGraph, k: int) -> bool:

@@ -20,8 +20,8 @@ artificial still basic then sits at 0: it is pivoted out on a
 non-artificial entry of its row, a degenerate pivot, or leaves with its
 row when the row has none (the row is redundant).
 
-Every solve also yields exact LP multipliers y, one per row, read on
-demand off the final tableau (``MarginSolution.multipliers``).  Each
+Every solve also yields exact LP multipliers y, one per row, read off
+the final tableau as it returns (``MarginSolution.multipliers``).  Each
 row's artificial column stays in the tableau through phase 2 without
 being priced, so it never enters the basis and the pivots are those of
 a tableau without it; with the rows' slack columns it carries the
@@ -37,11 +37,11 @@ solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .errors import DuplicateCircuitError, InternalError
+from .errors import InternalError
 from .graph import PolyhedralGraph, trace_faces
 from .separation import Circuit
 
@@ -90,12 +90,12 @@ class ConstraintSystem:
     Always contains, for every edge e, u_e + 2s <= 5/2 (w_e + t <= 1/2),
     and per face f, sum(u over f) + |f| s = |f| + 1 (unit face sum).
     Circuit rows are added on demand.  Variable ``margin_index`` is s.
+    The rows are the whole system: a circuit row's ``ref`` is its key
+    and a face row's terms name the face's edges.
     """
 
     edge_count: int
     rows: tuple[Row, ...]
-    circuit_keys: frozenset[tuple[int, ...]]
-    face_edge_sets: frozenset[frozenset[int]]
 
     @property
     def variable_count(self) -> int:
@@ -113,57 +113,46 @@ def new_system(g: PolyhedralGraph) -> ConstraintSystem:
         Row(((e, _F1), (s_index, _F2)), "<=", Fraction(5, 2), "upper", e)
         for e in range(g.edge_count)
     ]
-    faces = trace_faces(g)
-    for f in faces:
+    for f in trace_faces(g):
         size = len(f.edge_ids)
         terms = tuple((e, _F1) for e in sorted(f.edge_ids)) + ((s_index, Fraction(size)),)
         rows.append(Row(terms, "=", Fraction(size + 1), "face", f.id))
-    return ConstraintSystem(
-        edge_count=g.edge_count,
-        rows=tuple(rows),
-        circuit_keys=frozenset(),
-        face_edge_sets=frozenset(f.edge_ids for f in faces),
-    )
+    return ConstraintSystem(g.edge_count, tuple(rows))
 
 
 def add_circuit_constraint(s: ConstraintSystem, circuit: Circuit) -> ConstraintSystem:
     """New system with the row  sum(w over C) - t >= 1  appended, stated
-    as  sum(u over C) + (|C| - 1) s >= |C|."""
+    as  sum(u over C) + (|C| - 1) s >= |C|.  Raises ValueError if C is
+    already a row, bounds a face or names an unknown edge."""
     key = circuit.edge_ids
-    if key in s.circuit_keys:
-        raise DuplicateCircuitError(f"circuit {key} already present")
-    if frozenset(key) in s.face_edge_sets:
-        raise ValueError(f"circuit {key} bounds a face")
+    edges = {*key, s.margin_index}
+    for row in s.rows:
+        if row.kind == "circuit" and row.ref == key:
+            raise ValueError(f"circuit {key} already present")
+        if row.kind == "face" and {j for j, _ in row.terms} == edges:
+            raise ValueError(f"circuit {key} bounds a face")
     if any(not 0 <= e < s.edge_count for e in key):
         raise ValueError("circuit references an unknown edge")
     terms = tuple((e, _F1) for e in key) + ((s.margin_index, Fraction(len(key) - 1)),)
     row = Row(terms, ">=", Fraction(len(key)), "circuit", key)
-    return ConstraintSystem(
-        edge_count=s.edge_count,
-        rows=s.rows + (row,),
-        circuit_keys=s.circuit_keys | {key},
-        face_edge_sets=s.face_edge_sets,
-    )
+    return ConstraintSystem(s.edge_count, s.rows + (row,))
 
 
 @dataclass(frozen=True)
 class MarginSolution:
     """Exact optimum of the margin LP.
 
-    Calling ``multipliers()`` reads the LP multipliers of the solved
-    system's rows, in row order, off the final tableau; they are
-    computed only when asked for.  For 'optimal' they prove that no
-    point has a margin above ``margin``, for 'infeasible' that the rows
-    have no point at all (a Farkas ray); :func:`multiplier_problems`
-    checks either.
+    ``multipliers`` holds the LP multipliers of the solved system's
+    rows, in row order.  For 'optimal' they prove that no point has a
+    margin above ``margin``, for 'infeasible' that the rows have no
+    point at all (a Farkas ray); :func:`multiplier_problems` checks
+    either.
     """
 
     status: str  # 'optimal' | 'infeasible'
     margin: Fraction | None
     weights: tuple[Fraction, ...] | None
-    multipliers: Callable[[], tuple[Fraction, ...]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    multipliers: tuple[Fraction, ...]
 
 
 def maximize_margin(s: ConstraintSystem) -> MarginSolution:
@@ -177,8 +166,6 @@ def maximize_margin(s: ConstraintSystem) -> MarginSolution:
     status, x, multipliers = _solve_lp(s.variable_count, s.rows, s.margin_index)
     if status == "infeasible":
         return MarginSolution("infeasible", None, None, multipliers)
-    if status != "optimal":
-        raise InternalError(f"margin LP cannot be {status}: bounds are built in")
     if any(v < 0 for v in x):
         raise InternalError("solver returned a negative variable")
     for row in s.rows:
@@ -253,8 +240,10 @@ class _Tableau:
     and every row is kept primitive (the gcd of its integers and its
     denominator is 1), so each row has one canonical form.  A basic
     column reads ``den[i]`` in its own row and is absent elsewhere.
-    ``bland`` records whether the last ``maximize`` fell back to Bland's
-    rule.  Only columns below ``priced`` may enter the basis.  While
+    ``maximize`` runs to an optimum; every LP here is bounded, so a
+    column that no row bounds raises InternalError.  ``bland`` records
+    whether the last ``maximize`` fell back to Bland's rule.  Only
+    columns below ``priced`` may enter the basis.  While
     ``nonpositive`` is set the objective can never exceed 0 (phase 1),
     so ``maximize`` stops as soon as its value reaches 0.
     """
@@ -322,11 +311,11 @@ class _Tableau:
         priced = self.priced
         while True:
             if self.nonpositive and self.value == 0:
-                return "optimal"
+                return
             reduced = self.reduced
             improving = [j for j, v in reduced.items() if v > 0 and j < priced]
             if not improving:
-                return "optimal"
+                return
             # Bland: the lowest improving column; otherwise the steepest
             # reduced cost, the lowest column on ties
             if self.bland:
@@ -352,7 +341,7 @@ class _Tableau:
                         best_b, best_a = b, a
                         leave = i
             if leave < 0:
-                return "unbounded"
+                raise InternalError(f"no row bounds entering column {enter}")
             degenerate = best_b == 0
             self.pivot(leave, enter)
             pivots += 1
@@ -397,10 +386,11 @@ def _solve_lp(n_vars, rows, target):
     0 at its optimum the rows have no point.  An artificial left basic
     at 0 is then pivoted out on the lowest non-artificial column of its
     row, or deleted with its row when the row has no such column, and
-    phase 2 maximizes x[target].  Returns (status, x, multipliers)
-    with status 'optimal', 'infeasible' or 'unbounded'; x holds
-    Fractions, and ``multipliers()`` reads the LP multipliers of the
-    rows (a Farkas ray when infeasible) off the final reduced costs.
+    phase 2 maximizes x[target], which the rows must bound.  Returns
+    (status, x, y) with status 'optimal' or 'infeasible'; x holds
+    Fractions (None when infeasible), and y the LP multipliers of the
+    rows (a Farkas ray when infeasible), read off the final reduced
+    costs.
     """
     matrix: list[dict[int, int]] = []
     rhs: list[int] = []
@@ -448,10 +438,9 @@ def _solve_lp(n_vars, rows, target):
         cost = {art_start + k: -1 for k in range(len(art_rows))}
         tab.set_objective(cost)
         tab.nonpositive = True
-        if tab.maximize() != "optimal":
-            raise InternalError("phase-1 objective is bounded by construction")
+        tab.maximize()
         if tab.value != 0:
-            return "infeasible", None, _multiplier_reader(tab, cost, unit_columns, signs)
+            return "infeasible", None, _multipliers(tab, cost, unit_columns, signs)
         # phase 1 stopped at 0, so every artificial still basic is at 0
         for i in range(len(tab.rows) - 1, -1, -1):
             if tab.basis[i] >= art_start:
@@ -468,30 +457,23 @@ def _solve_lp(n_vars, rows, target):
 
     cost = {target: 1}
     tab.set_objective(cost)
-    status = tab.maximize()
-    if status == "unbounded":
-        return "unbounded", None, None
+    tab.maximize()
     if any(v > 0 for j, v in tab.reduced.items() if j < art_start):
         raise InternalError("simplex stopped with a positive reduced cost")
     x = [_F0] * n_vars
     for i, bc in enumerate(tab.basis):
         if bc < n_vars:
             x[bc] = Fraction(tab.rhs[i], tab.den[i])
-    return "optimal", x, _multiplier_reader(tab, cost, unit_columns, signs)
+    return "optimal", x, _multipliers(tab, cost, unit_columns, signs)
 
 
-def _multiplier_reader(tab, cost, unit_columns, signs):
-    """A function reading y off the tableau's current reduced costs:
-    pi_i = cost(c) - d(c) for row i's unit column c, and y_i = signs[i]
-    pi_i undoes the row's sign flips (scaling left the unit columns
-    unit)."""
+def _multipliers(tab, cost, unit_columns, signs):
+    """y read off the tableau's current reduced costs: pi_i = cost(c) -
+    d(c) for row i's unit column c, and y_i = signs[i] pi_i undoes the
+    row's sign flips (scaling left the unit columns unit)."""
     reduced, obj_den = tab.reduced, tab.obj_den
-
-    def read():
-        y = []
-        for c, sign in zip(unit_columns, signs):
-            pi = cost.get(c, 0) * obj_den - reduced.get(c, 0)
-            y.append(Fraction(sign * pi, obj_den) if pi else _F0)
-        return tuple(y)
-
-    return read
+    y = []
+    for c, sign in zip(unit_columns, signs):
+        pi = cost.get(c, 0) * obj_den - reduced.get(c, 0)
+        y.append(Fraction(sign * pi, obj_den) if pi else _F0)
+    return tuple(y)

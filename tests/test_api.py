@@ -7,7 +7,6 @@ PUBLIC = [
     "ConditionReport",
     "ConstraintSystem",
     "DualPair",
-    "DuplicateCircuitError",
     "EmbeddingError",
     "EulerError",
     "Face",

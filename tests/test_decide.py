@@ -444,12 +444,12 @@ class TestCertificateSerialization:
 
 
 class TestGoldenCertificates:
-    """Certificates pinned byte for byte, the multi-round ones and a no: a
+    """Certificates pinned byte for byte, the multi-round ones and two noes: a
     change to the LP kernel must keep the pivot sequence, so every
     optimum, every cut and every multiplier stays the same."""
 
     CASES = {
-        # the one no, margin -1/18: its multipliers are pinned too
+        # a no at margin -1/18: its multipliers are pinned too
         "kleetope_bipyramid_3_inscribable": (
             decide_inscribable, lambda: generate("kleetope(bipyramid)", 3)),
         "kleetope_antiprism_4_circumscribable": (
@@ -465,6 +465,8 @@ class TestGoldenCertificates:
         # would reach another optimum
         "kleetope_antiprism_6_circumscribable": (
             decide_circumscribable, lambda: generate("kleetope(antiprism)", 6)),
+        # an infeasible LP: the no's multipliers are a Farkas ray
+        "cuboctahedron_circumscribable": (decide_circumscribable, cuboctahedron),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -548,6 +550,24 @@ class TestVerifyCertificate:
             "-7 iterations recorded for 1 cuts, not 2",
             "cut [0, 1, 999] does not rebuild: edge set names an unknown edge",
         ]
+
+    @pytest.mark.parametrize("graph,cut", [
+        (lambda: generate("kleetope(bipyramid)", 3), [0, 2, 16, 0]),
+        (lambda: generate("kleetope(bipyramid)", 3), [16, 2, 0]),
+        (lambda: generate("kleetope(bipyramid)", 3), [2, 16, 0]),
+        (lambda: stack_on_faces(generate("prism", 3), [1, 3, 4]), [11, 13, 15, 11]),
+    ], ids=["yes-closed-up", "yes-reversed", "yes-rotated", "no-closed-up"])
+    def test_cut_out_of_canonical_form_fails(self, graph, cut):
+        # the first cut's edges in another order rebuild the same row
+        g = graph()
+        cert = decide_circumscribable(g)
+        canonical = list(cert.cuts[0])
+        assert set(cut) == set(canonical) and cut != canonical
+        assert verify_certificate(cert, g) == (True, [])
+        tampered = replace(cert, cuts=(tuple(cut),) + cert.cuts[1:])
+        assert verify_certificate(tampered, g) == (False, [
+            f"cut {cut} does not rebuild: its canonical form is {canonical}",
+        ])
 
     @pytest.mark.parametrize("decide,family,change,problem", [
         (decide_inscribable, "cube", {"edge_bijection": None},
@@ -634,7 +654,7 @@ class TestNoMultipliers:
         def no_ray(system):
             return replace(
                 lp_module.maximize_margin(system),
-                multipliers=lambda: (F(0),) * len(system.rows),
+                multipliers=(F(0),) * len(system.rows),
             )
 
         monkeypatch.setattr(decide_module, "maximize_margin", no_ray)
