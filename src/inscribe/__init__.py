@@ -51,10 +51,8 @@ from .lp import (
 )
 from .separation import (
     Circuit,
-    ConditionReport,
     all_nonfacial_circuits,
     brute_force_min_nonfacial,
-    check_conditions,
     min_cycle_through_edge,
     min_nonfacial_circuit,
 )
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate",
     "Circuit",
-    "ConditionReport",
     "ConstraintSystem",
     "DualPair",
     "EmbeddingError",
@@ -83,7 +80,6 @@ __all__ = [
     "brute_force_min_nonfacial",
     "certificate_from_json",
     "certificate_to_json",
-    "check_conditions",
     "decide_circumscribable",
     "decide_inscribable",
     "dihedral_angles",

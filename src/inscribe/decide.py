@@ -39,8 +39,8 @@ from .lp import (
 from .separation import (
     Circuit,
     brute_force_min_nonfacial,
-    check_conditions,
     min_nonfacial_circuit,
+    weighting_problems,
 )
 
 
@@ -200,17 +200,20 @@ def verify_certificate(
     tuple (:class:`~inscribe.separation.Circuit`) and add to the LP in turn,
     ``iterations`` must be ``len(cuts) + 1``, as the cut loop records it,
     and ``edge_bijection`` must be the dual's for the 'dual' role and
-    absent for the 'primal' one.  Yes certificates: the recorded
-    weighting must satisfy all three condition families exactly, its
-    minimum slack must equal the recorded margin (the LP optimum that a
-    genuine yes reaches), the LP must be recorded optimal, and there are
-    no multipliers.  No certificates: they carry no weights, the margin
-    is null exactly when the LP is recorded infeasible and otherwise at
-    most 0, and the multipliers must prove it on the LP rebuilt from the
-    cut list (:func:`~inscribe.lp.multiplier_problems`): signed by row
-    relation, with y^T A >= e_s and y^T b = margin + 1 when optimal, and
-    y^T A >= 0 and y^T b < 0 when infeasible.  Neither answer solves an
-    LP.  Returns (verdict, list of failure messages).
+    absent for the 'primal' one.  Yes certificates: the margin must be
+    positive, the LP recorded optimal, there are no multipliers, and the
+    weighting must prove the margin
+    (:func:`~inscribe.separation.weighting_problems`): all three
+    condition families hold exactly, and the least slack equals the
+    recorded margin, the LP optimum that a genuine yes reaches.  No
+    certificates: they carry no weights, the margin is null exactly when
+    the LP is recorded infeasible and otherwise at most 0, and the
+    multipliers must prove it on the LP rebuilt from the cut list
+    (:func:`~inscribe.lp.multiplier_problems`): signed by row relation,
+    with y^T A >= e_s and y^T b = margin + 1 when optimal, and y^T A >= 0
+    and y^T b < 0 when infeasible.  Each answer's proof is checked by one
+    call, and neither solves an LP.  Returns (verdict, list of failure
+    messages).
     """
     problems: list[str] = []
     if cert.graph_role == "dual":
@@ -252,22 +255,7 @@ def verify_certificate(
             problems.append(f"yes certificate records LP status {cert.lp_status!r}")
         if cert.multipliers is not None:
             problems.append("yes certificate carries multipliers")
-        report = check_conditions(tested, cert.weights)
-        if not report.ok:
-            if report.bound_violations:
-                problems.append(f"bound violations on edges {report.bound_violations}")
-            for fid, total in report.face_violations:
-                problems.append(f"face {fid} sums to {total}")
-            if report.circuit_violation is not None:
-                c, wt = report.circuit_violation
-                problems.append(f"circuit {c.edge_ids} weighs {wt} <= 1")
-        else:
-            w = cert.weights
-            slack = min(min(w), Fraction(1, 2) - max(w), report.min_circuit[1] - 1)
-            if slack != cert.margin:
-                problems.append(
-                    f"recomputed slack {slack} differs from recorded margin {cert.margin}"
-                )
+        problems.extend(weighting_problems(tested, cert.weights, cert.margin))
     else:
         if cert.weights is not None:
             problems.append("no certificate carries weights")
@@ -291,13 +279,19 @@ def _frac_str(x: Fraction) -> str:
 
 
 def _frac_parse(s: str) -> Fraction:
+    """The rational that :func:`_frac_str` writes as s, and no other form."""
     if not isinstance(s, str):
         raise ValueError(f"rational {s!r} is not a 'p/q' string")
     num, _, den = s.partition("/")
     try:
-        return Fraction(int(num), int(den) if den else 1)
+        value = Fraction(int(num), int(den))
     except ZeroDivisionError as exc:
         raise ValueError(f"rational {s!r} has a zero denominator") from exc
+    except ValueError:
+        value = None
+    if value is None or _frac_str(value) != s:
+        raise ValueError(f"rational {s!r} is not 'p/q' in lowest terms with q > 0")
+    return value
 
 
 def _json_int(value, field: str) -> int:

@@ -121,8 +121,9 @@ class PolyhedralGraph:
 
     @cached_property
     def _steinitz_report(self) -> SteinitzReport:
-        planar = euler_characteristic(self) == 2
         three = self.vertex_count >= 4 and is_k_vertex_connected(self, 3)
+        # V - E + F = 2 puts a connected graph on the sphere only
+        planar = euler_characteristic(self) == 2 and (three or is_k_vertex_connected(self, 1))
         return SteinitzReport(planar_spherical=planar, three_connected=three)
 
     @cached_property
@@ -245,10 +246,10 @@ class SteinitzReport:
 def validate_steinitz(g: PolyhedralGraph) -> SteinitzReport:
     """Check the two polyhedral-graph conditions.
 
-    ``planar_spherical`` holds iff the traced faces satisfy Euler's
-    formula (genus-0 embedding); ``three_connected`` iff the graph has no
-    vertex cut of size at most 2.  The report is computed once per graph
-    object and kept on it.
+    ``planar_spherical`` holds iff the graph is connected and the traced
+    faces satisfy Euler's formula (genus-0 embedding); ``three_connected``
+    iff the graph has no vertex cut of size at most 2.  The report is
+    computed once per graph object and kept on it.
     """
     return g._steinitz_report
 

@@ -252,61 +252,35 @@ def brute_force_min_nonfacial(g: PolyhedralGraph, w) -> tuple[Circuit, Fraction]
     return best, Fraction(best_sum, denom)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Violations of the strict weighting conditions.
+def weighting_problems(g: PolyhedralGraph, w, margin: Fraction) -> list[str]:
+    """What keeps w from proving, with least slack ``margin``, that g is
+    of circumscribable type; an empty list when w proves it.
 
     The three condition families: every weight strictly inside
     (0, 1/2); every face boundary summing to exactly 1; every non-facial
-    circuit weighing strictly more than 1.  ``min_circuit`` is the
-    cheapest non-facial circuit and its weight, the one fact the circuit
-    family needs: it is None when a negative weight (already a bound
-    violation) keeps the oracle from running.  An empty report means the
-    weighting is a valid witness.
+    circuit weighing strictly more than 1, which the cheapest one
+    decides.  A negative weight, already a bound violation, keeps the
+    oracle from running.  Only a weighting that meets all three is held
+    to its least slack, min(w, 1/2 - w, circuit - 1), which must equal
+    ``margin``.  The cost is at most one oracle call.
     """
-
-    bound_violations: tuple[int, ...]
-    face_violations: tuple[tuple[int, Fraction], ...]
-    min_circuit: tuple[Circuit, Fraction] | None
-
-    @property
-    def circuit_checked(self) -> bool:
-        return self.min_circuit is not None
-
-    @property
-    def circuit_violation(self) -> tuple[Circuit, Fraction] | None:
-        if self.min_circuit is not None and self.min_circuit[1] <= 1:
-            return self.min_circuit
-        return None
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.bound_violations
-            and not self.face_violations
-            and self.circuit_checked
-            and self.circuit_violation is None
-        )
-
-
-def check_conditions(g: PolyhedralGraph, w) -> ConditionReport:
-    """Report every violated condition of the weighting on g."""
     _check_weights(g, w, nonnegative=False)
     half = Fraction(1, 2)
-    bounds = tuple(
-        e for e in range(g.edge_count) if not 0 < w[e] < half
-    )
-    faces = trace_faces(g)
-    face_bad = []
-    for f in faces:
+    problems = []
+    bounds = tuple(e for e in range(g.edge_count) if not 0 < w[e] < half)
+    if bounds:
+        problems.append(f"bound violations on edges {bounds}")
+    for f in trace_faces(g):
         total = sum((w[e] for e in f.edge_ids), Fraction(0))
         if total != 1:
-            face_bad.append((f.id, total))
-    min_circuit = None
-    if all(w[e] >= 0 for e in range(g.edge_count)):
-        min_circuit = min_nonfacial_circuit(g, w)
-    return ConditionReport(
-        bound_violations=bounds,
-        face_violations=tuple(face_bad),
-        min_circuit=min_circuit,
-    )
+            problems.append(f"face {f.id} sums to {total}")
+    if min(w) < 0:
+        return problems
+    circuit, weight = min_nonfacial_circuit(g, w)
+    if weight <= 1:
+        problems.append(f"circuit {circuit.edge_ids} weighs {weight} <= 1")
+    if not problems:
+        slack = min(min(w), half - max(w), weight - 1)
+        if slack != margin:
+            problems.append(f"recomputed slack {slack} differs from recorded margin {margin}")
+    return problems

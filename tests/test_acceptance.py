@@ -19,7 +19,6 @@ from helpers import (
 
 from inscribe import (
     brute_force_min_nonfacial,
-    check_conditions,
     dihedral_angles,
     dual,
     edge_faces,
@@ -30,6 +29,7 @@ from inscribe import (
     trace_faces,
     validate_steinitz,
 )
+from inscribe.separation import weighting_problems
 
 F = Fraction
 
@@ -55,8 +55,8 @@ def test_criterion_1_known_answer_corpus():
         else:
             assert cert.answer == "yes", name
             assert cert.margin > 0
-            report = check_conditions(dual(g).dual, cert.weights)
-            assert report.ok, (name, report)
+            problems = weighting_problems(dual(g).dual, cert.weights, cert.margin)
+            assert problems == [], (name, problems)
     print(
         f"\nACCEPTANCE PASS [1] known-answer corpus: {len(corpus())} graphs, "
         f"slowest {slowest:.2f}s"

@@ -4,7 +4,6 @@ import inscribe
 PUBLIC = [
     "Certificate",
     "Circuit",
-    "ConditionReport",
     "ConstraintSystem",
     "DualPair",
     "EmbeddingError",
@@ -23,7 +22,6 @@ PUBLIC = [
     "brute_force_min_nonfacial",
     "certificate_from_json",
     "certificate_to_json",
-    "check_conditions",
     "decide_circumscribable",
     "decide_inscribable",
     "dihedral_angles",

@@ -30,6 +30,15 @@ K5 = "polygraph 1\nvertices 5\n" + "".join(
     f"v {u}: {' '.join(str(v) for v in range(5) if v != u)}\n" for u in range(5)
 )
 
+# V 11, E 27, F 18: V - E + F = 2, but K4 on 0-3 and K7 on 4-10 are
+# apart, and the K7 is embedded on the torus
+K4_AND_K7 = (
+    "polygraph 1\nvertices 11\nv 0: 1 3 2\nv 1: 0 2 3\nv 2: 0 3 1\nv 3: 0 1 2\n"
+) + "".join(
+    f"v {4 + u}: {' '.join(str(4 + (u + d) % 7) for d in (1, 3, 2, 6, 4, 5))}\n"
+    for u in range(7)
+)
+
 
 def run_cli(capsys, argv, stdin=None):
     if stdin is not None:
@@ -77,6 +86,11 @@ class TestValidate:
         code, out, _ = run_cli(capsys, ["validate", "-"], stdin=BOWTIE)
         assert code == 0
         assert "three_connected: false" in out
+
+    def test_disconnected_graph_is_not_spherical(self, capsys):
+        code, out, _ = run_cli(capsys, ["validate", "-"], stdin=K4_AND_K7)
+        assert code == 0
+        assert out == "planar_spherical: false\nthree_connected: false\n"
 
     def test_malformed_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.pg"
@@ -343,6 +357,30 @@ class TestMalformedCertificates:
         assert code == 2
         assert reason in err
 
+    @pytest.mark.parametrize("text", ["1_0/3", " 1/6", "+1/6", "2/4", "-1/-2", "3"])
+    @pytest.mark.parametrize("field", ["margin", "weight", "multiplier"])
+    def test_rational_not_written_by_the_writer_exits_2(
+        self, capsys, cube_file, kleetope_file, no_cert, tmp_path, field, text
+    ):
+        # the reader takes only 'p/q' in lowest terms with q > 0
+        if field == "weight":
+            _, out, _ = run_cli(
+                capsys, ["decide", "--circumscribable", cube_file, "--format", "json"]
+            )
+            doc, graph = json.loads(out), cube_file
+            doc["weights"]["0"] = text
+        else:
+            doc, graph = no_cert, kleetope_file
+            if field == "margin":
+                doc["margin"] = text
+            else:
+                doc["multipliers"][0] = text
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["verify", str(cert), graph])
+        assert (code, out) == (2, "")
+        assert f"rational {text!r} is not" in err
+
     @pytest.mark.parametrize("field,value", [
         ("answer", "maybe"),
         ("graph_role", "sideways"),
@@ -509,7 +547,8 @@ class TestNonPolyhedralInput:
     @pytest.mark.parametrize("text,message", [
         (BOWTIE, "graph is not 3-connected"),
         (K5, "embedding fails Euler's formula (not spherical)"),
-    ], ids=["bowtie", "K5"])
+        (K4_AND_K7, "embedding fails Euler's formula (not spherical)"),
+    ], ids=["bowtie", "K5", "K4-and-K7-on-torus"])
     def test_exits_2(self, capsys, tmp_path, cube_file, kleetope_file, text, message):
         graph = tmp_path / "graph.pg"
         graph.write_text(text)
@@ -590,6 +629,39 @@ def test_every_command_runs_on_every_corpus_file(capsys, tmp_path, path):
         if mode == "--inscribable" and doc["answer"] == "yes":
             code, _, err = run_cli(capsys, ["angles", str(cert), graph])
             assert (code, err) == (0, ""), argv
+
+
+NO_NETWORKX = """
+import contextlib, io, sys
+sys.modules["networkx"] = None  # any import of it raises ImportError
+from inscribe.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, (argv, code)
+    return out.getvalue()
+
+cert, *graphs = sys.argv[1:]
+for graph in graphs:
+    for mode in ("--inscribable", "--circumscribable"):
+        with open(cert, "w") as f:
+            f.write(run(["decide", mode, graph, "--format", "json"]))
+        assert "verification: PASS" in run(["verify", cert, graph]), (graph, mode)
+"""
+
+
+def test_deciding_and_verifying_need_no_networkx(tmp_path):
+    # networkx is a test dependency: only the reference enumeration
+    # imports it, and only when it is called
+    graphs = [str(CORPUS / "cube.pg"), str(CORPUS / "kleetope_tetrahedron.pg")]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NETWORKX, str(tmp_path / "cert.json"), *graphs],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_mutated_certificates_exit_0_or_2(capsys, tmp_path):

@@ -18,7 +18,6 @@ from inscribe import (
     PolyhedralGraph,
     certificate_from_json,
     certificate_to_json,
-    check_conditions,
     decide_circumscribable,
     decide_inscribable,
     dihedral_angles,
@@ -30,6 +29,7 @@ from inscribe import (
     trace_faces,
     verify_certificate,
 )
+from inscribe.separation import weighting_problems
 
 F = Fraction
 
@@ -100,7 +100,7 @@ class TestDecideCircumscribable:
         g = generate("prism", 5)
         cert = decide_circumscribable(g)
         assert cert.answer == "yes"
-        assert check_conditions(g, cert.weights).ok
+        assert weighting_problems(g, cert.weights, cert.margin) == []
 
     def test_kleetope_icosahedron(self):
         # the largest multi-round decision in the suite
@@ -159,13 +159,13 @@ class TestInfeasibleFaceSums:
         assert verify_certificate(back, g) == (True, [])
 
     @pytest.mark.parametrize("margin,problem", [
-        ("5", "infeasible LP records margin 5"),
-        ("0", "infeasible LP records margin 0"),
+        (5, "infeasible LP records margin 5"),
+        (0, "infeasible LP records margin 0"),
     ])
     def test_infeasible_no_with_a_margin_fails(self, margin, problem):
         g = cuboctahedron()
         doc = json.loads(certificate_to_json(decide_circumscribable(g)))
-        doc["margin"] = margin
+        doc["margin"] = f"{margin}/1"
         cert = certificate_from_json(json.dumps(doc))
         assert verify_certificate(cert, g) == (False, [problem])
 
@@ -247,7 +247,7 @@ class TestDecideInscribable:
         pair = dual(g)
         cert = decide_inscribable(g)
         assert len(cert.weights) == pair.dual.edge_count
-        assert check_conditions(pair.dual, cert.weights).ok
+        assert weighting_problems(pair.dual, cert.weights, cert.margin) == []
         assert tuple(cert.edge_bijection) == pair.primal_to_dual
 
     def test_decide_angles_and_verify_build_one_dual(self, monkeypatch):
@@ -593,6 +593,36 @@ class TestVerifyCertificate:
         g = generate(family)
         ok, problems = verify_certificate(replace(decide(g), **change), g)
         assert (ok, problems) == (False, [problem])
+
+    # corruptions of the bipyramid-3 yes: weights 5/16 on the six
+    # spokes, 3/8 on the rim, margin 1/8, one cut (the rim)
+    @pytest.mark.parametrize("corrupt,problems", [
+        (lambda c: {"weights": (c.weights[0] + F(1, 97),) + c.weights[1:]},
+         ["face 0 sums to 98/97", "face 1 sums to 98/97"]),
+        (lambda c: {"weights": (-c.weights[0],) + c.weights[1:]},
+         ["bound violations on edges (0,)", "face 0 sums to 3/8", "face 1 sums to 3/8"]),
+        (lambda c: {"weights": (F(1, 2),) * 9},
+         ["bound violations on edges (0, 1, 2, 3, 4, 5, 6, 7, 8)"]
+         + [f"face {i} sums to 3/2" for i in range(6)]),
+        (lambda c: {"weights": (F(0),) * 9},
+         ["bound violations on edges (0, 1, 2, 3, 4, 5, 6, 7, 8)"]
+         + [f"face {i} sums to 0" for i in range(6)]
+         + ["circuit (0, 1, 5, 3) weighs 0 <= 1"]),
+        (lambda c: {"weights": (F(1, 3),) * 9},
+         ["circuit (6, 7, 8) weighs 1 <= 1"]),
+        (lambda c: {"weights": c.weights[1:] + c.weights[:1]},
+         ["face 2 sums to 15/16", "face 3 sums to 17/16"]),
+        (lambda c: {"margin": c.margin / 2},
+         ["recomputed slack 1/8 differs from recorded margin 1/16"]),
+        (lambda c: {"margin": F(0)},
+         ["margin 0 is not positive", "recomputed slack 1/8 differs from recorded margin 0"]),
+    ], ids=["weight-plus-1/97", "weight-negated", "all-half", "all-zero", "all-third",
+            "rotated", "margin-halved", "margin-zero"])
+    def test_each_yes_failure_is_listed(self, corrupt, problems):
+        g = generate("bipyramid", 3)
+        cert = decide_circumscribable(g)
+        assert (cert.margin, cert.cuts) == (F(1, 8), ((6, 7, 8),))
+        assert verify_certificate(replace(cert, **corrupt(cert)), g) == (False, problems)
 
     def test_no_iterations_are_checked(self):
         g = generate("kleetope(tetrahedron)")

@@ -3,19 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+import inscribe.separation as separation_module
 from inscribe import (
     Circuit,
     PolyhedralGraph,
     all_nonfacial_circuits,
     brute_force_min_nonfacial,
-    check_conditions,
     generate,
     min_cycle_through_edge,
     min_nonfacial_circuit,
     stack_on_faces,
     trace_faces,
 )
-from inscribe.separation import _canonical
+from inscribe.separation import _canonical, weighting_problems
 
 THIRD = Fraction(1, 3)
 
@@ -258,28 +258,24 @@ def _shuffled(g, rng):
     return PolyhedralGraph(g.vertex_count, tuple(edges), rotation)
 
 
-class TestCheckConditions:
+class TestWeightingProblems:
     def test_k4_uniform_third_is_witness(self):
         g = generate("tetrahedron")
-        report = check_conditions(g, uniform(g))
-        assert report.ok
-        assert report.bound_violations == ()
-        assert report.face_violations == ()
-        assert report.circuit_violation is None
+        assert weighting_problems(g, uniform(g), Fraction(1, 6)) == []
 
     def test_k4_uniform_half_violates_bounds_and_faces(self):
         g = generate("tetrahedron")
-        report = check_conditions(g, uniform(g, Fraction(1, 2)))
-        assert set(report.bound_violations) == set(range(6))
-        assert {total for _, total in report.face_violations} == {Fraction(3, 2)}
-        assert not report.ok
+        assert weighting_problems(g, uniform(g, Fraction(1, 2)), Fraction(1, 6)) == [
+            "bound violations on edges (0, 1, 2, 3, 4, 5)",
+        ] + [f"face {i} sums to 3/2" for i in range(4)]
 
-    def test_octahedron_uniform_quarter_violates_faces_only(self):
+    def test_octahedron_uniform_quarter_violates_faces_and_a_circuit(self):
+        # the faces sum to 3/4, and a 4-cycle through the equator
+        # weighs exactly 1
         g = generate("octahedron")
-        report = check_conditions(g, uniform(g, Fraction(1, 4)))
-        assert report.bound_violations == ()
-        assert len(report.face_violations) == 8
-        assert {total for _, total in report.face_violations} == {Fraction(3, 4)}
+        assert weighting_problems(g, uniform(g, Fraction(1, 4)), Fraction(1, 6)) == [
+            f"face {i} sums to 3/4" for i in range(8)
+        ] + ["circuit (0, 1, 9, 5) weighs 1 <= 1"]
 
     def test_circuit_condition_violation_reported(self):
         # bipyramid: rim edges at 1/15, spokes at 7/15 keep every face
@@ -291,19 +287,16 @@ class TestCheckConditions:
             else Fraction(7, 15)
             for e in range(g.edge_count)
         )
-        report = check_conditions(g, w)
-        assert report.bound_violations == ()
-        assert report.face_violations == ()
-        assert report.circuit_violation is not None
-        circuit, weight = report.circuit_violation
-        assert weight == Fraction(1, 5)
-        assert len(circuit) == 3
-        assert not report.ok
+        assert weighting_problems(g, w, Fraction(1, 15)) == [
+            "circuit (6, 7, 8) weighs 1/5 <= 1",
+        ]
 
-    def test_negative_weight_skips_circuit_scan(self):
+    def test_negative_weight_skips_circuit_scan(self, monkeypatch):
         g = generate("tetrahedron")
         w = (Fraction(-1, 4),) + (THIRD,) * 5
-        report = check_conditions(g, w)
-        assert 0 in report.bound_violations
-        assert not report.circuit_checked
-        assert not report.ok
+        monkeypatch.setattr(separation_module, "min_nonfacial_circuit", None)
+        assert weighting_problems(g, w, Fraction(1, 6)) == [
+            "bound violations on edges (0,)",
+            "face 0 sums to 5/12",
+            "face 1 sums to 5/12",
+        ]
