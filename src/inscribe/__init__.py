@@ -14,7 +14,6 @@ from .decide import (
     decide_circumscribable,
     decide_inscribable,
     dihedral_angles,
-    solve_full_enumeration,
     verify_certificate,
 )
 from .errors import (
@@ -96,7 +95,6 @@ __all__ = [
     "new_system",
     "parse_graph",
     "require_polyhedral",
-    "solve_full_enumeration",
     "stack_on_faces",
     "trace_faces",
     "validate_steinitz",

@@ -30,7 +30,6 @@ from .graph import (
     trace_faces,
 )
 from .lp import (
-    MarginSolution,
     add_circuit_constraint,
     maximize_margin,
     multiplier_problems,
@@ -38,7 +37,6 @@ from .lp import (
 )
 from .separation import (
     Circuit,
-    brute_force_min_nonfacial,
     min_nonfacial_circuit,
     weighting_problems,
 )
@@ -50,17 +48,18 @@ class Certificate:
 
     For a yes answer, ``weights`` is a witness on the tested graph's
     edges and ``margin`` is its positive slack; ``multipliers`` is None.
-    For a no answer, ``margin`` is at most 0 (None when the LP rebuilt
-    from ``cuts`` is infeasible), an upper bound on the full system's
-    optimum that need not equal it, and ``multipliers`` proves it: one
-    exact LP multiplier per row of that LP, in the order the rows are
-    built (E ``upper`` rows by edge id, the ``face`` rows by face id,
-    one ``circuit`` row per cut in order), >= 0 on upper rows, free on
-    face rows and <= 0 on circuit rows.  ``decide`` records the exact LP
-    optimum as the margin.  ``graph_role`` says which graph carried the
-    conditions: the input itself ('primal') or its planar dual ('dual');
-    in the dual case ``edge_bijection`` maps each input edge id to the
-    tested dual edge id.
+    For a no answer, ``margin`` is at most 0, or None exactly when the
+    LP rebuilt from ``cuts`` is infeasible; it is an upper bound on the
+    full system's optimum that need not equal it, and ``multipliers``
+    proves it: one exact LP multiplier per row of that LP, in the order
+    the rows are built (E ``upper`` rows by edge id, the ``face`` rows
+    by face id, one ``circuit`` row per cut in order), >= 0 on upper
+    rows, free on face rows and <= 0 on circuit rows, a Farkas ray when
+    the margin is None.  ``decide`` records the exact LP optimum as the
+    margin.  ``graph_role`` says which graph carried the conditions: the
+    input itself ('primal') or its planar dual ('dual'); in the dual
+    case ``edge_bijection`` maps each input edge id to the tested dual
+    edge id.
     """
 
     answer: str  # 'yes' | 'no'
@@ -68,14 +67,17 @@ class Certificate:
     margin: Fraction | None
     weights: tuple[Fraction, ...] | None
     cuts: tuple[tuple[int, ...], ...]
-    iterations: int
-    lp_status: str  # 'optimal' | 'infeasible'
     edge_bijection: tuple[int, ...] | None = None
     multipliers: tuple[Fraction, ...] | None = None
 
     @property
     def is_yes(self) -> bool:
         return self.answer == "yes"
+
+    @property
+    def iterations(self) -> int:
+        """LP solves of the cut loop: one per cut, and the last."""
+        return len(self.cuts) + 1
 
 
 def decide_circumscribable(g: PolyhedralGraph) -> Certificate:
@@ -87,8 +89,8 @@ def decide_circumscribable(g: PolyhedralGraph) -> Certificate:
     re-checks every row exactly at the point it returns, so a circuit
     violated there is not yet a row, and add_circuit_constraint rejects
     repeats and faces besides.  Each round thus adds a distinct
-    non-facial circuit, of which there are finitely many, and a
-    certificate's ``iterations`` is always ``len(cuts) + 1``.  A no
+    non-facial circuit, of which there are finitely many, so the loop
+    solves the LP ``len(cuts) + 1`` times.  A no
     carries the final LP's multipliers, checked here as ``verify``
     checks them; a failed check raises InternalError.
     """
@@ -108,8 +110,6 @@ def decide_circumscribable(g: PolyhedralGraph) -> Certificate:
                 margin=solution.margin,
                 weights=None,
                 cuts=tuple(cuts),
-                iterations=len(cuts) + 1,
-                lp_status=solution.status,
                 multipliers=y,
             )
         circuit, weight = min_nonfacial_circuit(g, solution.weights)
@@ -123,8 +123,6 @@ def decide_circumscribable(g: PolyhedralGraph) -> Certificate:
             margin=solution.margin,
             weights=solution.weights,
             cuts=tuple(cuts),
-            iterations=len(cuts) + 1,
-            lp_status="optimal",
         )
 
 
@@ -167,30 +165,6 @@ def dihedral_angles(cert: Certificate, pair: DualPair) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def solve_full_enumeration(g: PolyhedralGraph) -> tuple[MarginSolution, int]:
-    """Optimum of the margin LP with ALL non-facial circuits as rows.
-
-    Refines an active set against the exhaustive reference oracle:
-    solve, take the least circuit over every non-facial circuit, add it
-    while it is violated, repeat.  The least circuit is violated exactly
-    when some circuit is, so on return the solution satisfies every
-    row, and it is the exact optimum of the full system.  Returns the
-    solution and the number of LP solves.
-    """
-    require_polyhedral(g)
-    system = new_system(g)
-    solves = 0
-    while True:
-        solution = maximize_margin(system)
-        solves += 1
-        if solution.status == "infeasible":
-            return solution, solves
-        circuit, weight = brute_force_min_nonfacial(g, solution.weights)
-        if weight - solution.margin >= 1:
-            return solution, solves
-        system = add_circuit_constraint(system, circuit)
-
-
 def verify_certificate(
     cert: Certificate, g: PolyhedralGraph
 ) -> tuple[bool, list[str]]:
@@ -198,20 +172,18 @@ def verify_certificate(
 
     Every certificate: each recorded cut must be a canonical edge id
     tuple (:class:`~inscribe.separation.Circuit`) and add to the LP in turn,
-    ``iterations`` must be ``len(cuts) + 1``, as the cut loop records it,
     and ``edge_bijection`` must be the dual's for the 'dual' role and
     absent for the 'primal' one.  Yes certificates: the margin must be
-    positive, the LP recorded optimal, there are no multipliers, and the
-    weighting must prove the margin
-    (:func:`~inscribe.separation.weighting_problems`): all three
+    positive, there are no multipliers, and the weighting must prove the
+    margin (:func:`~inscribe.separation.weighting_problems`): all three
     condition families hold exactly, and the least slack equals the
     recorded margin, the LP optimum that a genuine yes reaches.  No
-    certificates: they carry no weights, the margin is null exactly when
-    the LP is recorded infeasible and otherwise at most 0, and the
-    multipliers must prove it on the LP rebuilt from the cut list
+    certificates: they carry no weights, the margin is at most 0 or null,
+    and the multipliers must prove it on the LP rebuilt from the cut list
     (:func:`~inscribe.lp.multiplier_problems`): signed by row relation,
-    with y^T A >= e_s and y^T b = margin + 1 when optimal, and y^T A >= 0
-    and y^T b < 0 when infeasible.  Each answer's proof is checked by one
+    with y^T A >= e_s and y^T b = margin + 1 for a margin, and, for a
+    null margin, y^T A >= 0 and y^T b < 0, a ray that shows the LP
+    infeasible.  Each answer's proof is checked by one
     call, and neither solves an LP.  Returns (verdict, list of failure
     messages).
     """
@@ -226,11 +198,6 @@ def verify_certificate(
         tested = g
         if cert.edge_bijection is not None:
             problems.append("primal certificate records an edge bijection")
-    if cert.iterations != len(cert.cuts) + 1:
-        problems.append(
-            f"{cert.iterations} iterations recorded for {len(cert.cuts)} cuts, "
-            f"not {len(cert.cuts) + 1}"
-        )
     # a yes solves no LP, so one without cuts needs no system
     system = new_system(tested) if cert.cuts or not cert.is_yes else None
     for key in cert.cuts:
@@ -251,19 +218,13 @@ def verify_certificate(
             return False, problems
         if cert.margin <= 0:
             problems.append(f"margin {cert.margin} is not positive")
-        if cert.lp_status != "optimal":
-            problems.append(f"yes certificate records LP status {cert.lp_status!r}")
         if cert.multipliers is not None:
             problems.append("yes certificate carries multipliers")
         problems.extend(weighting_problems(tested, cert.weights, cert.margin))
     else:
         if cert.weights is not None:
             problems.append("no certificate carries weights")
-        if cert.lp_status == "infeasible" and cert.margin is not None:
-            problems.append(f"infeasible LP records margin {cert.margin}")
-        elif cert.lp_status == "optimal" and cert.margin is None:
-            problems.append("optimal LP records no margin")
-        elif cert.margin is not None and cert.margin > 0:
+        if cert.margin is not None and cert.margin > 0:
             problems.append(f"no certificate records positive margin {cert.margin}")
         elif cert.multipliers is None:
             problems.append("no certificate lacks multipliers")
@@ -326,8 +287,6 @@ def certificate_to_json(
             else None
         ),
         "cuts": [list(c) for c in cert.cuts],
-        "iterations": cert.iterations,
-        "lp_status": cert.lp_status,
         "multipliers": (
             [_frac_str(y) for y in cert.multipliers]
             if cert.multipliers is not None
@@ -344,16 +303,25 @@ def certificate_to_json(
 
 _CERTIFICATE_KEYS = frozenset((
     "answer", "graph_role", "margin", "weights", "angles", "cuts",
-    "iterations", "lp_status", "multipliers", "edge_bijection",
+    "multipliers", "edge_bijection",
 ))
+# keys of certificate format 1, each a restatement of another key
+_FORMAT_1_KEYS = frozenset(("iterations", "lp_status"))
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """Parse a certificate; it must carry exactly the keys that
-    :func:`certificate_to_json` writes."""
+    """Parse a format-2 certificate; it must carry exactly the keys that
+    :func:`certificate_to_json` writes.  A format-1 certificate, which
+    also records ``iterations`` and ``lp_status``, is rejected by name."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("certificate is not a JSON object")
+    old = sorted(doc.keys() & _FORMAT_1_KEYS)
+    if old:
+        raise ValueError(
+            f"certificate format 1 is not read (it records {', '.join(old)}); "
+            "decide again to write format 2"
+        )
     missing = sorted(_CERTIFICATE_KEYS - doc.keys())
     unknown = sorted(doc.keys() - _CERTIFICATE_KEYS)
     if missing or unknown:
@@ -382,8 +350,6 @@ def certificate_from_json(text: str) -> Certificate:
         margin=_frac_parse(doc["margin"]) if doc["margin"] is not None else None,
         weights=weights,
         cuts=tuple(tuple(_json_int(e, "cut edge") for e in c) for c in cuts),
-        iterations=_json_int(doc["iterations"], "iterations"),
-        lp_status=_one_of(doc["lp_status"], ("optimal", "infeasible"), "lp_status"),
         edge_bijection=bijection,
         multipliers=multipliers,
     )

@@ -11,7 +11,7 @@ import re
 from typing import Iterable, Sequence
 
 from .errors import EmbeddingError, GraphError, InternalError
-from .graph import PolyhedralGraph, dual, trace_faces, validate_steinitz
+from .graph import PolyhedralGraph, dual, trace_faces
 
 FAMILIES = (
     "tetrahedron",
@@ -185,24 +185,19 @@ def generate(family: str, n: int | None = None) -> PolyhedralGraph:
     elif n is not None:
         raise GraphError(f"family {name!r} takes no size argument")
     if name == "tetrahedron":
-        g = _tetrahedron()
-    elif name == "cube":
-        g = _prism(4)
-    elif name == "octahedron":
-        g = _antiprism(3)
-    elif name == "dodecahedron":
-        g = _dodecahedron()
-    elif name == "icosahedron":
-        g = _icosahedron()
-    elif name == "prism":
-        g = _prism(n)
-    elif name == "antiprism":
-        g = _antiprism(n)
-    elif name in ("wheel", "pyramid"):
-        g = _wheel(n)
-    else:
-        g = _bipyramid(n)
-    report = validate_steinitz(g)
-    if not report.is_polyhedral:
-        raise InternalError(f"generator produced a non-polyhedral graph: {family}")
-    return g
+        return _tetrahedron()
+    if name == "cube":
+        return _prism(4)
+    if name == "octahedron":
+        return _antiprism(3)
+    if name == "dodecahedron":
+        return _dodecahedron()
+    if name == "icosahedron":
+        return _icosahedron()
+    if name == "prism":
+        return _prism(n)
+    if name == "antiprism":
+        return _antiprism(n)
+    if name in ("wheel", "pyramid"):
+        return _wheel(n)
+    return _bipyramid(n)

@@ -127,13 +127,12 @@ class PolyhedralGraph:
         return SteinitzReport(planar_spherical=planar, three_connected=three)
 
     @cached_property
-    def _dual(self) -> tuple[PolyhedralGraph, tuple[int, ...], tuple[int, ...]]:
-        # the dual graph and both bijections of dual(self); not a DualPair,
-        # so that the graph holds no reference to itself
+    def _dual(self) -> tuple[PolyhedralGraph, tuple[int, ...]]:
+        # the dual graph and the edge bijection of dual(self); not a
+        # DualPair, so that the graph holds no reference to itself
         require_polyhedral(self)
         incident = edge_faces(self)
         primal_to_dual = [-1] * self.edge_count
-        dual_to_primal: list[int] = []
         edges: list[tuple[int, int]] = []
         rotation: list[tuple[int, ...]] = []
         for face in trace_faces(self):
@@ -141,7 +140,6 @@ class PolyhedralGraph:
             for e, _ in face.boundary:
                 if primal_to_dual[e] < 0:
                     primal_to_dual[e] = len(edges)
-                    dual_to_primal.append(e)
                     f1, f2 = incident[e]
                     edges.append((face.id, f2 if f1 == face.id else f1))
                 row.append(primal_to_dual[e])
@@ -150,7 +148,7 @@ class PolyhedralGraph:
         # Whitney: the dual of a 3-connected plane graph is 3-connected,
         # and V - E + F is the same for both graphs.
         vars(d)["_steinitz_report"] = SteinitzReport(True, True)
-        return d, tuple(primal_to_dual), tuple(dual_to_primal)
+        return d, tuple(primal_to_dual)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(self.other_end(e, v) for e in self.rotation[v])
@@ -290,16 +288,17 @@ def is_k_vertex_connected(g: PolyhedralGraph, k: int) -> bool:
 
 @dataclass(frozen=True)
 class DualPair:
-    """A graph, its planar dual, and the edge bijection between them."""
+    """A graph, its planar dual, and the edge bijection between them:
+    ``primal_to_dual[e]`` is the id of the dual edge that crosses edge e."""
 
     primal: PolyhedralGraph
     dual: PolyhedralGraph
     primal_to_dual: tuple[int, ...]
-    dual_to_primal: tuple[int, ...]
 
 
 def dual(g: PolyhedralGraph) -> DualPair:
-    """Planar dual of a polyhedral graph, with the edge bijection.
+    """Planar dual of a polyhedral graph, with the edge bijection from
+    primal to dual edge ids.
 
     One dual vertex per face; for each primal edge, a dual edge between
     its two incident faces.  The dual rotation at a face lists its

@@ -51,8 +51,6 @@ _F2 = Fraction(2)
 
 #: Degenerate pivots in a row before the simplex switches to Bland's rule.
 _STALL_THRESHOLD = 64
-#: Pivots per phase after which the simplex is taken to be broken.
-_PIVOT_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -307,7 +305,6 @@ class _Tableau:
     def maximize(self):
         self.bland = False
         stall = 0
-        pivots = 0
         priced = self.priced
         while True:
             if self.nonpositive and self.value == 0:
@@ -344,15 +341,12 @@ class _Tableau:
                 raise InternalError(f"no row bounds entering column {enter}")
             degenerate = best_b == 0
             self.pivot(leave, enter)
-            pivots += 1
             if degenerate:
                 stall += 1
                 if stall > _STALL_THRESHOLD:
                     self.bland = True
             else:
                 stall = 0
-            if pivots > _PIVOT_CAP:
-                raise InternalError("simplex exceeded its pivot cap")
 
 
 def _eliminate(row, b, d, a, prow, pb, p):

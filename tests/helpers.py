@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import random
 
 from inscribe import (
@@ -85,3 +87,55 @@ def small_corpus() -> dict:
 # Decisions are deterministic; share them across acceptance criteria.
 circumscribable = functools.lru_cache(maxsize=None)(decide_circumscribable)
 inscribable = functools.lru_cache(maxsize=None)(decide_inscribable)
+
+
+def cuboctahedron():
+    """The cuboctahedron from its vertices, the permutations of
+    (+-1, +-1, 0): 12 vertices, 24 edges, 8 triangles and 6 squares.
+    Each vertex lists its neighbours (squared distance 2) by angle in
+    a right-handed frame whose normal is the vertex itself, so that
+    every rotation is counterclockwise seen from outside."""
+    points = sorted(
+        {p for x in (1, -1) for y in (1, -1) for p in itertools.permutations((x, y, 0))}
+    )
+
+    def cross(a, b):
+        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0])
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    rotations = []
+    for p in points:
+        a = cross(p, (1, 2, 3))
+        b = cross(p, a)
+        offsets = {i: tuple(x - y for x, y in zip(q, p)) for i, q in enumerate(points)}
+        near = [i for i, d in offsets.items() if dot(d, d) == 2]
+        near.sort(key=lambda i: math.atan2(dot(offsets[i], b), dot(offsets[i], a)))
+        rotations.append(near)
+    return PolyhedralGraph.from_neighbor_rotations(rotations)
+
+
+# Certificates pinned byte for byte in tests/data/<name>.json: name ->
+# (decision, graph)
+GOLDENS = {
+    # a no at margin -1/18: its multipliers are pinned too
+    "kleetope_bipyramid_3_inscribable": (
+        decide_inscribable, lambda: generate("kleetope(bipyramid)", 3)),
+    "kleetope_antiprism_4_circumscribable": (
+        decide_circumscribable, lambda: generate("kleetope(antiprism)", 4)),
+    "kleetope_bipyramid_3_circumscribable": (
+        decide_circumscribable, lambda: generate("kleetope(bipyramid)", 3)),
+    "stacked_bipyramid_3_0_4_5_circumscribable": (
+        decide_circumscribable,
+        lambda: stack_on_faces(generate("bipyramid", 3), [0, 4, 5])),
+    "kleetope_cube_inscribable": (
+        decide_inscribable, lambda: generate("kleetope(cube)")),
+    # 120 rows before its 6 cuts; Bland's rule from the first pivot
+    # would reach another optimum
+    "kleetope_antiprism_6_circumscribable": (
+        decide_circumscribable, lambda: generate("kleetope(antiprism)", 6)),
+    # an infeasible LP: the no's multipliers are a Farkas ray
+    "cuboctahedron_circumscribable": (decide_circumscribable, cuboctahedron),
+}

@@ -38,7 +38,6 @@ PUBLIC = [
     "new_system",
     "parse_graph",
     "require_polyhedral",
-    "solve_full_enumeration",
     "stack_on_faces",
     "trace_faces",
     "validate_steinitz",

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import GOLDENS
 
 import inscribe.graph as graph_module
 from inscribe import (
@@ -300,7 +301,9 @@ class TestAnglesAndVerify:
         code, _, err = run_cli(capsys, ["angles", str(cert), kleetope_file])
         assert code == 2
 
-    @pytest.mark.parametrize("field,value", [("margin", None), ("iterations", -1)])
+    @pytest.mark.parametrize("field,value", [
+        ("margin", None), ("cuts", [[0, 1, 999]]),
+    ], ids=["margin-None", "cut-unknown-edge"])
     def test_angles_checks_the_certificate_first(
         self, capsys, cube_file, tmp_path, field, value
     ):
@@ -384,7 +387,6 @@ class TestMalformedCertificates:
     @pytest.mark.parametrize("field,value", [
         ("answer", "maybe"),
         ("graph_role", "sideways"),
-        ("lp_status", "skipped"),
     ])
     def test_unknown_choice_exits_2(
         self, capsys, kleetope_file, no_cert, tmp_path, field, value
@@ -401,16 +403,16 @@ class TestMalformedCertificates:
     @pytest.mark.parametrize("source,tamper,reason", [
         ("bipyramid", lambda d: d.update(cuts=[[e + 0.5 for e in c] for c in d["cuts"]]),
          "cut edge 0.5 is not a JSON integer"),
-        ("bipyramid", lambda d: d.update(iterations=16.9),
-         "iterations 16.9 is not a JSON integer"),
-        ("bipyramid", lambda d: d.update(iterations=True),
-         "iterations True is not a JSON integer"),
+        ("bipyramid", lambda d: d.update(cuts=[[float(e) for e in c] for c in d["cuts"]]),
+         "cut edge 0.0 is not a JSON integer"),
+        ("bipyramid", lambda d: d["cuts"][0].__setitem__(0, False),
+         "cut edge False is not a JSON integer"),
         ("cube", lambda d: d.update(edge_bijection={
             e: x + 0.25 for e, x in d["edge_bijection"].items()}),
          "edge_bijection value 0.25 is not a JSON integer"),
         ("cube", lambda d: d["edge_bijection"].update({"1": True}),
          "edge_bijection value True is not a JSON integer"),
-    ], ids=["cut-edge-float", "iterations-float", "iterations-bool",
+    ], ids=["cut-edge-float", "cut-edge-integral-float", "cut-edge-bool",
             "bijection-float", "bijection-bool"])
     def test_non_integer_number_exits_2(
         self, capsys, cube_file, tmp_path, source, tamper, reason
@@ -436,7 +438,7 @@ class TestMalformedCertificates:
 
     @pytest.mark.parametrize("key", [
         "answer", "graph_role", "margin", "weights", "angles", "cuts",
-        "iterations", "lp_status", "multipliers", "edge_bijection",
+        "multipliers", "edge_bijection",
     ])
     @pytest.mark.parametrize("command", ["verify", "angles"])
     def test_deleting_any_key_exits_2(self, capsys, cube_file, tmp_path, key, command):
@@ -538,6 +540,54 @@ class TestMalformedCertificates:
         code, _, err = run_cli(capsys, ["angles", str(cert), cube_file])
         assert code == 2
         assert "sums to" in err and "internal error" not in err
+
+
+def _format_1(text: str) -> str:
+    """A format-2 certificate as format 1 wrote it: with ``iterations``
+    and ``lp_status`` after ``cuts``."""
+    doc = {}
+    for key, value in json.loads(text).items():
+        doc[key] = value
+        if key == "cuts":
+            doc["iterations"] = len(value) + 1
+            doc["lp_status"] = "infeasible" if doc["margin"] is None else "optimal"
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestFormat1Certificates:
+    """Format 1 also recorded ``iterations`` and ``lp_status``, which
+    format 2 derives from ``cuts`` and ``margin``; the reader rejects
+    such a certificate by naming its format."""
+
+    MESSAGE = "certificate format 1 is not read (it records {}); decide again"
+
+    @pytest.mark.parametrize("name", GOLDENS)
+    @pytest.mark.parametrize("command", ["verify", "angles"])
+    def test_each_golden_in_format_1_exits_2(self, capsys, tmp_path, command, name):
+        graph = tmp_path / "graph.pg"
+        graph.write_text(format_graph(GOLDENS[name][1]()))
+        cert = tmp_path / "cert.json"
+        cert.write_text(_format_1((DATA / f"{name}.json").read_text()))
+        code, out, err = run_cli(capsys, [command, str(cert), str(graph)])
+        assert (code, out) == (2, "")
+        assert self.MESSAGE.format("iterations, lp_status") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [("iterations", 1), ("lp_status", "skipped")])
+    @pytest.mark.parametrize("command", ["verify", "angles"])
+    def test_either_format_1_key_exits_2(
+        self, capsys, cube_file, tmp_path, command, key, value
+    ):
+        _, out, _ = run_cli(
+            capsys, ["decide", "--inscribable", cube_file, "--format", "json"]
+        )
+        doc = json.loads(out)
+        doc[key] = value
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, [command, str(cert), cube_file])
+        assert (code, out) == (2, "")
+        assert self.MESSAGE.format(key) in err
 
 
 class TestNonPolyhedralInput:

@@ -1,13 +1,12 @@
-import itertools
 import json
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import random_polyhedral_graph
+from helpers import GOLDENS, cuboctahedron, random_polyhedral_graph
+from reference import solve_full_enumeration
 
 import inscribe.decide as decide_module
 import inscribe.lp as lp_module
@@ -24,7 +23,6 @@ from inscribe import (
     dual,
     generate,
     min_nonfacial_circuit,
-    solve_full_enumeration,
     stack_on_faces,
     trace_faces,
     verify_certificate,
@@ -34,34 +32,6 @@ from inscribe.separation import weighting_problems
 F = Fraction
 
 DATA = Path(__file__).parent / "data"
-
-
-def cuboctahedron():
-    """The cuboctahedron from its vertices, the permutations of
-    (+-1, +-1, 0): 12 vertices, 24 edges, 8 triangles and 6 squares.
-    Each vertex lists its neighbours (squared distance 2) by angle in
-    a right-handed frame whose normal is the vertex itself, so that
-    every rotation is counterclockwise seen from outside."""
-    points = sorted(
-        {p for x in (1, -1) for y in (1, -1) for p in itertools.permutations((x, y, 0))}
-    )
-
-    def cross(a, b):
-        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0])
-
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
-
-    rotations = []
-    for p in points:
-        a = cross(p, (1, 2, 3))
-        b = cross(p, a)
-        offsets = {i: tuple(x - y for x, y in zip(q, p)) for i, q in enumerate(points)}
-        near = [i for i, d in offsets.items() if dot(d, d) == 2]
-        near.sort(key=lambda i: math.atan2(dot(offsets[i], b), dot(offsets[i], a)))
-        rotations.append(near)
-    return PolyhedralGraph.from_neighbor_rotations(rotations)
 
 
 # No answers of each LP outcome: face rows only (kleetope), an upper and
@@ -81,7 +51,7 @@ class TestDecideCircumscribable:
         assert cert.graph_role == "primal"
         assert cert.margin == F(1, 6)
         assert all(x == F(1, 3) for x in cert.weights)
-        assert cert.lp_status == "optimal"
+        assert (cert.cuts, cert.iterations, cert.multipliers) == ((), 1, None)
 
     def test_octahedron(self):
         cert = decide_circumscribable(generate("octahedron"))
@@ -151,23 +121,28 @@ class TestInfeasibleFaceSums:
     def test_no_with_a_farkas_ray(self, decide, graph):
         g = graph()
         cert = decide(g)
-        assert (cert.answer, cert.lp_status, cert.margin, cert.cuts) == (
-            "no", "infeasible", None, ())
+        assert (cert.answer, cert.margin, cert.cuts) == ("no", None, ())
+        # a null margin is the infeasible case: the multipliers are a ray
+        tested = dual(g).dual if cert.graph_role == "dual" else g
+        system = lp_module.new_system(tested)
+        assert lp_module.multiplier_problems(system, cert.multipliers, None) == []
         assert verify_certificate(cert, g) == (True, [])
         back = certificate_from_json(certificate_to_json(cert))
         assert back == cert
         assert verify_certificate(back, g) == (True, [])
 
-    @pytest.mark.parametrize("margin,problem", [
-        (5, "infeasible LP records margin 5"),
-        (0, "infeasible LP records margin 0"),
+    @pytest.mark.parametrize("margin,problems", [
+        (5, ["no certificate records positive margin 5"]),
+        # the ray is no bound: the s column stays 0 and y^T b - 1 is -3
+        (0, ["columns [24] of y^T A fall below e_s",
+             "multipliers bound the margin by -3, not 0"]),
     ])
-    def test_infeasible_no_with_a_margin_fails(self, margin, problem):
+    def test_infeasible_no_with_a_margin_fails(self, margin, problems):
         g = cuboctahedron()
         doc = json.loads(certificate_to_json(decide_circumscribable(g)))
         doc["margin"] = f"{margin}/1"
         cert = certificate_from_json(json.dumps(doc))
-        assert verify_certificate(cert, g) == (False, [problem])
+        assert verify_certificate(cert, g) == (False, problems)
 
 
 class TestNoAtFirstNonPositiveMargin:
@@ -413,9 +388,9 @@ class TestCertificateSerialization:
         with pytest.raises(ValueError, match=message):
             certificate_from_json(json.dumps(doc))
 
-    # a yes with no weights or margin, as the removed 4-connected fast
-    # path wrote it, less its `fast_path` key, which is now unknown, and
-    # with the `multipliers` key that the parser requires
+    # a format-1 yes with no weights or margin, as the removed
+    # 4-connected fast path wrote it, less its `fast_path` key, which is
+    # now unknown, and with the `multipliers` key that the parser requires
     BARE_SKIPPED_YES = """{
   "answer": "yes",
   "graph_role": "dual",
@@ -430,17 +405,23 @@ class TestCertificateSerialization:
 }
 """
 
-    @pytest.mark.parametrize("change", [
-        {"answer": "no"},
-        {"margin": "1/4"},
-        {"weights": {str(e): "1/4" for e in range(12)}},
-        {},
+    @pytest.mark.parametrize("change,problem", [
+        ({"answer": "no"}, "no certificate lacks multipliers"),
+        ({"margin": "1/4"}, "yes certificate lacks weights or margin"),
+        ({"weights": {str(e): "1/4" for e in range(12)}},
+         "yes certificate lacks weights or margin"),
+        ({}, "yes certificate lacks weights or margin"),
     ], ids=["answer-no", "with-margin", "with-weights", "bare-yes"])
-    def test_skipped_status_is_rejected(self, change):
-        # every answer comes from the LP, so no certificate skips it
-        text = json.dumps({**json.loads(self.BARE_SKIPPED_YES), **change})
-        with pytest.raises(ValueError, match="lp_status 'skipped' is not one of"):
-            certificate_from_json(text)
+    def test_skipped_status_is_rejected(self, change, problem):
+        # every answer comes from the LP, so no certificate skips it: the
+        # status was format 1's, and without it the answer has no proof
+        doc = {**json.loads(self.BARE_SKIPPED_YES), **change}
+        with pytest.raises(ValueError, match="certificate format 1 is not read"):
+            certificate_from_json(json.dumps(doc))
+        del doc["iterations"], doc["lp_status"]
+        cert = certificate_from_json(json.dumps(doc))
+        assert verify_certificate(cert, generate("cube")) == (
+            False, ["recorded edge bijection does not match the dual", problem])
 
 
 class TestGoldenCertificates:
@@ -448,30 +429,9 @@ class TestGoldenCertificates:
     change to the LP kernel must keep the pivot sequence, so every
     optimum, every cut and every multiplier stays the same."""
 
-    CASES = {
-        # a no at margin -1/18: its multipliers are pinned too
-        "kleetope_bipyramid_3_inscribable": (
-            decide_inscribable, lambda: generate("kleetope(bipyramid)", 3)),
-        "kleetope_antiprism_4_circumscribable": (
-            decide_circumscribable, lambda: generate("kleetope(antiprism)", 4)),
-        "kleetope_bipyramid_3_circumscribable": (
-            decide_circumscribable, lambda: generate("kleetope(bipyramid)", 3)),
-        "stacked_bipyramid_3_0_4_5_circumscribable": (
-            decide_circumscribable,
-            lambda: stack_on_faces(generate("bipyramid", 3), [0, 4, 5])),
-        "kleetope_cube_inscribable": (
-            decide_inscribable, lambda: generate("kleetope(cube)")),
-        # 120 rows before its 6 cuts; Bland's rule from the first pivot
-        # would reach another optimum
-        "kleetope_antiprism_6_circumscribable": (
-            decide_circumscribable, lambda: generate("kleetope(antiprism)", 6)),
-        # an infeasible LP: the no's multipliers are a Farkas ray
-        "cuboctahedron_circumscribable": (decide_circumscribable, cuboctahedron),
-    }
-
-    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("name", GOLDENS)
     def test_certificate_bytes(self, name):
-        decide, graph = self.CASES[name]
+        decide, graph = GOLDENS[name]
         expected = (DATA / f"{name}.json").read_text()
         assert certificate_to_json(decide(graph())) == expected
 
@@ -526,28 +486,25 @@ class TestVerifyCertificate:
             margin=F(1, 10),
             weights=decide_inscribable(generate("tetrahedron")).weights,
             cuts=cert.cuts,
-            iterations=cert.iterations,
-            lp_status="optimal",
             edge_bijection=cert.edge_bijection,
         )
         ok, _ = verify_certificate(flipped, g)
         assert not ok
-        # a yes needs an optimal LP
+        # a null margin is an infeasible LP, which no yes has
         cube = generate("cube")
-        infeasible = replace(decide_inscribable(cube), lp_status="infeasible")
+        infeasible = replace(decide_inscribable(cube), margin=None)
         ok, problems = verify_certificate(infeasible, cube)
         assert not ok
-        assert problems == ["yes certificate records LP status 'infeasible'"]
+        assert problems == ["yes certificate lacks weights or margin"]
 
-    def test_yes_cuts_and_iterations_are_checked(self):
+    def test_yes_cuts_are_checked(self):
         g = generate("kleetope(bipyramid)", 3)
         doc = json.loads((DATA / "kleetope_bipyramid_3_circumscribable.json").read_text())
         assert doc["answer"] == "yes"
-        doc.update(cuts=[[0, 1, 999]], iterations=-7)
+        doc.update(cuts=[[0, 1, 999]])
         ok, problems = verify_certificate(certificate_from_json(json.dumps(doc)), g)
         assert not ok
         assert problems == [
-            "-7 iterations recorded for 1 cuts, not 2",
             "cut [0, 1, 999] does not rebuild: edge set names an unknown edge",
         ]
 
@@ -583,7 +540,7 @@ class TestVerifyCertificate:
         (decide_inscribable, "kleetope(tetrahedron)", {"multipliers": None},
          "no certificate lacks multipliers"),
         (decide_inscribable, "kleetope(tetrahedron)", {"margin": None},
-         "optimal LP records no margin"),
+         "ray gives y^T b = 1, not below 0"),
         (decide_inscribable, "kleetope(tetrahedron)", {"margin": F(1, 9)},
          "no certificate records positive margin 1/9"),
     ], ids=["dual-without-bijection", "primal-with-bijection", "no-with-weights",
@@ -624,13 +581,17 @@ class TestVerifyCertificate:
         assert (cert.margin, cert.cuts) == (F(1, 8), ((6, 7, 8),))
         assert verify_certificate(replace(cert, **corrupt(cert)), g) == (False, problems)
 
-    def test_no_iterations_are_checked(self):
-        g = generate("kleetope(tetrahedron)")
-        cert = decide_inscribable(g)
-        assert (cert.answer, cert.cuts, cert.iterations) == ("no", (), 1)
-        ok, problems = verify_certificate(replace(cert, iterations=42), g)
-        assert not ok
-        assert problems == ["42 iterations recorded for 0 cuts, not 1"]
+    @pytest.mark.parametrize("decide,family,n,cuts", [
+        (decide_inscribable, "kleetope(tetrahedron)", None, 0),
+        (decide_circumscribable, "kleetope(bipyramid)", 3, 3),
+    ])
+    def test_iterations_are_derived_from_the_cuts(self, decide, family, n, cuts):
+        cert = decide(generate(family, n))
+        assert (len(cert.cuts), cert.iterations) == (cuts, cuts + 1)
+        # a property of the cuts: neither a field nor a JSON key
+        with pytest.raises(TypeError):
+            replace(cert, iterations=42)
+        assert "iterations" not in json.loads(certificate_to_json(cert))
 
 
 class TestNoMultipliers:

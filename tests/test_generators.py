@@ -10,6 +10,7 @@ from inscribe import (
     trace_faces,
     validate_steinitz,
 )
+from inscribe.generators import _SIZED, FAMILIES
 
 
 @pytest.mark.parametrize(
@@ -37,18 +38,15 @@ def test_family_counts(family, n, v, e, f):
     assert len(trace_faces(g)) == f
 
 
-def test_generators_pass_validation():
-    for family, n in [
-        ("dodecahedron", None),
-        ("icosahedron", None),
-        ("prism", 7),
-        ("antiprism", 8),
-        ("wheel", 3),
-        ("bipyramid", 3),
-        ("kleetope(wheel)", 4),
-    ]:
-        report = validate_steinitz(generate(family, n))
-        assert report.planar_spherical and report.three_connected
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generators_pass_validation(family):
+    # generate does not check its own output, so every size it is asked
+    # for here, and the kleetope of each, is checked exhaustively
+    sizes = range(3, 11) if family in _SIZED else [None]
+    for n in sizes:
+        for name in (family, f"kleetope({family})"):
+            report = validate_steinitz(generate(name, n))
+            assert report.planar_spherical and report.three_connected, (name, n)
 
 
 def test_platonic_regularity():

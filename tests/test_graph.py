@@ -225,8 +225,10 @@ class TestDual:
         g = generate("prism", 5)
         pair = dual(g)
         assert sorted(pair.primal_to_dual) == list(range(g.edge_count))
+        # each primal edge maps to the dual edge joining its two faces
+        incident = edge_faces(g)
         for e in range(g.edge_count):
-            assert pair.dual_to_primal[pair.primal_to_dual[e]] == e
+            assert set(pair.dual.edges[pair.primal_to_dual[e]]) == set(incident[e])
 
     def test_double_dual_respects_bijections(self):
         for fam, n in [("cube", None), ("wheel", 6), ("antiprism", 4), ("kleetope(tetrahedron)", None)]:
@@ -249,11 +251,11 @@ class TestDual:
         graphs += [random_stacked_variant(rng) for _ in range(100)]
         for name, g in graphs:
             pair = dual(g)
-            ref, primal_to_dual, dual_to_primal = reference_dual(g)
+            ref, primal_to_dual = reference_dual(g)
             assert pair.dual.edges == ref.edges, name
             assert pair.dual.rotation == ref.rotation, name
             assert pair.primal_to_dual == primal_to_dual, name
-            assert pair.dual_to_primal == dual_to_primal, name
+            assert sorted(pair.primal_to_dual) == list(range(g.edge_count)), name
             # the recorded report is the one the checks would compute
             d = pair.dual
             assert validate_steinitz(d).planar_spherical == (euler_characteristic(d) == 2), name
@@ -273,11 +275,7 @@ def reference_dual(g):
             row.append(f2 if f1 == face.id else f1)
         neighbor_lists.append(row)
     d = PolyhedralGraph.from_neighbor_rotations(neighbor_lists)
-    primal_to_dual = tuple(d.edge_id(*incident[e]) for e in range(g.edge_count))
-    dual_to_primal = [-1] * g.edge_count
-    for e, de in enumerate(primal_to_dual):
-        dual_to_primal[de] = e
-    return d, primal_to_dual, tuple(dual_to_primal)
+    return d, tuple(d.edge_id(*incident[e]) for e in range(g.edge_count))
 
 
 def assert_double_dual_matches(g):
