@@ -37,6 +37,7 @@ from .lp import (
 )
 from .separation import (
     Circuit,
+    _scaled,
     min_nonfacial_circuit,
     weighting_problems,
 )
@@ -149,19 +150,21 @@ def dihedral_angles(cert: Certificate, pair: DualPair) -> tuple[Fraction, ...]:
         raise ValueError("dihedral angles require a yes certificate")
     if cert.graph_role != "dual" or cert.weights is None:
         raise ValueError("certificate was not produced on the planar dual")
-    w = cert.weights
-    if len(w) != pair.dual.edge_count:
+    if len(cert.weights) != pair.dual.edge_count:
         raise ValueError("certificate does not match the dual graph")
+    # the weights as numerators over one denominator d: a unit face sum
+    # is d, and 1 - 2 w(e*) is (d - 2 n) / d
+    nums, d = _scaled(cert.weights)
     for face in trace_faces(pair.dual):
-        total = sum((w[e] for e in face.edge_ids), Fraction(0))
-        if total != 1:
-            raise ValueError(f"dual face {face.id} sums to {total}, not 1")
+        total = sum(nums[e] for e in face.edge_ids)
+        if total != d:
+            raise ValueError(f"dual face {face.id} sums to {Fraction(total, d)}, not 1")
     coeffs = []
     for e in range(pair.primal.edge_count):
-        c = 1 - 2 * w[pair.primal_to_dual[e]]
-        if not 0 < c < 1:
-            raise ValueError(f"angle coefficient {c} outside (0, 1)")
-        coeffs.append(c)
+        c = d - 2 * nums[pair.primal_to_dual[e]]
+        if not 0 < c < d:
+            raise ValueError(f"angle coefficient {Fraction(c, d)} outside (0, 1)")
+        coeffs.append(Fraction(c, d))
     return tuple(coeffs)
 
 

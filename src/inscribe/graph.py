@@ -9,6 +9,7 @@ exactly when Euler's formula V - E + F = 2 holds for the traced faces.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -121,9 +122,14 @@ class PolyhedralGraph:
 
     @cached_property
     def _steinitz_report(self) -> SteinitzReport:
-        three = self.vertex_count >= 4 and is_k_vertex_connected(self, 3)
         # V - E + F = 2 puts a connected graph on the sphere only
-        planar = euler_characteristic(self) == 2 and (three or is_k_vertex_connected(self, 1))
+        planar = euler_characteristic(self) == 2 and is_k_vertex_connected(self, 1)
+        if self.vertex_count < 4:
+            three = False
+        elif planar:
+            three = _faces_meet_properly(self)
+        else:
+            three = is_k_vertex_connected(self, 3)
         return SteinitzReport(planar_spherical=planar, three_connected=three)
 
     @cached_property
@@ -246,10 +252,41 @@ def validate_steinitz(g: PolyhedralGraph) -> SteinitzReport:
 
     ``planar_spherical`` holds iff the graph is connected and the traced
     faces satisfy Euler's formula (genus-0 embedding); ``three_connected``
-    iff the graph has no vertex cut of size at most 2.  The report is
-    computed once per graph object and kept on it.
+    iff the graph has at least 4 vertices and no vertex cut of size at
+    most 2.  On a spherical embedding that is decided by the faces
+    (:func:`_faces_meet_properly`), in one pass over the vertex-face
+    incidences; only a graph that is not spherical goes through the
+    exhaustive :func:`is_k_vertex_connected`.  The report is computed
+    once per graph object and kept on it.
     """
     return g._steinitz_report
+
+
+def _faces_meet_properly(g: PolyhedralGraph) -> bool:
+    """Whether every face of g is a simple cycle and any two faces share
+    nothing, one vertex, or one edge and its two ends.
+
+    On a connected simple graph embedded in the sphere with at least 4
+    vertices this holds exactly when the graph is 3-connected (Mohar and
+    Thomassen, *Graphs on Surfaces*, 2001).
+    """
+    faces_at: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for face in trace_faces(g):
+        if len(set(face.vertices)) != len(face.vertices):
+            return False
+        for v in face.vertices:
+            faces_at[v].append(face.id)
+    # vertices shared by each pair of faces, the lower face id first
+    shared = Counter(
+        itertools.chain.from_iterable(itertools.combinations(ids, 2) for ids in faces_at)
+    )
+    # two faces on one edge share its two ends; a simple graph has no
+    # second edge between them
+    edge_pairs = {(min(pair), max(pair)) for pair in edge_faces(g)}
+    return all(
+        count == 1 or (count == 2 and pair in edge_pairs)
+        for pair, count in shared.items()
+    )
 
 
 def require_polyhedral(g: PolyhedralGraph) -> None:
@@ -266,6 +303,9 @@ def is_k_vertex_connected(g: PolyhedralGraph, k: int) -> bool:
     """True iff removing any k-1 vertices leaves the graph connected.
 
     Exhaustive over all (k-1)-subsets; intended for desk-scale graphs.
+    With k = 1 it is one search.  It is the reference that the face test
+    of :func:`validate_steinitz` is checked against, and decides
+    3-connectivity there only on an embedding that is not spherical.
     """
     if not 1 <= k <= g.vertex_count - 1:
         raise ValueError(f"k must be in [1, V-1], got {k}")

@@ -4,7 +4,11 @@ The margin system has one weight w_e per edge plus a shared margin t;
 maximizing t decides strict feasibility of the open weighting conditions:
 the open region is nonempty exactly when the closed system admits t > 0.
 It is stated over the nonnegative variables u_e = w_e - t and s = t + 1,
-so the bounds w_e >= t and t >= -1 hold by construction.
+so the bounds w_e >= t and t >= -1 hold by construction.  The rows are
+built with ``int`` coefficients and right-hand sides, but for the upper
+rows' shared 5/2; the solver and the checks take ``Fraction`` rows too.
+The point each solve returns is re-checked against every row exactly,
+on integer numerators over one denominator (:func:`point_problem`).
 
 The solver is a two-phase simplex on sparse fraction-free integer rows:
 each row is a map of its nonzero integer entries over one positive
@@ -37,17 +41,18 @@ solver.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InternalError
 from .graph import PolyhedralGraph, trace_faces
-from .separation import Circuit
+from .separation import Circuit, _scaled
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
-_F2 = Fraction(2)
+#: Right-hand side of every upper row, u_e + 2s <= 5/2.
+_UPPER_RHS = Fraction(5, 2)
 
 #: Degenerate pivots in a row before the simplex switches to Bland's rule.
 _STALL_THRESHOLD = 64
@@ -58,27 +63,18 @@ class Row:
     """One linear constraint over the nonnegative variables (u, s).
 
     ``terms`` lists the nonzero ``(index, coeff)`` pairs; index e < E is
-    u_e and index E is s.  ``kind`` tags the row family: ``upper`` rows
+    u_e and index E is s.  Coefficients and right-hand side are rationals:
+    ``int`` in the rows this module builds, where only the upper rows'
+    5/2 is a ``Fraction``.  ``kind`` tags the row family: ``upper`` rows
     carry the edge id in ``ref``, ``face`` rows the face id and
     ``circuit`` rows the canonical edge id tuple.
     """
 
-    terms: tuple[tuple[int, Fraction], ...]
+    terms: tuple[tuple[int, int | Fraction], ...]
     relation: str
-    rhs: Fraction
+    rhs: int | Fraction
     kind: str
     ref: object = None
-
-    def evaluate(self, x: Sequence[Fraction]) -> Fraction:
-        return sum((c * x[j] for j, c in self.terms), _F0)
-
-    def satisfied_by(self, x: Sequence[Fraction]) -> bool:
-        lhs = self.evaluate(x)
-        if self.relation == "<=":
-            return lhs <= self.rhs
-        if self.relation == ">=":
-            return lhs >= self.rhs
-        return lhs == self.rhs
 
 
 @dataclass(frozen=True)
@@ -108,13 +104,13 @@ def new_system(g: PolyhedralGraph) -> ConstraintSystem:
     """Upper-bound and face-equality rows for g; no circuit rows yet."""
     s_index = g.edge_count
     rows = [
-        Row(((e, _F1), (s_index, _F2)), "<=", Fraction(5, 2), "upper", e)
+        Row(((e, 1), (s_index, 2)), "<=", _UPPER_RHS, "upper", e)
         for e in range(g.edge_count)
     ]
     for f in trace_faces(g):
         size = len(f.edge_ids)
-        terms = tuple((e, _F1) for e in sorted(f.edge_ids)) + ((s_index, Fraction(size)),)
-        rows.append(Row(terms, "=", Fraction(size + 1), "face", f.id))
+        terms = tuple((e, 1) for e in sorted(f.edge_ids)) + ((s_index, size),)
+        rows.append(Row(terms, "=", size + 1, "face", f.id))
     return ConstraintSystem(g.edge_count, tuple(rows))
 
 
@@ -131,8 +127,8 @@ def add_circuit_constraint(s: ConstraintSystem, circuit: Circuit) -> ConstraintS
             raise ValueError(f"circuit {key} bounds a face")
     if any(not 0 <= e < s.edge_count for e in key):
         raise ValueError("circuit references an unknown edge")
-    terms = tuple((e, _F1) for e in key) + ((s.margin_index, Fraction(len(key) - 1)),)
-    row = Row(terms, ">=", Fraction(len(key)), "circuit", key)
+    terms = tuple((e, 1) for e in key) + ((s.margin_index, len(key) - 1),)
+    row = Row(terms, ">=", len(key), "circuit", key)
     return ConstraintSystem(s.edge_count, s.rows + (row,))
 
 
@@ -158,21 +154,44 @@ def maximize_margin(s: ConstraintSystem) -> MarginSolution:
 
     The optimum exists whenever the system is feasible: the upper rows
     and u, s >= 0 keep the region compact.  The returned point is
-    re-verified to be nonnegative and to satisfy every row exactly, then
-    mapped back to t = s - 1 and w_e = u_e + t.
+    re-verified by :func:`point_problem`, in integers, to be nonnegative
+    and to satisfy every row exactly, and InternalError names what it
+    fails; it is then mapped back to t = s - 1 and w_e = u_e + t.
     """
     status, x, multipliers = _solve_lp(s.variable_count, s.rows, s.margin_index)
     if status == "infeasible":
         return MarginSolution("infeasible", None, None, multipliers)
-    if any(v < 0 for v in x):
-        raise InternalError("solver returned a negative variable")
-    for row in s.rows:
-        if not row.satisfied_by(x):
-            raise InternalError(f"solver returned a point violating a {row.kind} row")
+    problem = point_problem(s, x)
+    if problem is not None:
+        raise InternalError(f"solver returned {problem}")
     t = x[s.margin_index] - 1
     return MarginSolution(
         "optimal", t, tuple(u + t for u in x[: s.edge_count]), multipliers
     )
+
+
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
+
+
+def point_problem(s: ConstraintSystem, x: Sequence[Fraction]) -> str | None:
+    """What keeps x from being a point of s: ``'a negative variable'``,
+    or ``'a point violating a <kind> row'`` for the first row it misses;
+    None when x >= 0 satisfies every row exactly.
+
+    x is scaled once to integer numerators X over their least common
+    denominator D, and a row whose right-hand side is p/q holds when
+    sum(c X_j) q compares to p D as its relation says, so the rows'
+    integer coefficients build no ``Fraction``.
+    """
+    nums, d = _scaled(x)
+    if any(v < 0 for v in nums):
+        return "a negative variable"
+    for row in s.rows:
+        lhs = sum(c * nums[j] for j, c in row.terms)
+        rhs = row.rhs
+        if not _RELATIONS[row.relation](lhs * rhs.denominator, rhs.numerator * d):
+            return f"a point violating a {row.kind} row"
+    return None
 
 
 _SIGN_RULES = {"<=": (1, ">= 0"), ">=": (-1, "<= 0"), "=": (0, "free")}

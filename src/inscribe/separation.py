@@ -265,22 +265,24 @@ def weighting_problems(g: PolyhedralGraph, w, margin: Fraction) -> list[str]:
     ``margin``.  The cost is at most one oracle call.
     """
     _check_weights(g, w, nonnegative=False)
-    half = Fraction(1, 2)
+    # bounds and face sums on the numerators over one denominator d:
+    # 0 < w < 1/2 is 0 < n < d/2, and a unit face sum is d
+    nums, d = _scaled(w)
     problems = []
-    bounds = tuple(e for e in range(g.edge_count) if not 0 < w[e] < half)
+    bounds = tuple(e for e, n in enumerate(nums) if not 0 < 2 * n < d)
     if bounds:
         problems.append(f"bound violations on edges {bounds}")
     for f in trace_faces(g):
-        total = sum((w[e] for e in f.edge_ids), Fraction(0))
-        if total != 1:
-            problems.append(f"face {f.id} sums to {total}")
-    if min(w) < 0:
+        total = sum(nums[e] for e in f.edge_ids)
+        if total != d:
+            problems.append(f"face {f.id} sums to {Fraction(total, d)}")
+    if min(nums) < 0:
         return problems
     circuit, weight = min_nonfacial_circuit(g, w)
     if weight <= 1:
         problems.append(f"circuit {circuit.edge_ids} weighs {weight} <= 1")
     if not problems:
-        slack = min(min(w), half - max(w), weight - 1)
+        slack = min(Fraction(min(nums), d), Fraction(d - 2 * max(nums), 2 * d), weight - 1)
         if slack != margin:
             problems.append(f"recomputed slack {slack} differs from recorded margin {margin}")
     return problems

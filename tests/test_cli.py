@@ -88,6 +88,11 @@ class TestValidate:
         assert code == 0
         assert "three_connected: false" in out
 
+    def test_k5_is_not_spherical_but_three_connected(self, capsys):
+        code, out, _ = run_cli(capsys, ["validate", "-"], stdin=K5)
+        assert code == 0
+        assert out == "planar_spherical: false\nthree_connected: true\n"
+
     def test_disconnected_graph_is_not_spherical(self, capsys):
         code, out, _ = run_cli(capsys, ["validate", "-"], stdin=K4_AND_K7)
         assert code == 0
@@ -215,24 +220,31 @@ class TestDecide:
         assert (code, out) == (3, "")
         assert "internal error" in err
 
-    @pytest.mark.parametrize("mode,calls", [
-        ("--inscribable", 1), ("--circumscribable", 1),
-    ])
+    @pytest.mark.parametrize("mode", ["--inscribable", "--circumscribable"])
     def test_each_graph_is_checked_for_3_connectivity_once(
-        self, capsys, monkeypatch, mode, calls
+        self, capsys, monkeypatch, mode
     ):
-        # the input only: its dual is polyhedral by construction
-        checked = []
-        real = graph_module.is_k_vertex_connected
+        # the input gets one face test; its dual is polyhedral by
+        # construction, and the exhaustive check is never run
+        face_checked, exhaustive_k = [], []
+        faces = graph_module._faces_meet_properly
+        exhaustive = graph_module.is_k_vertex_connected
 
-        def counting(g, k):
-            checked.append(k)
-            return real(g, k)
+        def counting_faces(g):
+            face_checked.append(g)
+            return faces(g)
 
-        monkeypatch.setattr(graph_module, "is_k_vertex_connected", counting)
-        code, _, _ = run_cli(capsys, ["decide", mode, str(CORPUS / "cube.pg")])
+        def counting_exhaustive(g, k):
+            exhaustive_k.append(k)
+            return exhaustive(g, k)
+
+        monkeypatch.setattr(graph_module, "_faces_meet_properly", counting_faces)
+        monkeypatch.setattr(graph_module, "is_k_vertex_connected", counting_exhaustive)
+        path = CORPUS / "cube.pg"
+        code, _, _ = run_cli(capsys, ["decide", mode, str(path)])
         assert code == 0
-        assert checked == [3] * calls
+        assert face_checked == [parse_graph(path.read_text())]
+        assert 3 not in exhaustive_k
 
     def test_determinism_byte_identical(self, capsys, kleetope_file):
         _, a, _ = run_cli(

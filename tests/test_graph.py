@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import corpus, random_stacked_variant
+from helpers import corpus, delete_edge, random_stacked_variant
 
 from inscribe import (
     EmbeddingError,
@@ -166,6 +166,14 @@ class TestValidate:
         assert report.planar_spherical
         assert not report.three_connected
 
+    def test_path_is_spherical_not_three_connected(self):
+        # V 4, E 3, F 1: the one face passes each inner vertex twice, so
+        # it is not a simple cycle, and there is no second face to meet
+        g = PolyhedralGraph.from_neighbor_rotations([[1], [0, 2], [1, 3], [2]])
+        report = validate_steinitz(g)
+        assert report.planar_spherical
+        assert not report.three_connected
+
     def test_report_is_kept_on_the_graph(self):
         g = generate("cube")
         assert validate_steinitz(g) is validate_steinitz(g)
@@ -174,6 +182,28 @@ class TestValidate:
     def test_k5_fails_euler(self):
         report = validate_steinitz(k5())
         assert not report.planar_spherical
+
+    def test_k5_off_the_sphere_is_three_connected(self):
+        # not spherical, so the exhaustive check decides, as before
+        assert validate_steinitz(k5()).three_connected is True
+
+    def test_face_test_matches_exhaustive_check(self):
+        # stacked solids with 0-6 edges deleted, polyhedral or not; on
+        # every connected spherical one with V >= 4 the face test decides
+        rng = random.Random(17)
+        outcomes = []
+        for _ in range(2000):
+            name, g = random_stacked_variant(rng)
+            if g.vertex_count > 16:
+                continue
+            for _ in range(rng.randint(0, 6)):
+                e = rng.randrange(g.edge_count)
+                name, g = f"{name}-e{e}", delete_edge(g, e)
+            if g.vertex_count < 4 or not validate_steinitz(g).planar_spherical:
+                continue
+            assert validate_steinitz(g).three_connected == is_k_vertex_connected(g, 3), name
+            outcomes.append(validate_steinitz(g).three_connected)
+        assert outcomes.count(True) >= 200 and outcomes.count(False) >= 200
 
     def test_euler_characteristic(self):
         assert euler_characteristic(generate("icosahedron")) == 2

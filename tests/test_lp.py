@@ -18,7 +18,7 @@ from inscribe import (
     new_system,
     trace_faces,
 )
-from inscribe.lp import multiplier_problems
+from inscribe.lp import multiplier_problems, point_problem
 
 F = Fraction
 
@@ -150,9 +150,7 @@ class TestMaximizeMargin:
         for c in all_nonfacial_circuits(g)[:10]:
             s = add_circuit_constraint(s, c)
         sol = maximize_margin(s)
-        x = uv_point(sol)
-        assert all(v >= 0 for v in x)
-        assert all(row.satisfied_by(x) for row in s.rows)
+        assert point_problem(s, uv_point(sol)) is None
         # the same rows in the original weights and margin
         w, t = sol.weights, sol.margin
         for face in trace_faces(g):
@@ -255,6 +253,41 @@ def dual_with_cuts(family, n, cuts, seed=7):
     return s
 
 
+class TestPointRecheck:
+    """maximize_margin re-checks the solver's point against every row."""
+
+    # over (u0, u1, u2, s): the optimum is s = 1/2, u1 = u2 = 3/2 and u0
+    # in [0, 3/2]; u0, u1 and u2 each lie in rows of one kind only
+    SYSTEM = ConstraintSystem(3, (
+        Row(((0, 1), (3, 2)), "<=", F(5, 2), "upper", 0),
+        Row(((2, 1), (3, 2)), "<=", F(5, 2), "upper", 2),
+        Row(((1, 1), (3, 1)), "=", 2, "face", 0),
+        Row(((2, 1), (3, 1)), ">=", 2, "circuit", (2,)),
+    ))
+
+    def test_true_optimum_passes(self):
+        sol = maximize_margin(self.SYSTEM)
+        assert (sol.status, sol.margin) == ("optimal", F(-1, 2))
+
+    @pytest.mark.parametrize("index,nudge,problem", [
+        (0, F(3), "a point violating a upper row"),
+        (1, F(-1, 2), "a point violating a face row"),
+        (2, F(-1), "a point violating a circuit row"),
+        (3, F(-1), "a negative variable"),
+    ], ids=["upper", "face", "circuit", "negative"])
+    def test_nudged_point_raises(self, monkeypatch, index, nudge, problem):
+        solve = lp_module._solve_lp
+
+        def nudged(*args):
+            status, x, y = solve(*args)
+            x[index] += nudge
+            return status, x, y
+
+        monkeypatch.setattr(lp_module, "_solve_lp", nudged)
+        with pytest.raises(InternalError, match=f"^solver returned {problem}$"):
+            maximize_margin(self.SYSTEM)
+
+
 class TestBlandsRule:
     @pytest.mark.parametrize("family,n,cuts", [
         ("tetrahedron", None, 8),
@@ -317,11 +350,10 @@ def vertex_enumeration_margin(s):
     best = None
     for subset in itertools.combinations(planes, n):
         x = _solve_square([a for a, _ in subset], [b for _, b in subset])
-        if x is None or any(v < 0 for v in x):
+        if x is None or point_problem(s, x) is not None:
             continue
-        if all(row.satisfied_by(x) for row in s.rows):
-            if best is None or x[s.margin_index] > best:
-                best = x[s.margin_index]
+        if best is None or x[s.margin_index] > best:
+            best = x[s.margin_index]
     if best is None:
         return "infeasible", None
     return "optimal", best - 1
