@@ -121,9 +121,13 @@ class PolyhedralGraph:
         return len(self.rotation[v])
 
     @cached_property
-    def _steinitz_report(self) -> SteinitzReport:
+    def _spherical(self) -> bool:
         # V - E + F = 2 puts a connected graph on the sphere only
-        planar = euler_characteristic(self) == 2 and is_k_vertex_connected(self, 1)
+        return euler_characteristic(self) == 2 and is_k_vertex_connected(self, 1)
+
+    @cached_property
+    def _steinitz_report(self) -> SteinitzReport:
+        planar = self._spherical
         if self.vertex_count < 4:
             three = False
         elif planar:
@@ -153,6 +157,7 @@ class PolyhedralGraph:
         d = PolyhedralGraph(len(rotation), tuple(edges), tuple(rotation))
         # Whitney: the dual of a 3-connected plane graph is 3-connected,
         # and V - E + F is the same for both graphs.
+        vars(d)["_spherical"] = True
         vars(d)["_steinitz_report"] = SteinitzReport(True, True)
         return d, tuple(primal_to_dual)
 
@@ -291,11 +296,12 @@ def _faces_meet_properly(g: PolyhedralGraph) -> bool:
 
 def require_polyhedral(g: PolyhedralGraph) -> None:
     """Raise :class:`EulerError` if g's embedding is not spherical, or
-    :class:`NotThreeConnectedError` if g is not 3-connected."""
-    report = validate_steinitz(g)
-    if not report.planar_spherical:
+    :class:`NotThreeConnectedError` if g is not 3-connected.  Sphericity
+    is checked first, so a graph that fails it is not also put through
+    the exhaustive 3-connectivity check."""
+    if not g._spherical:
         raise EulerError("embedding fails Euler's formula (not spherical)")
-    if not report.three_connected:
+    if not validate_steinitz(g).three_connected:
         raise NotThreeConnectedError("graph is not 3-connected")
 
 

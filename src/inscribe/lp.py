@@ -20,22 +20,22 @@ run of degenerate pivots, which guarantees termination.  Phase 1
 maximizes minus the sum of the artificial variables, which is never
 positive, so it stops the moment its value reaches 0, its known optimum,
 rather than pivoting on until no reduced cost is positive.  Every
-artificial still basic then sits at 0: it is pivoted out on a
-non-artificial entry of its row, a degenerate pivot, or leaves with its
-row when the row has none (the row is redundant).
+artificial still basic then sits at 0, and phase 2 keeps it there: its
+row blocks an entering column at ratio 0 whatever the sign of the
+entry, so it leaves only in a degenerate pivot, and on a redundant row
+it stays basic.
 
 Every solve also yields exact LP multipliers y, one per row, read off
 the final tableau as it returns (``MarginSolution.multipliers``).  Each
 row's artificial column stays in the tableau through phase 2 without
-being priced, so it never enters the basis and the pivots are those of
-a tableau without it; with the rows' slack columns it carries the
-inverse of the final basis, whose reduced costs are -y.  By LP duality,
-y proves the optimum from the rows alone: signed >= 0 on '<=' rows,
-<= 0 on '>=' rows and free on '=' rows, with every column of y^T A at
-least e_s and y^T b = margin + 1.  When phase 1 ends above 0, the same
-columns give a Farkas ray: y^T A >= 0 and y^T b < 0.
-:func:`multiplier_problems` checks either with a few sparse sums and no
-solver.
+being priced, so it never enters the basis; with the rows' slack
+columns it carries the inverse of the final basis, whose reduced costs
+are -y.  By LP duality, y proves the optimum from the rows alone:
+signed >= 0 on '<=' rows, <= 0 on '>=' rows and free on '=' rows, with
+every column of y^T A at least e_s and y^T b = margin + 1.  When phase 1
+ends above 0, the same columns give a Farkas ray: y^T A >= 0 and
+y^T b < 0.  :func:`multiplier_problems` checks either with a few sparse
+sums and no solver.
 """
 
 from __future__ import annotations
@@ -260,7 +260,8 @@ class _Tableau:
     ``maximize`` runs to an optimum; every LP here is bounded, so a
     column that no row bounds raises InternalError.  ``bland`` records
     whether the last ``maximize`` fell back to Bland's rule.  Only
-    columns below ``priced`` may enter the basis.  While
+    columns below ``priced`` may enter the basis, and a basic column at
+    or above it stays at 0.  While
     ``nonpositive`` is set the objective can never exceed 0 (phase 1),
     so ``maximize`` stops as soon as its value reaches 0.
     """
@@ -339,11 +340,15 @@ class _Tableau:
             else:
                 enter = max(improving, key=lambda j: (reduced[j], -j))
             # minimum ratio rhs[i] / rows[i][enter] over positive entries,
-            # compared by cross-multiplying (den[i] cancels)
+            # compared by cross-multiplying (den[i] cancels); a row whose
+            # basic column is unpriced sits at 0 and blocks a negative
+            # entry too, at ratio 0, so that column stays at 0
             leave = -1
             best_b = best_a = 0
             for i, row in enumerate(self.rows):
                 a = row.get(enter, 0)
+                if a < 0 and self.basis[i] >= priced:
+                    a = -a
                 if a > 0:
                     b = self.rhs[i]
                     if leave < 0:
@@ -396,14 +401,13 @@ def _solve_lp(n_vars, rows, target):
     becomes the row's denominator; inequality rows get slacks, and each
     row without a positive slack gets an artificial variable.  Phase 1
     maximizes minus their sum and stops as soon as that reaches 0; below
-    0 at its optimum the rows have no point.  An artificial left basic
-    at 0 is then pivoted out on the lowest non-artificial column of its
-    row, or deleted with its row when the row has no such column, and
-    phase 2 maximizes x[target], which the rows must bound.  Returns
-    (status, x, y) with status 'optimal' or 'infeasible'; x holds
-    Fractions (None when infeasible), and y the LP multipliers of the
-    rows (a Farkas ray when infeasible), read off the final reduced
-    costs.
+    0 at its optimum the rows have no point.  Phase 2 then maximizes
+    x[target], which the rows must bound, with the artificials unpriced:
+    one left basic at 0 stays at 0, so tableau row i is row i for the
+    whole solve.  Returns (status, x, y) with status 'optimal' or
+    'infeasible'; x holds Fractions (None when infeasible), and y the LP
+    multipliers of the rows (a Farkas ray when infeasible), read off the
+    final reduced costs.
     """
     matrix: list[dict[int, int]] = []
     rhs: list[int] = []
@@ -454,17 +458,8 @@ def _solve_lp(n_vars, rows, target):
         tab.maximize()
         if tab.value != 0:
             return "infeasible", None, _multipliers(tab, cost, unit_columns, signs)
-        # phase 1 stopped at 0, so every artificial still basic is at 0
-        for i in range(len(tab.rows) - 1, -1, -1):
-            if tab.basis[i] >= art_start:
-                piv = min((j for j in tab.rows[i] if j < art_start), default=None)
-                if piv is None:
-                    # a redundant row; the basic artificial leaves with
-                    # it, so the row that column belongs to reads y = 0
-                    del tab.rows[i], tab.rhs[i], tab.den[i], tab.basis[i]
-                else:
-                    tab.pivot(i, piv)
-        # artificial columns stay in the rows, never to enter again
+        # artificial columns stay in the rows, never to enter again;
+        # those still basic sit at 0 and stay there
         tab.priced = art_start
         tab.nonpositive = False
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from helpers import corpus, delete_edge, random_stacked_variant
 
+import inscribe.graph as graph_module
 from inscribe import (
     EmbeddingError,
     EulerError,
@@ -107,6 +108,27 @@ class TestParse:
         assert parse_graph(format_graph(k5())) == k5()
         with pytest.raises(EulerError):
             require_polyhedral(parse_graph(format_graph(k5())))
+
+    def test_nonspherical_is_rejected_before_three_connectivity(self, monkeypatch):
+        # two neighbours of vertex 0 swapped: the faces no longer fit the
+        # sphere, and the exhaustive k = 3 check is never reached
+        lines = format_graph(generate("prism", 80)).splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("v 0:"))
+        words = lines[i].split()
+        words[2], words[3] = words[3], words[2]
+        lines[i] = " ".join(words)
+        g = parse_graph("\n".join(lines) + "\n")
+        calls = []
+        connected = graph_module.is_k_vertex_connected
+
+        def recording(g, k):
+            calls.append(k)
+            return connected(g, k)
+
+        monkeypatch.setattr(graph_module, "is_k_vertex_connected", recording)
+        with pytest.raises(EulerError):
+            require_polyhedral(g)
+        assert 3 not in calls
 
     def test_not_three_connected_raises_distinctly(self):
         g = parse_graph(format_graph(bowtie()))

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import CORPUS_SPECS
 
 import inscribe.lp as lp_module
 from inscribe import (
@@ -12,6 +13,8 @@ from inscribe import (
     Row,
     add_circuit_constraint,
     all_nonfacial_circuits,
+    decide_circumscribable,
+    decide_inscribable,
     dual,
     generate,
     maximize_margin,
@@ -404,7 +407,8 @@ class TestReferenceVertexEnumeration:
 
 
 class TestTableauInvariant:
-    """Rows store only nonzeros, and the basis stays an identity."""
+    """Rows store only nonzeros, the basis stays an identity, and in
+    phase 2 every artificial still basic sits at 0."""
 
     @staticmethod
     def check(tab):
@@ -413,6 +417,9 @@ class TestTableauInvariant:
             assert 0 not in row.values()
             assert row[tab.basis[i]] == tab.den[i] > 0
             assert basic & row.keys() == {tab.basis[i]}
+            # phase 2 prices no artificial; in phase 1 none is unpriced
+            if tab.basis[i] >= tab.priced:
+                assert tab.rhs[i] == 0
         assert 0 not in tab.reduced.values()
         assert not basic & tab.reduced.keys()
 
@@ -420,6 +427,8 @@ class TestTableauInvariant:
         ("cube", None, 0, 0),
         ("prism", 5, 8, 0),
         ("kleetope(bipyramid)", 3, 0, 2),
+        # phase 2 moves a zero artificial out on a negative entry
+        ("kleetope(tetrahedron)", None, 0, 1),
     ])
     def test_after_every_pivot(self, monkeypatch, family, n, cuts, phase2_pivots):
         pivots = []  # one count per maximize call: phase 1, then phase 2
@@ -503,19 +512,20 @@ class TestPhaseOneStop:
         assert phase_1 and 0 not in phase_1
 
     def test_antiprism_8_pivot_count(self, monkeypatch):
-        # the dual's phase 1 reaches 0 early; run to the end it made 101
-        # pivots in all
+        # the dual's phase 1 reaches 0 after one pivot, and phase 2 makes
+        # none, as the zero artificials stay basic
         log, _ = record_pivots(monkeypatch)
         solution = maximize_margin(dual_with_cuts("antiprism", 8, 0))
         assert solution.margin == F(1, 4)
-        assert len(log) == 17
+        assert len(log) == 1
 
     @pytest.mark.parametrize("duplicate", [False, True])
-    def test_drive_out_after_early_stop(self, monkeypatch, duplicate):
+    def test_zero_artificials_stay_in_phase_2(self, monkeypatch, duplicate):
         s = all_triples_system(duplicate)
         art_start = s.variable_count + row_counts(s)["upper"]
         art_rows = row_counts(s)["face"]
         ends = []  # (value, basic artificials, rows) as each phase ends
+        log, _ = record_pivots(monkeypatch)
         maximize = lp_module._Tableau.maximize
 
         def recording(tab):
@@ -526,9 +536,18 @@ class TestPhaseOneStop:
         monkeypatch.setattr(lp_module._Tableau, "maximize", recording)
         solution = maximize_margin(s)
         # phase 1 stops at 0 with all but one artificial still basic;
-        # with the duplicate, the drive-out deletes one redundant row
+        # no pivot runs between the phases, and phase 2 ends with every
+        # row, the redundant duplicate too
         assert ends[0] == (0, art_rows - 1, len(s.rows))
-        assert ends[1][1:] == (0, len(s.rows) - duplicate)
+        assert [ph for ph, _ in log if ph is None] == []
+        assert len(ends) == 2 and ends[1][2] == len(s.rows)
         assert (solution.status, solution.margin) == vertex_enumeration_margin(s)
         assert solution.margin == F(1, 6)
         assert multiplier_problems(s, solution.multipliers, solution.margin) == []
+
+    @pytest.mark.parametrize("decide", [decide_inscribable, decide_circumscribable])
+    def test_corpus_pivots_only_inside_maximize(self, monkeypatch, decide):
+        log, _ = record_pivots(monkeypatch)
+        for family, n in CORPUS_SPECS:
+            decide(generate(family, n))
+        assert log and all(ph is not None for ph, _ in log)
