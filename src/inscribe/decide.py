@@ -183,9 +183,10 @@ def verify_certificate(
     recorded margin, the LP optimum that a genuine yes reaches.  No
     certificates: they carry no weights, the margin is at most 0 or null,
     and the multipliers must prove it on the LP rebuilt from the cut list
-    (:func:`~inscribe.lp.multiplier_problems`): signed by row relation,
-    with y^T A >= e_s and y^T b = margin + 1 for a margin, and, for a
-    null margin, y^T A >= 0 and y^T b < 0, a ray that shows the LP
+    (:func:`~inscribe.lp.multiplier_problems`): signed by row kind, and,
+    over the LP's integer rows in U = 2(w - t) and S = 2(t + 1), with
+    y^T A >= e_s and y^T b = 2(margin + 1) for a margin, and, for a null
+    margin, y^T A >= 0 and y^T b < 0, a ray that shows the LP
     infeasible.  Each answer's proof is checked by one
     call, and neither solves an LP.  Returns (verdict, list of failure
     messages).
@@ -265,6 +266,13 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _index_map(raw, field: str) -> list:
+    """The values of a JSON object keyed "0" to "n-1", in key order."""
+    if not isinstance(raw, dict) or raw.keys() != {str(e) for e in range(len(raw))}:
+        raise ValueError(f'{field} is not a JSON object keyed "0" to "n-1"')
+    return [raw[str(e)] for e in range(len(raw))]
+
+
 def _one_of(value, allowed: tuple[str, ...], field: str) -> str:
     if value not in allowed:
         raise ValueError(f"{field} {value!r} is not one of {', '.join(allowed)}")
@@ -339,13 +347,12 @@ def certificate_from_json(text: str) -> Certificate:
         multipliers = tuple(_frac_parse(y) for y in multipliers)
     weights = None
     if doc["weights"] is not None:
-        raw = doc["weights"]
-        weights = tuple(_frac_parse(raw[str(e)]) for e in range(len(raw)))
+        weights = tuple(_frac_parse(w) for w in _index_map(doc["weights"], "weights"))
     bijection = None
     if doc["edge_bijection"] is not None:
-        raw = doc["edge_bijection"]
         bijection = tuple(
-            _json_int(raw[str(e)], "edge_bijection value") for e in range(len(raw))
+            _json_int(d, "edge_bijection value")
+            for d in _index_map(doc["edge_bijection"], "edge_bijection")
         )
     cert = Certificate(
         answer=_one_of(doc["answer"], ("yes", "no"), "answer"),
@@ -357,8 +364,8 @@ def certificate_from_json(text: str) -> Certificate:
         multipliers=multipliers,
     )
     # angles are derived data: 1 - 2 w(e*) for each primal edge e
-    angles = doc["angles"]
-    if angles is not None:
+    if doc["angles"] is not None:
+        angles = _index_map(doc["angles"], "angles")
         if not (cert.is_yes and cert.graph_role == "dual" and weights and bijection):
             raise ValueError(
                 "angles belong only to a dual-role yes with weights and an edge bijection"
@@ -368,6 +375,6 @@ def certificate_from_json(text: str) -> Certificate:
         for e, d in enumerate(bijection):
             if not 0 <= d < len(weights):
                 raise ValueError(f"edge_bijection value {d} names no weighted edge")
-            if _frac_parse(angles[str(e)]) != 1 - 2 * weights[d]:
+            if _frac_parse(angles[e]) != 1 - 2 * weights[d]:
                 raise ValueError(f"angle of edge {e} is not 1 - 2 w({d})")
     return cert

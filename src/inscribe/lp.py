@@ -3,12 +3,17 @@
 The margin system has one weight w_e per edge plus a shared margin t;
 maximizing t decides strict feasibility of the open weighting conditions:
 the open region is nonempty exactly when the closed system admits t > 0.
-It is stated over the nonnegative variables u_e = w_e - t and s = t + 1,
-so the bounds w_e >= t and t >= -1 hold by construction.  The rows are
-built with ``int`` coefficients and right-hand sides, but for the upper
-rows' shared 5/2; the solver and the checks take ``Fraction`` rows too.
-The point each solve returns is re-checked against every row exactly,
-on integer numerators over one denominator (:func:`point_problem`).
+It is stated over the nonnegative variables U_e = 2(w_e - t) and
+S = 2(t + 1), so the bounds w_e >= t and t >= -1 hold by construction,
+and every row is an integer row with a right-hand side >= 0:
+
+    upper    U_e + 2S <= 5                        w_e + t <= 1/2
+    face     sum(U over f) + |f| S = 2|f| + 2     sum(w over f) = 1
+    circuit  sum(U over C) + (|C| - 1) S >= 2|C|  sum(w over C) >= 1 + t
+
+A row's kind fixes its relation.  The point each solve returns is
+re-checked against every row exactly, on integer numerators over one
+denominator (:func:`point_problem`).
 
 The solver is a two-phase simplex on sparse fraction-free integer rows:
 each row is a map of its nonzero integer entries over one positive
@@ -31,11 +36,14 @@ row's artificial column stays in the tableau through phase 2 without
 being priced, so it never enters the basis; with the rows' slack
 columns it carries the inverse of the final basis, whose reduced costs
 are -y.  By LP duality, y proves the optimum from the rows alone:
-signed >= 0 on '<=' rows, <= 0 on '>=' rows and free on '=' rows, with
-every column of y^T A at least e_s and y^T b = margin + 1.  When phase 1
-ends above 0, the same columns give a Farkas ray: y^T A >= 0 and
-y^T b < 0.  :func:`multiplier_problems` checks either with a few sparse
-sums and no solver.
+signed >= 0 on upper rows, <= 0 on circuit rows and free on face rows,
+with y^T A at least e_s, the unit vector of S, in every column and
+y^T b = 2(margin + 1).  The factor 2 scales the variables, not the rows:
+A is the matrix of the same rows over w - t and t + 1 and only b
+doubles, so the point doubles while y and every pivot stay as they are
+over those variables.  When phase 1 ends above 0, the same columns give
+a Farkas ray: y^T A >= 0 and y^T b < 0.  :func:`multiplier_problems`
+checks either with a few sparse sums and no solver.
 """
 
 from __future__ import annotations
@@ -51,8 +59,14 @@ from .graph import PolyhedralGraph, trace_faces
 from .separation import Circuit, _scaled
 
 _F0 = Fraction(0)
-#: Right-hand side of every upper row, u_e + 2s <= 5/2.
-_UPPER_RHS = Fraction(5, 2)
+
+#: Each row kind's relation, the coefficient of its slack column, which
+#: is the sign of its multiplier, and that sign in words.
+_KINDS = {
+    "upper": (operator.le, 1, ">= 0"),
+    "face": (operator.eq, 0, "free"),
+    "circuit": (operator.ge, -1, "<= 0"),
+}
 
 #: Degenerate pivots in a row before the simplex switches to Bland's rule.
 _STALL_THRESHOLD = 64
@@ -60,30 +74,29 @@ _STALL_THRESHOLD = 64
 
 @dataclass(frozen=True)
 class Row:
-    """One linear constraint over the nonnegative variables (u, s).
+    """One integer row over the nonnegative variables (U, S).
 
     ``terms`` lists the nonzero ``(index, coeff)`` pairs; index e < E is
-    u_e and index E is s.  Coefficients and right-hand side are rationals:
-    ``int`` in the rows this module builds, where only the upper rows'
-    5/2 is a ``Fraction``.  ``kind`` tags the row family: ``upper`` rows
-    carry the edge id in ``ref``, ``face`` rows the face id and
-    ``circuit`` rows the canonical edge id tuple.
+    U_e and index E is S.  Coefficients and ``rhs`` are ``int``, and
+    ``rhs`` is at least 0.  ``kind`` is the row family, and with it the
+    relation (:data:`_KINDS`): ``upper`` rows are '<=' and carry the edge
+    id in ``ref``, ``face`` rows are '=' and carry the face id, and
+    ``circuit`` rows are '>=' and carry the canonical edge id tuple.
     """
 
-    terms: tuple[tuple[int, int | Fraction], ...]
-    relation: str
-    rhs: int | Fraction
+    terms: tuple[tuple[int, int], ...]
+    rhs: int
     kind: str
     ref: object = None
 
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Immutable snapshot of the margin LP's rows over u >= 0, s >= 0.
+    """Immutable snapshot of the margin LP's rows over U >= 0, S >= 0.
 
-    Always contains, for every edge e, u_e + 2s <= 5/2 (w_e + t <= 1/2),
-    and per face f, sum(u over f) + |f| s = |f| + 1 (unit face sum).
-    Circuit rows are added on demand.  Variable ``margin_index`` is s.
+    Always contains, for every edge e, U_e + 2S <= 5 (w_e + t <= 1/2),
+    and per face f, sum(U over f) + |f| S = 2|f| + 2 (unit face sum).
+    Circuit rows are added on demand.  Variable ``margin_index`` is S.
     The rows are the whole system: a circuit row's ``ref`` is its key
     and a face row's terms name the face's edges.
     """
@@ -103,20 +116,17 @@ class ConstraintSystem:
 def new_system(g: PolyhedralGraph) -> ConstraintSystem:
     """Upper-bound and face-equality rows for g; no circuit rows yet."""
     s_index = g.edge_count
-    rows = [
-        Row(((e, 1), (s_index, 2)), "<=", _UPPER_RHS, "upper", e)
-        for e in range(g.edge_count)
-    ]
+    rows = [Row(((e, 1), (s_index, 2)), 5, "upper", e) for e in range(g.edge_count)]
     for f in trace_faces(g):
         size = len(f.edge_ids)
         terms = tuple((e, 1) for e in sorted(f.edge_ids)) + ((s_index, size),)
-        rows.append(Row(terms, "=", size + 1, "face", f.id))
+        rows.append(Row(terms, 2 * size + 2, "face", f.id))
     return ConstraintSystem(g.edge_count, tuple(rows))
 
 
 def add_circuit_constraint(s: ConstraintSystem, circuit: Circuit) -> ConstraintSystem:
     """New system with the row  sum(w over C) - t >= 1  appended, stated
-    as  sum(u over C) + (|C| - 1) s >= |C|.  Raises ValueError if C is
+    as  sum(U over C) + (|C| - 1) S >= 2|C|.  Raises ValueError if C is
     already a row, bounds a face or names an unknown edge."""
     key = circuit.edge_ids
     edges = {*key, s.margin_index}
@@ -128,49 +138,49 @@ def add_circuit_constraint(s: ConstraintSystem, circuit: Circuit) -> ConstraintS
     if any(not 0 <= e < s.edge_count for e in key):
         raise ValueError("circuit references an unknown edge")
     terms = tuple((e, 1) for e in key) + ((s.margin_index, len(key) - 1),)
-    row = Row(terms, ">=", len(key), "circuit", key)
-    return ConstraintSystem(s.edge_count, s.rows + (row,))
+    return ConstraintSystem(s.edge_count, s.rows + (Row(terms, 2 * len(key), "circuit", key),))
 
 
 @dataclass(frozen=True)
 class MarginSolution:
-    """Exact optimum of the margin LP.
+    """Exact optimum of the margin LP, or None for ``margin`` and
+    ``weights`` when the rows have no point.
 
     ``multipliers`` holds the LP multipliers of the solved system's
-    rows, in row order.  For 'optimal' they prove that no point has a
-    margin above ``margin``, for 'infeasible' that the rows have no
-    point at all (a Farkas ray); :func:`multiplier_problems` checks
-    either.
+    rows, in row order.  With a margin they prove that no point has a
+    margin above it, without one that the rows have no point at all (a
+    Farkas ray); :func:`multiplier_problems` checks either.  They are the
+    same over (U, S) as over (U/2, S/2): only the point scales.
     """
 
-    status: str  # 'optimal' | 'infeasible'
     margin: Fraction | None
     weights: tuple[Fraction, ...] | None
     multipliers: tuple[Fraction, ...]
+
+    @property
+    def status(self) -> str:
+        return "infeasible" if self.margin is None else "optimal"
 
 
 def maximize_margin(s: ConstraintSystem) -> MarginSolution:
     """Exact maximum of t over the closed system.
 
     The optimum exists whenever the system is feasible: the upper rows
-    and u, s >= 0 keep the region compact.  The returned point is
+    and U, S >= 0 keep the region compact.  The returned point is
     re-verified by :func:`point_problem`, in integers, to be nonnegative
     and to satisfy every row exactly, and InternalError names what it
-    fails; it is then mapped back to t = s - 1 and w_e = u_e + t.
+    fails; it is then mapped back to t = S/2 - 1 and w_e = U_e/2 + t.
+    A row of unknown kind or with a negative right-hand side raises
+    ValueError.
     """
-    status, x, multipliers = _solve_lp(s.variable_count, s.rows, s.margin_index)
-    if status == "infeasible":
-        return MarginSolution("infeasible", None, None, multipliers)
+    x, multipliers = _solve_lp(s.variable_count, s.rows, s.margin_index)
+    if x is None:
+        return MarginSolution(None, None, multipliers)
     problem = point_problem(s, x)
     if problem is not None:
         raise InternalError(f"solver returned {problem}")
-    t = x[s.margin_index] - 1
-    return MarginSolution(
-        "optimal", t, tuple(u + t for u in x[: s.edge_count]), multipliers
-    )
-
-
-_RELATIONS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
+    t = x[s.margin_index] / 2 - 1
+    return MarginSolution(t, tuple(u / 2 + t for u in x[: s.edge_count]), multipliers)
 
 
 def point_problem(s: ConstraintSystem, x: Sequence[Fraction]) -> str | None:
@@ -179,22 +189,17 @@ def point_problem(s: ConstraintSystem, x: Sequence[Fraction]) -> str | None:
     None when x >= 0 satisfies every row exactly.
 
     x is scaled once to integer numerators X over their least common
-    denominator D, and a row whose right-hand side is p/q holds when
-    sum(c X_j) q compares to p D as its relation says, so the rows'
-    integer coefficients build no ``Fraction``.
+    denominator D, and a row holds when sum(c X_j) compares to rhs D as
+    its kind says, so the rows' integers build no ``Fraction``.
     """
     nums, d = _scaled(x)
     if any(v < 0 for v in nums):
         return "a negative variable"
     for row in s.rows:
         lhs = sum(c * nums[j] for j, c in row.terms)
-        rhs = row.rhs
-        if not _RELATIONS[row.relation](lhs * rhs.denominator, rhs.numerator * d):
+        if not _KINDS[row.kind][0](lhs, row.rhs * d):
             return f"a point violating a {row.kind} row"
     return None
-
-
-_SIGN_RULES = {"<=": (1, ">= 0"), ">=": (-1, "<= 0"), "=": (0, "free")}
 
 
 def multiplier_problems(
@@ -204,46 +209,42 @@ def multiplier_problems(
     has a margin above ``margin`` (or, with ``margin`` None, that s has
     no point at all); an empty list when y proves it.
 
-    y holds one multiplier per row of s, >= 0 on '<=' rows, <= 0 on
-    '>=' rows and free on '=' rows, so every point x of the rows has
-    y^T A x <= y^T b.  Over x >= 0, columns of y^T A at least e_s then give
-    s <= y^T b, the margin bound y^T b - 1, which must equal ``margin``;
-    columns of y^T A at least 0 with y^T b < 0 leave no point.  The cost is
-    one pass over the rows' nonzero terms.
+    y holds one multiplier per row of s, >= 0 on upper ('<=') rows,
+    <= 0 on circuit ('>=') rows and free on face ('=') rows, so every
+    point x of the rows has y^T A x <= y^T b.  Over x >= 0, columns of
+    y^T A at least e_s, the unit vector of S, then give S <= y^T b, the
+    margin bound y^T b / 2 - 1, which must equal ``margin``; columns of
+    y^T A at least 0 with y^T b < 0 leave no point.  The cost is one pass
+    over the rows' nonzero terms.
     """
     if len(y) != len(s.rows):
         return [f"{len(y)} multipliers for {len(s.rows)} rows"]
     problems = []
-    used = [(i, row, yi) for i, (row, yi) in enumerate(zip(s.rows, y)) if yi]
-    # integer sums in units of 1 / (d m): d clears the multipliers'
-    # denominators and m the rows'
-    d = math.lcm(*(yi.denominator for _, _, yi in used))
-    m = math.lcm(
-        *(c.denominator for _, row, _ in used for _, c in row.terms),
-        *(row.rhs.denominator for _, row, _ in used),
-    )
+    # integer sums in units of 1 / d, d the multipliers' denominator
+    nums, d = _scaled(y)
     column = [0] * s.variable_count
     value = 0
-    for i, row, yi in used:
-        sign, rule = _SIGN_RULES[row.relation]
-        if yi.numerator * sign < 0:
-            problems.append(f"multiplier {i} of {row.kind} row {row.ref} is {yi}, not {rule}")
-        scaled = yi.numerator * (d // yi.denominator)
+    for i, (row, n) in enumerate(zip(s.rows, nums)):
+        if not n:
+            continue
+        _, sign, rule = _KINDS[row.kind]
+        if n * sign < 0:
+            problems.append(f"multiplier {i} of {row.kind} row {row.ref} is {y[i]}, not {rule}")
         for j, c in row.terms:
-            column[j] += scaled * c.numerator * (m // c.denominator)
-        value += scaled * row.rhs.numerator * (m // row.rhs.denominator)
+            column[j] += n * c
+        value += n * row.rhs
     if margin is not None:
-        column[s.margin_index] -= d * m
+        column[s.margin_index] -= d
     short = [j for j, c in enumerate(column) if c < 0]
     if short:
         bound = "0" if margin is None else "e_s"
         problems.append(f"columns {short} of y^T A fall below {bound}")
-    value = Fraction(value, d * m)
+    value = Fraction(value, d)
     if margin is None:
         if value >= 0:
             problems.append(f"ray gives y^T b = {value}, not below 0")
-    elif value != margin + 1:
-        problems.append(f"multipliers bound the margin by {value - 1}, not {margin}")
+    elif value != 2 * (margin + 1):
+        problems.append(f"multipliers bound the margin by {value / 2 - 1}, not {margin}")
     return problems
 
 
@@ -266,10 +267,10 @@ class _Tableau:
     so ``maximize`` stops as soon as its value reaches 0.
     """
 
-    def __init__(self, rows, rhs, den, basis, priced):
+    def __init__(self, rows, rhs, basis, priced):
         self.rows = rows
         self.rhs = rhs
-        self.den = den
+        self.den = [1] * len(rows)
         self.basis = basis
         self.priced = priced
         self.nonpositive = False
@@ -395,58 +396,43 @@ def _eliminate(row, b, d, a, prow, pb, p):
 
 
 def _solve_lp(n_vars, rows, target):
-    """Maximize x[target] over x >= 0 subject to the rows.
+    """Maximize x[target] over x >= 0 subject to the integer rows.
 
-    Each row is scaled to integers by the lcm of its denominators, which
-    becomes the row's denominator; inequality rows get slacks, and each
-    row without a positive slack gets an artificial variable.  Phase 1
-    maximizes minus their sum and stops as soon as that reaches 0; below
-    0 at its optimum the rows have no point.  Phase 2 then maximizes
-    x[target], which the rows must bound, with the artificials unpriced:
-    one left basic at 0 stays at 0, so tableau row i is row i for the
-    whole solve.  Returns (status, x, y) with status 'optimal' or
-    'infeasible'; x holds Fractions (None when infeasible), and y the LP
-    multipliers of the rows (a Farkas ray when infeasible), read off the
-    final reduced costs.
+    Each row gets a slack column whose coefficient its kind gives
+    (:data:`_KINDS`): +1 on an upper row, -1 on a circuit row and none on
+    a face row; each row without a +1 slack gets an artificial variable.
+    Phase 1 maximizes minus their sum and stops as soon as that reaches
+    0; below 0 at its optimum the rows have no point.  Phase 2 then
+    maximizes x[target], which the rows must bound, with the artificials
+    unpriced: one left basic at 0 stays at 0, so tableau row i is row i
+    for the whole solve.  Returns (x, y): x holds Fractions, None when
+    the rows have no point, and y the LP multipliers of the rows (a
+    Farkas ray without a point), read off the final reduced costs.  A
+    row of unknown kind or with a negative right-hand side raises
+    ValueError.
     """
     matrix: list[dict[int, int]] = []
-    rhs: list[int] = []
-    den: list[int] = []
     basis: list[int | None] = []
-    # y_i = signs[i] * pi_i, pi the multipliers of the stored rows
-    signs: list[int] = []
     next_slack = n_vars
     for row in rows:
-        if row.relation not in ("<=", ">=", "="):
-            raise ValueError(f"unknown relation {row.relation!r}")
-        scale = math.lcm(row.rhs.denominator, *(c.denominator for _, c in row.terms))
-        # a >= row is negated into a <= row; every inequality gets a slack
-        sign = -1 if row.relation == ">=" else 1
-        b = sign * row.rhs.numerator * (scale // row.rhs.denominator)
-        vec = {
-            j: sign * c.numerator * (scale // c.denominator) for j, c in row.terms if c
-        }
-        sc = None
-        if row.relation != "=":
-            sc = next_slack
-            vec[sc] = scale
+        if row.kind not in _KINDS:
+            raise ValueError(f"unknown row kind {row.kind!r}")
+        if row.rhs < 0:
+            raise ValueError(f"{row.kind} row {row.ref} has right-hand side {row.rhs} < 0")
+        vec = {j: c for j, c in row.terms if c}
+        sign = _KINDS[row.kind][1]
+        if sign:
+            vec[next_slack] = sign
             next_slack += 1
-        if b < 0:
-            vec = {j: -x for j, x in vec.items()}
-            b = -b
-            sign = -sign
         matrix.append(vec)
-        rhs.append(b)
-        den.append(scale)
-        signs.append(sign)
-        # a slack that stayed positive is the row's first basic column
-        basis.append(sc if sc is not None and vec[sc] > 0 else None)
+        # a +1 slack is the row's first basic column
+        basis.append(next_slack - 1 if sign > 0 else None)
 
     art_start = next_slack
     art_rows = [i for i, bc in enumerate(basis) if bc is None]
-    tab = _Tableau(matrix, rhs, den, basis, art_start + len(art_rows))
+    tab = _Tableau(matrix, [row.rhs for row in rows], basis, art_start + len(art_rows))
     for k, i in enumerate(art_rows):
-        matrix[i][art_start + k] = den[i]
+        matrix[i][art_start + k] = 1
         basis[i] = art_start + k
     # each row's first basic column is a unit column of the original
     # rows: its reduced cost is its cost less the row's multiplier
@@ -457,7 +443,7 @@ def _solve_lp(n_vars, rows, target):
         tab.nonpositive = True
         tab.maximize()
         if tab.value != 0:
-            return "infeasible", None, _multipliers(tab, cost, unit_columns, signs)
+            return None, _multipliers(tab, cost, unit_columns)
         # artificial columns stay in the rows, never to enter again;
         # those still basic sit at 0 and stay there
         tab.priced = art_start
@@ -472,16 +458,13 @@ def _solve_lp(n_vars, rows, target):
     for i, bc in enumerate(tab.basis):
         if bc < n_vars:
             x[bc] = Fraction(tab.rhs[i], tab.den[i])
-    return "optimal", x, _multipliers(tab, cost, unit_columns, signs)
+    return x, _multipliers(tab, cost, unit_columns)
 
 
-def _multipliers(tab, cost, unit_columns, signs):
-    """y read off the tableau's current reduced costs: pi_i = cost(c) -
-    d(c) for row i's unit column c, and y_i = signs[i] pi_i undoes the
-    row's sign flips (scaling left the unit columns unit)."""
+def _multipliers(tab, cost, unit_columns):
+    """y read off the tableau's current reduced costs: y_i = cost(c) -
+    d(c) for row i's unit column c."""
     reduced, obj_den = tab.reduced, tab.obj_den
-    y = []
-    for c, sign in zip(unit_columns, signs):
-        pi = cost.get(c, 0) * obj_den - reduced.get(c, 0)
-        y.append(Fraction(sign * pi, obj_den) if pi else _F0)
-    return tuple(y)
+    return tuple(
+        Fraction(cost.get(c, 0) * obj_den - reduced.get(c, 0), obj_den) for c in unit_columns
+    )

@@ -138,4 +138,9 @@ GOLDENS = {
         decide_circumscribable, lambda: generate("kleetope(antiprism)", 6)),
     # an infeasible LP: the no's multipliers are a Farkas ray
     "cuboctahedron_circumscribable": (decide_circumscribable, cuboctahedron),
+    # a no at margin 0 whose multipliers are nonzero on an upper, ten
+    # face and a circuit row
+    "stacked_prism_3_2_3_4_circumscribable": (
+        decide_circumscribable,
+        lambda: stack_on_faces(generate("prism", 3), [2, 3, 4])),
 }

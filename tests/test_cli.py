@@ -483,6 +483,29 @@ class TestMalformedCertificates:
         assert (code, out) == (2, "")
         assert reason in err
 
+    @pytest.mark.parametrize("tamper", [
+        lambda m: list(m.values()),
+        lambda m: {**m, "x": m["0"]},
+        lambda m: {str(int(k) + 1): v for k, v in m.items()},
+        lambda m: {**m, "01": m.pop("1")},
+    ], ids=["list", "extra-key", "keys-from-1", "key-with-leading-0"])
+    @pytest.mark.parametrize("field", ["weights", "angles", "edge_bijection"])
+    @pytest.mark.parametrize("command", ["verify", "angles"])
+    def test_index_map_not_keyed_0_to_n_minus_1_exits_2(
+        self, capsys, cube_file, tmp_path, command, field, tamper
+    ):
+        _, out, _ = run_cli(
+            capsys, ["decide", "--inscribable", cube_file, "--format", "json"]
+        )
+        doc = json.loads(out)
+        doc[field] = tamper(doc[field])
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, [command, str(cert), cube_file])
+        assert (code, out) == (2, "")
+        assert f'{field} is not a JSON object keyed "0" to "n-1"' in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["verify", "angles"])
     def test_angles_that_disagree_with_the_weights_exit_2(
         self, capsys, cube_file, tmp_path, command

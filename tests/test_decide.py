@@ -425,7 +425,7 @@ class TestCertificateSerialization:
 
 
 class TestGoldenCertificates:
-    """Certificates pinned byte for byte, the multi-round ones and two noes: a
+    """Certificates pinned byte for byte, the multi-round ones and three noes: a
     change to the LP kernel must keep the pivot sequence, so every
     optimum, every cut and every multiplier stays the same."""
 
@@ -540,7 +540,7 @@ class TestVerifyCertificate:
         (decide_inscribable, "kleetope(tetrahedron)", {"multipliers": None},
          "no certificate lacks multipliers"),
         (decide_inscribable, "kleetope(tetrahedron)", {"margin": None},
-         "ray gives y^T b = 1, not below 0"),
+         "ray gives y^T b = 2, not below 0"),
         (decide_inscribable, "kleetope(tetrahedron)", {"margin": F(1, 9)},
          "no certificate records positive margin 1/9"),
     ], ids=["dual-without-bijection", "primal-with-bijection", "no-with-weights",
@@ -631,7 +631,7 @@ class TestNoMultipliers:
             "multipliers bound the margin by 1/3, not -1/18",
         ]),
         ("kleetope-bipyramid-3", lambda y: y[:-1], ["37 multipliers for 38 rows"]),
-        ("cuboctahedron", lambda y: [-x for x in y], ["ray gives y^T b = 2, not below 0"]),
+        ("cuboctahedron", lambda y: [-x for x in y], ["ray gives y^T b = 4, not below 0"]),
     ], ids=["upper-sign-flipped", "circuit-sign-flipped", "face-entry-changed",
             "entry-dropped", "ray-negated"])
     def test_corrupted_multipliers_fail(self, case, change, problems):

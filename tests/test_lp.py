@@ -1,5 +1,9 @@
+import dataclasses
 import itertools
+import math
+import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +14,7 @@ from inscribe import (
     Circuit,
     ConstraintSystem,
     InternalError,
+    MarginSolution,
     Row,
     add_circuit_constraint,
     all_nonfacial_circuits,
@@ -34,9 +39,21 @@ def row_counts(system):
 
 
 def uv_point(solution):
-    """The solution's weights and margin as the LP variables (u, s)."""
+    """The solution's weights and margin as the LP variables (U, S)."""
     t = solution.margin
-    return tuple(w - t for w in solution.weights) + (t + 1,)
+    return tuple(2 * (w - t) for w in solution.weights) + (2 * (t + 1),)
+
+
+RELATIONS = {operator.le: "<=", operator.eq: "=", operator.ge: ">="}
+
+
+def relation(row):
+    """The relation that the row's kind gives it."""
+    return RELATIONS[lp_module._KINDS[row.kind][0]]
+
+
+def is_integer_row(row):
+    return all(type(c) is int for _, c in row.terms) and type(row.rhs) is int
 
 
 class TestNewSystem:
@@ -52,11 +69,12 @@ class TestNewSystem:
         assert row_counts(s) == {"upper": bounds // 2, "face": faces}
         assert s.variable_count == variables
         assert s.margin_index == g.edge_count
+        assert all(is_integer_row(row) for row in s.rows)
         uppers = [row for row in s.rows if row.kind == "upper"]
         assert [row.ref for row in uppers] == list(range(g.edge_count))
         for row in uppers:
             assert row.terms == ((row.ref, 1), (s.margin_index, 2))
-            assert (row.relation, row.rhs) == ("<=", F(5, 2))
+            assert (relation(row), row.rhs) == ("<=", 5)
         face_rows = [row for row in s.rows if row.kind == "face"]
         for face, row in zip(trace_faces(g), face_rows):
             size = len(face.edge_ids)
@@ -64,7 +82,10 @@ class TestNewSystem:
             assert row.terms == tuple((e, 1) for e in sorted(face.edge_ids)) + (
                 (s.margin_index, size),
             )
-            assert (row.relation, row.rhs) == ("=", size + 1)
+            assert (relation(row), row.rhs) == ("=", 2 * size + 2)
+
+    def test_row_is_its_terms_rhs_kind_and_ref(self):
+        assert [f.name for f in dataclasses.fields(Row)] == ["terms", "rhs", "kind", "ref"]
 
 
 class TestAddCircuit:
@@ -76,8 +97,9 @@ class TestAddCircuit:
         row = s2.rows[-1]
         assert row.kind == "circuit"
         assert row.ref == c.edge_ids
-        assert row.relation == ">="
-        assert row.rhs == 4
+        assert relation(row) == ">="
+        assert is_integer_row(row)
+        assert row.rhs == 8
         assert row.terms == tuple((e, 1) for e in c.edge_ids) + ((s2.margin_index, 3),)
         assert s2.rows[:-1] == s.rows
         # the original system is unchanged
@@ -106,6 +128,12 @@ class TestMaximizeMargin:
         assert sol.margin == F(1, 6)
         assert all(x == F(1, 3) for x in sol.weights)
 
+    def test_status_is_read_off_the_margin(self):
+        fields = [f.name for f in dataclasses.fields(MarginSolution)]
+        assert fields == ["margin", "weights", "multipliers"]
+        assert MarginSolution(None, None, ()).status == "infeasible"
+        assert MarginSolution(F(0), (), ()).status == "optimal"
+
     def test_k4_with_all_circuit_rows(self):
         g = generate("tetrahedron")
         s = new_system(g)
@@ -118,8 +146,8 @@ class TestMaximizeMargin:
     def test_contradictory_face_equalities_infeasible(self):
         # one variable asked to be 1 and 1/3 at once
         rows = (
-            Row(((0, F(1)),), "=", F(1), "face", 0),
-            Row(((0, F(1)),), "=", F(1, 3), "face", 1),
+            Row(((0, 1),), 1, "face", 0),
+            Row(((0, 3),), 1, "face", 1),
         )
         s = ConstraintSystem(1, rows)
         sol = maximize_margin(s)
@@ -127,25 +155,25 @@ class TestMaximizeMargin:
         assert sol.margin is None and sol.weights is None
 
     def test_column_no_row_bounds_raises(self):
-        # no upper row bounds s, so phase 2 finds no leaving row for it
-        s = ConstraintSystem(1, (Row(((0, F(1)),), "<=", F(1), "upper", 0),))
+        # no upper row bounds S, so phase 2 finds no leaving row for it
+        s = ConstraintSystem(1, (Row(((0, 1),), 1, "upper", 0),))
         with pytest.raises(InternalError, match="no row bounds entering column 1"):
             maximize_margin(s)
 
     def test_single_edge_face_row_binds_margin_negative(self):
         # w0 = 1 with w0 + t <= 1/2 forces t <= -1/2; the closed system
-        # stays feasible because t may go down to -1 (s >= 0).  In (u, s):
-        # u0 + s = 2 and u0 + 2s <= 5/2 give s = 1/2, u0 = 3/2.
+        # stays feasible because t may go down to -1 (S >= 0).  In (U, S):
+        # U0 + S = 4 and U0 + 2S <= 5 give S = 1, U0 = 3.
         rows = (
-            Row(((0, F(1)), (1, F(2))), "<=", F(5, 2), "upper", 0),
-            Row(((0, F(1)), (1, F(1))), "=", F(2), "face", 0),
+            Row(((0, 1), (1, 2)), 5, "upper", 0),
+            Row(((0, 1), (1, 1)), 4, "face", 0),
         )
         s = ConstraintSystem(1, rows)
         sol = maximize_margin(s)
         assert sol.status == "optimal"
         assert sol.margin == F(-1, 2)
         assert sol.weights[0] == 1
-        assert uv_point(sol) == (F(3, 2), F(1, 2))
+        assert uv_point(sol) == (3, 1)
 
     def test_solution_satisfies_every_row_exactly(self):
         g = generate("prism", 5)
@@ -203,22 +231,16 @@ class TestMaximizeMargin:
         for c in all_nonfacial_circuits(g)[:4]:
             s = add_circuit_constraint(s, c)
         base = maximize_margin(s)
-        scale = F(7, 3)
+        scale = 7
         scaled_rows = tuple(
-            Row(
-                tuple((j, scale * c) for j, c in row.terms),
-                row.relation,
-                scale * row.rhs,
-                row.kind,
-                row.ref,
-            )
+            Row(tuple((j, scale * c) for j, c in row.terms), scale * row.rhs, row.kind, row.ref)
             for row in s.rows
         )
-        scaled = maximize_margin(
-            ConstraintSystem(s.edge_count, scaled_rows)
-        )
+        scaled_system = ConstraintSystem(s.edge_count, scaled_rows)
+        scaled = maximize_margin(scaled_system)
         assert scaled.margin == base.margin
         assert tuple(scaled.weights) == tuple(base.weights)
+        assert multiplier_problems(scaled_system, scaled.multipliers, scaled.margin) == []
 
     def test_deterministic(self):
         g = generate("antiprism", 4)
@@ -259,13 +281,13 @@ def dual_with_cuts(family, n, cuts, seed=7):
 class TestPointRecheck:
     """maximize_margin re-checks the solver's point against every row."""
 
-    # over (u0, u1, u2, s): the optimum is s = 1/2, u1 = u2 = 3/2 and u0
-    # in [0, 3/2]; u0, u1 and u2 each lie in rows of one kind only
+    # over (U0, U1, U2, S): the optimum is S = 1, U1 = U2 = 3 and U0
+    # in [0, 3]; U0, U1 and U2 each lie in rows of one kind only
     SYSTEM = ConstraintSystem(3, (
-        Row(((0, 1), (3, 2)), "<=", F(5, 2), "upper", 0),
-        Row(((2, 1), (3, 2)), "<=", F(5, 2), "upper", 2),
-        Row(((1, 1), (3, 1)), "=", 2, "face", 0),
-        Row(((2, 1), (3, 1)), ">=", 2, "circuit", (2,)),
+        Row(((0, 1), (3, 2)), 5, "upper", 0),
+        Row(((2, 1), (3, 2)), 5, "upper", 2),
+        Row(((1, 1), (3, 1)), 4, "face", 0),
+        Row(((2, 1), (3, 1)), 4, "circuit", (2,)),
     ))
 
     def test_true_optimum_passes(self):
@@ -273,18 +295,18 @@ class TestPointRecheck:
         assert (sol.status, sol.margin) == ("optimal", F(-1, 2))
 
     @pytest.mark.parametrize("index,nudge,problem", [
-        (0, F(3), "a point violating a upper row"),
-        (1, F(-1, 2), "a point violating a face row"),
-        (2, F(-1), "a point violating a circuit row"),
-        (3, F(-1), "a negative variable"),
+        (0, F(6), "a point violating a upper row"),
+        (1, F(-1), "a point violating a face row"),
+        (2, F(-2), "a point violating a circuit row"),
+        (3, F(-2), "a negative variable"),
     ], ids=["upper", "face", "circuit", "negative"])
     def test_nudged_point_raises(self, monkeypatch, index, nudge, problem):
         solve = lp_module._solve_lp
 
         def nudged(*args):
-            status, x, y = solve(*args)
+            x, y = solve(*args)
             x[index] += nudge
-            return status, x, y
+            return x, y
 
         monkeypatch.setattr(lp_module, "_solve_lp", nudged)
         with pytest.raises(InternalError, match=f"^solver returned {problem}$"):
@@ -341,14 +363,14 @@ def _solve_square(a, b):
 def vertex_enumeration_margin(s):
     """(status, margin) of the margin LP by trying every vertex: each
     choice of n constraints (rows or x_j >= 0) solved as equalities,
-    keeping the feasible point with the largest s."""
+    keeping the feasible point with the largest S, at margin S/2 - 1."""
     n = s.variable_count
     planes = []
     for row in s.rows:
         dense = [F(0)] * n
         for j, c in row.terms:
-            dense[j] = c
-        planes.append((dense, row.rhs))
+            dense[j] = F(c)
+        planes.append((dense, F(row.rhs)))
     planes += [([F(int(i == j)) for i in range(n)], F(0)) for j in range(n)]
     best = None
     for subset in itertools.combinations(planes, n):
@@ -359,17 +381,31 @@ def vertex_enumeration_margin(s):
             best = x[s.margin_index]
     if best is None:
         return "infeasible", None
-    return "optimal", best - 1
+    return "optimal", best / 2 - 1
+
+
+NEGATED = {"upper": "circuit", "face": "face", "circuit": "upper"}
+
+
+def integer_row(terms, kind, rhs, ref=None):
+    """The rational row  sum(c x_j) R rhs, R the relation of ``kind``,
+    as an integer row with rhs >= 0: scaled by its denominators' lcm, and
+    negated, an upper row into a circuit row and back, when rhs < 0."""
+    scale = math.lcm(rhs.denominator, *(c.denominator for _, c in terms))
+    if rhs < 0:
+        scale, kind = -scale, NEGATED[kind]
+    return Row(tuple((j, int(c * scale)) for j, c in terms), int(rhs * scale), kind, ref)
 
 
 def random_small_system(rng):
-    """2-3 u variables plus s, each bounded above, and random small
-    rational <=, >=, = rows; some rows hold at a random point, and some
-    systems repeat an equality row."""
+    """2-3 U variables plus S, each bounded above, and random small
+    rows of the three kinds, drawn over the rationals with a right-hand
+    side of either sign and stored as integer rows; some rows hold at a
+    random point, and some systems repeat a face row."""
     n = rng.randint(2, 3) + 1
     point = [F(rng.randint(0, 6), 2) for _ in range(n)]
     rows = [
-        Row(((j, F(1)),), "<=", F(rng.randint(1, 8), rng.randint(1, 2)), "upper", j)
+        integer_row(((j, F(1)),), "upper", F(rng.randint(1, 8), rng.randint(1, 2)), j)
         for j in range(n)
     ]
     for _ in range(rng.randint(1, 3)):
@@ -378,13 +414,13 @@ def random_small_system(rng):
             for j in range(n)
             if (c := rng.choice((-3, -2, -1, 1, 2, 3))) and rng.random() < 0.8
         ) or ((0, F(1)),)
-        relation = rng.choice(("<=", ">=", "="))
+        kind = rng.choice(("upper", "circuit", "face"))
         if rng.random() < 0.5:
             rhs = sum((c * point[j] for j, c in terms), F(0))
         else:
             rhs = F(rng.randint(-6, 6), rng.randint(1, 3))
-        rows.append(Row(terms, relation, rhs, "circuit"))
-    equalities = [row for row in rows if row.relation == "="]
+        rows.append(integer_row(terms, kind, rhs))
+    equalities = [row for row in rows if row.kind == "face"]
     if equalities and rng.random() < 0.5:
         rows.append(rng.choice(equalities))
     return ConstraintSystem(n - 1, tuple(rows))
@@ -394,8 +430,11 @@ class TestReferenceVertexEnumeration:
     def test_random_small_systems_match(self):
         rng = random.Random(2024)
         statuses = {}
+        kinds = set()  # of the drawn rows, some of them negated
         for _ in range(120):
             s = random_small_system(rng)
+            assert all(is_integer_row(row) and row.rhs >= 0 for row in s.rows)
+            kinds.update(row.kind for row in s.rows if row.ref is None)
             sol = maximize_margin(s)
             expected = vertex_enumeration_margin(s)
             assert (sol.status, sol.margin) == expected, s.rows
@@ -404,6 +443,19 @@ class TestReferenceVertexEnumeration:
             statuses[sol.status] = statuses.get(sol.status, 0) + 1
         assert statuses.get("optimal", 0) >= 20
         assert statuses.get("infeasible", 0) >= 20
+        assert kinds == set(lp_module._KINDS)
+
+
+class TestRowChecks:
+    @pytest.mark.parametrize("row,message", [
+        (Row(((0, 1),), 1, "lower", 0), "unknown row kind 'lower'"),
+        (Row(((0, 1),), -1, "circuit", (0,)), "circuit row (0,) has right-hand side -1 < 0"),
+        (Row(((0, 1),), -1, "face", 0), "face row 0 has right-hand side -1 < 0"),
+    ], ids=["unknown-kind", "negative-circuit-rhs", "negative-face-rhs"])
+    def test_unknown_kind_or_negative_rhs_raises(self, row, message):
+        s = ConstraintSystem(1, (Row(((0, 1), (1, 1)), 1, "upper", 0), row))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            maximize_margin(s)
 
 
 class TestTableauInvariant:
@@ -483,9 +535,9 @@ def all_triples_system(duplicate=False):
     face equality for each triple of edges; ``duplicate`` repeats the
     first face row, which makes it redundant."""
     E = 4
-    rows = [Row(((e, F(1)), (E, F(2))), "<=", F(5, 2), "upper", e) for e in range(E)]
+    rows = [Row(((e, 1), (E, 2)), 5, "upper", e) for e in range(E)]
     faces = [
-        Row(tuple((e, F(1)) for e in f) + ((E, F(3)),), "=", F(4), "face", i)
+        Row(tuple((e, 1) for e in f) + ((E, 3),), 8, "face", i)
         for i, f in enumerate(itertools.combinations(range(E), 3))
     ]
     rows += faces + faces[:1] * duplicate
