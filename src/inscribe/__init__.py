@@ -49,7 +49,6 @@ from .lp import (
     new_system,
 )
 from .separation import (
-    Circuit,
     all_nonfacial_circuits,
     brute_force_min_nonfacial,
     min_cycle_through_edge,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
-    "Circuit",
     "ConstraintSystem",
     "DualPair",
     "EmbeddingError",

@@ -36,8 +36,8 @@ from .lp import (
     new_system,
 )
 from .separation import (
-    Circuit,
     _scaled,
+    canonical_circuit,
     min_nonfacial_circuit,
     weighting_problems,
 )
@@ -116,7 +116,7 @@ def decide_circumscribable(g: PolyhedralGraph) -> Certificate:
         circuit, weight = min_nonfacial_circuit(g, solution.weights)
         if weight - solution.margin < 1:
             system = add_circuit_constraint(system, circuit)
-            cuts.append(circuit.edge_ids)
+            cuts.append(circuit)
             continue
         return Certificate(
             answer="yes",
@@ -141,10 +141,11 @@ def dihedral_angles(cert: Certificate, pair: DualPair) -> tuple[Fraction, ...]:
     rational multiples of pi.
 
     Requires a yes certificate produced on ``pair.dual`` for the
-    inscribability of ``pair.primal``.  Entry e is the coefficient of pi
-    for primal edge e, strictly in (0, 1): 1 - 2 w(e*), where w is the
-    certificate weighting of the dual edge e*.  Raises ValueError if w
-    misses a unit face sum or gives a coefficient outside (0, 1).
+    inscribability of g, where ``pair`` is ``dual(g)``.  Entry e is the
+    coefficient of pi for primal edge e, strictly in (0, 1): 1 - 2 w(e*),
+    where w is the certificate weighting of the dual edge
+    e* = ``pair.primal_to_dual[e]``.  Raises ValueError if w misses a
+    unit face sum or gives a coefficient outside (0, 1).
     """
     if not cert.is_yes:
         raise ValueError("dihedral angles require a yes certificate")
@@ -160,8 +161,8 @@ def dihedral_angles(cert: Certificate, pair: DualPair) -> tuple[Fraction, ...]:
         if total != d:
             raise ValueError(f"dual face {face.id} sums to {Fraction(total, d)}, not 1")
     coeffs = []
-    for e in range(pair.primal.edge_count):
-        c = d - 2 * nums[pair.primal_to_dual[e]]
+    for e_star in pair.primal_to_dual:
+        c = d - 2 * nums[e_star]
         if not 0 < c < d:
             raise ValueError(f"angle coefficient {Fraction(c, d)} outside (0, 1)")
         coeffs.append(Fraction(c, d))
@@ -173,8 +174,9 @@ def verify_certificate(
 ) -> tuple[bool, list[str]]:
     """Independently re-check a certificate against its input graph.
 
-    Every certificate: each recorded cut must be a canonical edge id
-    tuple (:class:`~inscribe.separation.Circuit`) and add to the LP in turn,
+    Every certificate: each recorded cut must be one simple cycle
+    (:func:`~inscribe.separation.canonical_circuit`), add to the LP in
+    turn and be recorded in canonical form,
     and ``edge_bijection`` must be the dual's for the 'dual' role and
     absent for the 'primal' one.  Yes certificates: the margin must be
     positive, there are no multipliers, and the weighting must prove the
@@ -206,10 +208,10 @@ def verify_certificate(
     system = new_system(tested) if cert.cuts or not cert.is_yes else None
     for key in cert.cuts:
         try:
-            circuit = Circuit.from_edge_set(tested, key)
+            circuit = canonical_circuit(tested, key)
             system = add_circuit_constraint(system, circuit)
-            if circuit.edge_ids != key:
-                raise ValueError(f"its canonical form is {list(circuit.edge_ids)}")
+            if circuit != key:
+                raise ValueError(f"its canonical form is {list(circuit)}")
         except ValueError as exc:
             problems.append(f"cut {list(key)} does not rebuild: {exc}")
             return False, problems

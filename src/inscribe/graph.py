@@ -137,9 +137,7 @@ class PolyhedralGraph:
         return SteinitzReport(planar_spherical=planar, three_connected=three)
 
     @cached_property
-    def _dual(self) -> tuple[PolyhedralGraph, tuple[int, ...]]:
-        # the dual graph and the edge bijection of dual(self); not a
-        # DualPair, so that the graph holds no reference to itself
+    def _dual(self) -> DualPair:
         require_polyhedral(self)
         incident = edge_faces(self)
         primal_to_dual = [-1] * self.edge_count
@@ -159,7 +157,7 @@ class PolyhedralGraph:
         # and V - E + F is the same for both graphs.
         vars(d)["_spherical"] = True
         vars(d)["_steinitz_report"] = SteinitzReport(True, True)
-        return d, tuple(primal_to_dual)
+        return DualPair(d, tuple(primal_to_dual))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(self.other_end(e, v) for e in self.rotation[v])
@@ -334,10 +332,13 @@ def is_k_vertex_connected(g: PolyhedralGraph, k: int) -> bool:
 
 @dataclass(frozen=True)
 class DualPair:
-    """A graph, its planar dual, and the edge bijection between them:
-    ``primal_to_dual[e]`` is the id of the dual edge that crosses edge e."""
+    """A graph's planar dual and the edge bijection to it:
+    ``primal_to_dual[e]`` is the id of the dual edge that crosses edge e.
 
-    primal: PolyhedralGraph
+    It holds no reference to the graph, which keeps it: a graph that
+    referred to itself would be freed only by the cyclic collector.
+    """
+
     dual: PolyhedralGraph
     primal_to_dual: tuple[int, ...]
 
@@ -351,10 +352,11 @@ def dual(g: PolyhedralGraph) -> DualPair:
     neighbors in face-boundary order, which embeds the dual on the same
     sphere.  Dual edges are numbered in the order one scan of the face
     boundaries first meets their primal edges.  Raises if the input is
-    not polyhedral.  The dual is built once per graph object and kept on
-    it; being the dual of a polyhedral graph, it is polyhedral too.
+    not polyhedral.  The pair is built once per graph object and kept on
+    it, so ``dual(g) is dual(g)``; being the dual of a polyhedral graph,
+    the dual is polyhedral too.
     """
-    return DualPair(g, *g._dual)
+    return g._dual
 
 
 def parse_graph(text: str) -> PolyhedralGraph:

@@ -56,7 +56,7 @@ from typing import Sequence
 
 from .errors import InternalError
 from .graph import PolyhedralGraph, trace_faces
-from .separation import Circuit, _scaled
+from .separation import _scaled
 
 _F0 = Fraction(0)
 
@@ -96,7 +96,7 @@ class ConstraintSystem:
 
     Always contains, for every edge e, U_e + 2S <= 5 (w_e + t <= 1/2),
     and per face f, sum(U over f) + |f| S = 2|f| + 2 (unit face sum).
-    Circuit rows are added on demand.  Variable ``margin_index`` is S.
+    Rows for circuits are added on demand.  Variable ``margin_index`` is S.
     The rows are the whole system: a circuit row's ``ref`` is its key
     and a face row's terms name the face's edges.
     """
@@ -124,11 +124,12 @@ def new_system(g: PolyhedralGraph) -> ConstraintSystem:
     return ConstraintSystem(g.edge_count, tuple(rows))
 
 
-def add_circuit_constraint(s: ConstraintSystem, circuit: Circuit) -> ConstraintSystem:
+def add_circuit_constraint(s: ConstraintSystem, key: tuple[int, ...]) -> ConstraintSystem:
     """New system with the row  sum(w over C) - t >= 1  appended, stated
-    as  sum(U over C) + (|C| - 1) S >= 2|C|.  Raises ValueError if C is
-    already a row, bounds a face or names an unknown edge."""
-    key = circuit.edge_ids
+    as  sum(U over C) + (|C| - 1) S >= 2|C|.  ``key`` must be C's
+    canonical edge id tuple, as :func:`~inscribe.separation.canonical_circuit`
+    and the oracles return it.  Raises ValueError if C is already a row,
+    bounds a face or names an unknown edge."""
     edges = {*key, s.margin_index}
     for row in s.rows:
         if row.kind == "circuit" and row.ref == key:

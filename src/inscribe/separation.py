@@ -28,7 +28,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Container, Iterable, Sequence
@@ -37,48 +36,37 @@ from .errors import InternalError
 from .graph import PolyhedralGraph, edge_faces, trace_faces
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """A simple closed cycle, stored as a canonical edge id sequence.
+def canonical_circuit(g: PolyhedralGraph, edge_ids: Iterable[int]) -> tuple[int, ...]:
+    """The canonical edge id tuple of the one simple cycle an unordered
+    edge set forms; raises ValueError if it forms none.
 
     The canonical form rotates the cyclic sequence to start at the
     minimum edge id and picks the direction that makes the second entry
-    smaller, so equal cycles compare equal.
+    smaller, so equal cycles compare equal.  A cut is this tuple
+    throughout: in the oracles, the LP rows and the certificates.
     """
-
-    edge_ids: tuple[int, ...]
-
-    @classmethod
-    def from_edge_set(cls, g: PolyhedralGraph, edge_ids: Iterable[int]) -> "Circuit":
-        """Canonical circuit from an unordered edge set forming one cycle."""
-        ids = set(edge_ids)
-        if len(ids) < 3:
-            raise ValueError("a circuit needs at least 3 distinct edges")
-        if any(not 0 <= e < g.edge_count for e in ids):
-            raise ValueError("edge set names an unknown edge")
-        at: dict[int, list[int]] = {}
-        for e in ids:
-            for v in g.edges[e]:
-                at.setdefault(v, []).append(e)
-        if any(len(es) != 2 for es in at.values()) or len(at) != len(ids):
-            raise ValueError("edge set is not a single simple cycle")
-        start = min(ids)
-        seq = [start]
-        u, cur = g.edges[start]
-        while cur != u:
-            a, b = at[cur]
-            nxt = b if a == seq[-1] else a
-            seq.append(nxt)
-            cur = g.other_end(nxt, cur)
-        if len(seq) != len(ids):
-            raise ValueError("edge set is not a single simple cycle")
-        return cls(_canonical(tuple(seq)))
-
-    def __len__(self) -> int:
-        return len(self.edge_ids)
-
-    def weight(self, w) -> Fraction:
-        return sum((w[e] for e in self.edge_ids), Fraction(0))
+    ids = set(edge_ids)
+    if len(ids) < 3:
+        raise ValueError("a circuit needs at least 3 distinct edges")
+    if any(not 0 <= e < g.edge_count for e in ids):
+        raise ValueError("edge set names an unknown edge")
+    at: dict[int, list[int]] = {}
+    for e in ids:
+        for v in g.edges[e]:
+            at.setdefault(v, []).append(e)
+    if any(len(es) != 2 for es in at.values()) or len(at) != len(ids):
+        raise ValueError("edge set is not a single simple cycle")
+    start = min(ids)
+    seq = [start]
+    u, cur = g.edges[start]
+    while cur != u:
+        a, b = at[cur]
+        nxt = b if a == seq[-1] else a
+        seq.append(nxt)
+        cur = g.other_end(nxt, cur)
+    if len(seq) != len(ids):
+        raise ValueError("edge set is not a single simple cycle")
+    return _canonical(tuple(seq))
 
 
 def _canonical(ids: tuple[int, ...]) -> tuple[int, ...]:
@@ -148,9 +136,10 @@ def min_cycle_through_edge(
     w,
     e: int,
     forbidden: Iterable[int] = (),
-) -> tuple[Circuit, Fraction] | None:
+) -> tuple[tuple[int, ...], Fraction] | None:
     """Cheapest simple cycle containing edge e and avoiding the forbidden
-    edges, or None if e's endpoints are disconnected without them."""
+    edges, as (canonical edge id tuple, weight), or None if e's
+    endpoints are disconnected without them."""
     banned = frozenset(forbidden)
     if e in banned:
         raise ValueError("the required edge cannot be forbidden")
@@ -161,11 +150,12 @@ def min_cycle_through_edge(
     if sp is None:
         return None
     dist, path = sp
-    return Circuit.from_edge_set(g, (e,) + path), Fraction(dist + nums[e], denom)
+    return canonical_circuit(g, (e,) + path), Fraction(dist + nums[e], denom)
 
 
-def min_nonfacial_circuit(g: PolyhedralGraph, w) -> tuple[Circuit, Fraction]:
-    """Globally cheapest simple circuit that does not bound a face.
+def min_nonfacial_circuit(g: PolyhedralGraph, w) -> tuple[tuple[int, ...], Fraction]:
+    """Globally cheapest simple circuit that does not bound a face, as
+    (canonical edge id tuple, weight).
 
     Looks for each circuit only from its least edge e, over the edges
     above e; see the module docstring for why this finds the least
@@ -202,12 +192,13 @@ def min_nonfacial_circuit(g: PolyhedralGraph, w) -> tuple[Circuit, Fraction]:
     if best is None:
         raise InternalError("polyhedral graph has no non-facial circuit")
     weight, ids = best
-    return Circuit.from_edge_set(g, ids), Fraction(weight, denom)
+    return canonical_circuit(g, ids), Fraction(weight, denom)
 
 
 @lru_cache(maxsize=64)
-def all_nonfacial_circuits(g: PolyhedralGraph) -> tuple[Circuit, ...]:
-    """Every simple circuit of g that is not a face boundary.
+def all_nonfacial_circuits(g: PolyhedralGraph) -> tuple[tuple[int, ...], ...]:
+    """Every simple circuit of g that is not a face boundary, as its
+    canonical edge id tuple.
 
     Exhaustive enumeration; exponential in general, cached per graph.
     Sorted by (length, canonical edge sequence).
@@ -228,28 +219,22 @@ def all_nonfacial_circuits(g: PolyhedralGraph) -> tuple[Circuit, ...]:
         )
         if frozenset(ids) in face_sets:
             continue
-        out.append(Circuit(_canonical(ids)))
-    out.sort(key=lambda c: (len(c.edge_ids), c.edge_ids))
+        out.append(_canonical(ids))
+    out.sort(key=lambda c: (len(c), c))
     return tuple(out)
 
 
-def brute_force_min_nonfacial(g: PolyhedralGraph, w) -> tuple[Circuit, Fraction]:
+def brute_force_min_nonfacial(g: PolyhedralGraph, w) -> tuple[tuple[int, ...], Fraction]:
     """Reference oracle: the least (weight, canonical edge sequence)
     circuit over the exhaustive non-facial circuit list, the same one
     :func:`min_nonfacial_circuit` returns.  Accepts negative weights."""
     _check_weights(g, w, nonnegative=False)
-    circuits = all_nonfacial_circuits(g)
     nums, denom = _scaled(w)
-    best_sum = None
-    best = None
-    for c in circuits:
-        s = sum(nums[e] for e in c.edge_ids)
-        if best_sum is None or s < best_sum or (s == best_sum and c.edge_ids < best.edge_ids):
-            best_sum = s
-            best = c
-    if best is None:
+    keys = [(sum(nums[e] for e in c), c) for c in all_nonfacial_circuits(g)]
+    if not keys:
         raise InternalError("polyhedral graph has no non-facial circuit")
-    return best, Fraction(best_sum, denom)
+    weight, best = min(keys)
+    return best, Fraction(weight, denom)
 
 
 def weighting_problems(g: PolyhedralGraph, w, margin: Fraction) -> list[str]:
@@ -280,7 +265,7 @@ def weighting_problems(g: PolyhedralGraph, w, margin: Fraction) -> list[str]:
         return problems
     circuit, weight = min_nonfacial_circuit(g, w)
     if weight <= 1:
-        problems.append(f"circuit {circuit.edge_ids} weighs {weight} <= 1")
+        problems.append(f"circuit {circuit} weighs {weight} <= 1")
     if not problems:
         slack = min(Fraction(min(nums), d), Fraction(d - 2 * max(nums), 2 * d), weight - 1)
         if slack != margin:

@@ -3,7 +3,6 @@ import inscribe
 # a new public name must change this list
 PUBLIC = [
     "Certificate",
-    "Circuit",
     "ConstraintSystem",
     "DualPair",
     "EmbeddingError",

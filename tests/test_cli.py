@@ -338,7 +338,13 @@ def _kleetope_dual():
 def _nonfacial_cut():
     d = _kleetope_dual()
     circuit, _ = min_nonfacial_circuit(d, (1,) * d.edge_count)
-    return list(circuit.edge_ids)
+    return list(circuit)
+
+
+def _two_triangles_cut():
+    # two vertex-disjoint faces: every vertex meets two of the edges
+    faces = {frozenset(f.vertices): f.edge_ids for f in trace_faces(_kleetope_dual())}
+    return sorted(faces[frozenset({0, 5, 6})] | faces[frozenset({1, 2, 9})])
 
 
 class TestMalformedCertificates:
@@ -541,7 +547,8 @@ class TestMalformedCertificates:
         (lambda: [[0, 1, 999]], "unknown edge"),
         (lambda: [_nonfacial_cut()] * 2, "already present"),
         (lambda: [sorted(trace_faces(_kleetope_dual())[0].edge_ids)], "bounds a face"),
-    ], ids=["not-a-cycle", "unknown-edge", "duplicate", "face-boundary"])
+        (lambda: [_two_triangles_cut()], "not a single simple cycle"),
+    ], ids=["not-a-cycle", "unknown-edge", "duplicate", "face-boundary", "two-cycles"])
     def test_cut_that_does_not_rebuild_fails(
         self, capsys, kleetope_file, no_cert, tmp_path, cuts, reason
     ):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from helpers import corpus, delete_edge, random_stacked_variant
 
 import inscribe.graph as graph_module
 from inscribe import (
+    DualPair,
     EmbeddingError,
     EulerError,
     FormatError,
@@ -267,10 +269,10 @@ class TestDual:
     def test_tetrahedron_self_dual(self):
         import networkx as nx
 
-        pair = dual(generate("tetrahedron"))
+        g = generate("tetrahedron")
         assert nx.is_isomorphic(
-            nx.Graph(list(pair.dual.edges)),
-            nx.Graph(list(pair.primal.edges)),
+            nx.Graph(list(dual(g).dual.edges)),
+            nx.Graph(list(g.edges)),
         )
 
     def test_bijection_is_consistent(self):
@@ -295,7 +297,12 @@ class TestDual:
 
     def test_dual_is_kept_on_the_graph(self):
         g = generate("cube")
+        assert dual(g) is dual(g)
         assert dual(g).dual is dual(g).dual
+
+    def test_dual_pair_is_the_dual_and_the_bijection(self):
+        # no field holds the primal graph, which keeps the pair
+        assert [f.name for f in dataclasses.fields(DualPair)] == ["dual", "primal_to_dual"]
 
     def test_matches_the_dual_built_from_neighbor_rotations(self):
         rng = random.Random(2026)

@@ -11,7 +11,6 @@ from helpers import CORPUS_SPECS
 
 import inscribe.lp as lp_module
 from inscribe import (
-    Circuit,
     ConstraintSystem,
     InternalError,
     MarginSolution,
@@ -27,6 +26,7 @@ from inscribe import (
     trace_faces,
 )
 from inscribe.lp import multiplier_problems, point_problem
+from inscribe.separation import canonical_circuit
 
 F = Fraction
 
@@ -96,11 +96,11 @@ class TestAddCircuit:
         s2 = add_circuit_constraint(s, c)
         row = s2.rows[-1]
         assert row.kind == "circuit"
-        assert row.ref == c.edge_ids
+        assert row.ref == c
         assert relation(row) == ">="
         assert is_integer_row(row)
         assert row.rhs == 8
-        assert row.terms == tuple((e, 1) for e in c.edge_ids) + ((s2.margin_index, 3),)
+        assert row.terms == tuple((e, 1) for e in c) + ((s2.margin_index, 3),)
         assert s2.rows[:-1] == s.rows
         # the original system is unchanged
         assert "circuit" not in row_counts(s)
@@ -116,8 +116,8 @@ class TestAddCircuit:
     def test_facial_circuit_rejected(self):
         g = generate("octahedron")
         s = new_system(g)
-        facial = Circuit.from_edge_set(g, trace_faces(g)[0].edge_ids)
-        with pytest.raises(ValueError):
+        facial = canonical_circuit(g, trace_faces(g)[0].edge_ids)
+        with pytest.raises(ValueError, match="bounds a face"):
             add_circuit_constraint(s, facial)
 
 

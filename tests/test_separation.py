@@ -1,11 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from helpers import small_corpus
 
 import inscribe.separation as separation_module
 from inscribe import (
-    Circuit,
     PolyhedralGraph,
     all_nonfacial_circuits,
     brute_force_min_nonfacial,
@@ -15,7 +16,7 @@ from inscribe import (
     stack_on_faces,
     trace_faces,
 )
-from inscribe.separation import _canonical, weighting_problems
+from inscribe.separation import canonical_circuit, weighting_problems
 
 THIRD = Fraction(1, 3)
 
@@ -24,25 +25,50 @@ def uniform(g, value=THIRD):
     return (Fraction(value),) * g.edge_count
 
 
-class TestCircuit:
+class TestCanonicalCircuit:
     def test_canonical_form_rotation_and_reflection(self):
+        # rotating or reversing the input order, or repeating an edge,
+        # gives the same tuple
         g = generate("cube")
         c = all_nonfacial_circuits(g)[0]
-        ids = c.edge_ids
-        rotated = ids[2:] + ids[:2]
-        reflected = tuple(reversed(ids))
-        assert _canonical(rotated) == ids
-        assert _canonical(reflected) == ids
+        for ids in (c, c[2:] + c[:2], tuple(reversed(c)), c + c[:2]):
+            assert canonical_circuit(g, ids) == c
 
-    def test_from_edge_set_matches_cycle_order(self):
+    def test_edge_set_matches_cycle_order(self):
         g = generate("octahedron")
         for c in all_nonfacial_circuits(g)[:10]:
-            assert Circuit.from_edge_set(g, set(c.edge_ids)) == c
+            assert canonical_circuit(g, set(c)) == c
 
-    def test_rejects_non_cycles(self):
+    @pytest.mark.parametrize("cut,message", [
+        (lambda g: [0, 1, 0, 1], "at least 3 distinct edges"),
+        (lambda g: [0, 1, g.edge_count], "names an unknown edge"),
+        (lambda g: [e for e, _ in trace_faces(g)[0].boundary][:-1],
+         "not a single simple cycle"),
+        (lambda g: _two_disjoint_faces(g), "not a single simple cycle"),
+    ], ids=["two-edges", "unknown-edge", "path", "two-cycles"])
+    def test_rejects_non_cycles(self, cut, message):
         g = generate("cube")
-        with pytest.raises(ValueError):
-            Circuit.from_edge_set(g, {0, 1, 2})  # path, not a cycle
+        with pytest.raises(ValueError, match=message):
+            canonical_circuit(g, cut(g))
+
+    def test_oracle_circuits_are_canonical(self):
+        for name, g in small_corpus().items():
+            for c in all_nonfacial_circuits(g):
+                assert canonical_circuit(g, c) == c, name
+            for oracle in (min_nonfacial_circuit, brute_force_min_nonfacial):
+                c, _ = oracle(g, uniform(g))
+                assert canonical_circuit(g, c) == c, name
+
+
+def _two_disjoint_faces(g):
+    """The edges of two vertex-disjoint faces: two cycles, every vertex
+    of degree 2."""
+    faces = trace_faces(g)
+    f1, f2 = next(
+        (a, b) for a, b in itertools.combinations(faces, 2)
+        if not set(a.vertices) & set(b.vertices)
+    )
+    return sorted(f1.edge_ids | f2.edge_ids)
 
 
 class TestMinCycleThroughEdge:
@@ -61,13 +87,13 @@ class TestMinCycleThroughEdge:
         # independent derivation: scan every cycle of K4 through e that
         # avoids the forbidden edges
         best = min(
-            c.weight(w)
+            sum(w[x] for x in c)
             for c in _all_cycles(g)
-            if e in c.edge_ids and not forbidden & set(c.edge_ids)
+            if e in c and not forbidden & set(c)
         )
         assert weight == best == Fraction(4, 3)
         expected = {e, g.edge_id(0, 3), g.edge_id(3, 2), g.edge_id(2, 1)}
-        assert set(circuit.edge_ids) == expected
+        assert set(circuit) == expected
 
     def test_isolated_endpoint_returns_none(self):
         g = generate("tetrahedron")
@@ -89,7 +115,7 @@ class TestMinCycleThroughEdge:
 
 def _all_cycles(g):
     """All simple cycles: every face boundary plus every non-facial circuit."""
-    facial = [Circuit.from_edge_set(g, f.edge_ids) for f in trace_faces(g)]
+    facial = [canonical_circuit(g, f.edge_ids) for f in trace_faces(g)]
     return facial + list(all_nonfacial_circuits(g))
 
 
@@ -123,8 +149,8 @@ class TestMinNonfacialCircuit:
             Fraction(i % 7 + 1, 11) for i in range(g.edge_count)
         )
         circuit, weight = min_nonfacial_circuit(g, w)
-        assert frozenset(circuit.edge_ids) not in {f.edge_ids for f in trace_faces(g)}
-        assert circuit.weight(w) == weight
+        assert frozenset(circuit) not in {f.edge_ids for f in trace_faces(g)}
+        assert sum(w[e] for e in circuit) == weight
 
     def test_zero_weights_give_zero(self):
         g = generate("cube")
