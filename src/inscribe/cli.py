@@ -66,7 +66,8 @@ def _cmd_validate(args) -> int:
         }, indent=2))
     else:
         print(f"planar_spherical: {str(report.planar_spherical).lower()}")
-        print(f"three_connected: {str(report.three_connected).lower()}")
+        three = report.three_connected
+        print(f"three_connected: {'not checked' if three is None else str(three).lower()}")
     return EXIT_OK
 
 
@@ -78,7 +79,7 @@ def _cmd_faces(args) -> int:
             {
                 "id": f.id,
                 "vertices": list(f.vertices),
-                "edges": [e for e, _ in f.boundary],
+                "edges": list(f.boundary),
             }
             for f in faces
         ], indent=2))
@@ -86,7 +87,7 @@ def _cmd_faces(args) -> int:
         print(f"faces: {len(faces)}")
         for f in faces:
             verts = " ".join(str(v) for v in f.vertices)
-            edges = " ".join(str(e) for e, _ in f.boundary)
+            edges = " ".join(str(e) for e in f.boundary)
             print(f"{f.id}: vertices {verts}; edges {edges}")
     return EXIT_OK
 

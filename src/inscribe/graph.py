@@ -9,6 +9,7 @@ exactly when Euler's formula V - E + F = 2 holds for the traced faces.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -121,20 +122,12 @@ class PolyhedralGraph:
         return len(self.rotation[v])
 
     @cached_property
-    def _spherical(self) -> bool:
-        # V - E + F = 2 puts a connected graph on the sphere only
-        return euler_characteristic(self) == 2 and is_k_vertex_connected(self, 1)
-
-    @cached_property
     def _steinitz_report(self) -> SteinitzReport:
-        planar = self._spherical
-        if self.vertex_count < 4:
-            three = False
-        elif planar:
-            three = _faces_meet_properly(self)
-        else:
-            three = is_k_vertex_connected(self, 3)
-        return SteinitzReport(planar_spherical=planar, three_connected=three)
+        # V - E + F = 2 puts a connected graph on the sphere only
+        if euler_characteristic(self) != 2 or not is_k_vertex_connected(self, 1):
+            return SteinitzReport(planar_spherical=False, three_connected=None)
+        three = self.vertex_count >= 4 and _faces_meet_properly(self)
+        return SteinitzReport(planar_spherical=True, three_connected=three)
 
     @cached_property
     def _dual(self) -> DualPair:
@@ -145,7 +138,7 @@ class PolyhedralGraph:
         rotation: list[tuple[int, ...]] = []
         for face in trace_faces(self):
             row = []
-            for e, _ in face.boundary:
+            for e in face.boundary:
                 if primal_to_dual[e] < 0:
                     primal_to_dual[e] = len(edges)
                     f1, f2 = incident[e]
@@ -155,7 +148,6 @@ class PolyhedralGraph:
         d = PolyhedralGraph(len(rotation), tuple(edges), tuple(rotation))
         # Whitney: the dual of a 3-connected plane graph is 3-connected,
         # and V - E + F is the same for both graphs.
-        vars(d)["_spherical"] = True
         vars(d)["_steinitz_report"] = SteinitzReport(True, True)
         return DualPair(d, tuple(primal_to_dual))
 
@@ -165,20 +157,18 @@ class PolyhedralGraph:
 
 @dataclass(frozen=True)
 class Face:
-    """One face of the embedding: a closed walk of directed edges.
-
-    ``boundary[i]`` is ``(edge id, forward)`` where forward means the edge
-    is traversed from its stored first endpoint to its second;
-    ``vertices[i]`` is the tail vertex of that dart.
+    """One face of the embedding, a closed walk: ``boundary[i]`` is the id
+    of the edge that leads from ``vertices[i]`` to the next vertex,
+    cyclically, so each step's direction is read off ``vertices``.
     """
 
     id: int
-    boundary: tuple[tuple[int, bool], ...]
+    boundary: tuple[int, ...]
     vertices: tuple[int, ...]
 
     @cached_property
     def edge_ids(self) -> frozenset[int]:
-        return frozenset(e for e, _ in self.boundary)
+        return frozenset(self.boundary)
 
     @property
     def degree(self) -> int:
@@ -198,7 +188,7 @@ def trace_faces(g: PolyhedralGraph) -> tuple[Face, ...]:
     for start in range(2 * g.edge_count):
         if visited[start]:
             continue
-        boundary: list[tuple[int, bool]] = []
+        boundary: list[int] = []
         tails: list[int] = []
         d = start
         while True:
@@ -208,7 +198,7 @@ def trace_faces(g: PolyhedralGraph) -> tuple[Face, ...]:
             e, back = divmod(d, 2)
             u, v = g.edges[e]
             tail, head = (v, u) if back else (u, v)
-            boundary.append((e, not back))
+            boundary.append(e)
             tails.append(tail)
             rot = g.rotation[head]
             e2 = rot[(pos[head][e] + 1) % len(rot)]
@@ -224,7 +214,7 @@ def edge_faces(g: PolyhedralGraph) -> tuple[tuple[int, int], ...]:
     """For each edge, the ids of its two incident faces (traversal order)."""
     found: list[list[int]] = [[] for _ in range(g.edge_count)]
     for face in trace_faces(g):
-        for e, _ in face.boundary:
+        for e in face.boundary:
             found[e].append(face.id)
     out = []
     for e, pair in enumerate(found):
@@ -240,10 +230,12 @@ def euler_characteristic(g: PolyhedralGraph) -> int:
 
 @dataclass(frozen=True)
 class SteinitzReport:
-    """Outcome of the polyhedral-graph validation."""
+    """Outcome of the polyhedral-graph validation.  ``three_connected``
+    is None, not checked, exactly when ``planar_spherical`` is false:
+    off the sphere a graph is not polyhedral whatever its connectivity."""
 
     planar_spherical: bool
-    three_connected: bool
+    three_connected: bool | None
 
     @property
     def is_polyhedral(self) -> bool:
@@ -254,13 +246,12 @@ def validate_steinitz(g: PolyhedralGraph) -> SteinitzReport:
     """Check the two polyhedral-graph conditions.
 
     ``planar_spherical`` holds iff the graph is connected and the traced
-    faces satisfy Euler's formula (genus-0 embedding); ``three_connected``
-    iff the graph has at least 4 vertices and no vertex cut of size at
-    most 2.  On a spherical embedding that is decided by the faces
-    (:func:`_faces_meet_properly`), in one pass over the vertex-face
-    incidences; only a graph that is not spherical goes through the
-    exhaustive :func:`is_k_vertex_connected`.  The report is computed
-    once per graph object and kept on it.
+    faces satisfy Euler's formula (genus-0 embedding).  Only then is
+    ``three_connected`` decided: it holds iff the graph has at least 4
+    vertices and no vertex cut of size at most 2, which on the sphere
+    the faces show (:func:`_faces_meet_properly`) in one pass over the
+    vertex-face incidences.  Off the sphere it is None, not checked.
+    The report is computed once per graph object and kept on it.
     """
     return g._steinitz_report
 
@@ -294,12 +285,12 @@ def _faces_meet_properly(g: PolyhedralGraph) -> bool:
 
 def require_polyhedral(g: PolyhedralGraph) -> None:
     """Raise :class:`EulerError` if g's embedding is not spherical, or
-    :class:`NotThreeConnectedError` if g is not 3-connected.  Sphericity
-    is checked first, so a graph that fails it is not also put through
-    the exhaustive 3-connectivity check."""
-    if not g._spherical:
+    :class:`NotThreeConnectedError` if g is not 3-connected, as
+    :func:`validate_steinitz` reports them."""
+    report = validate_steinitz(g)
+    if not report.planar_spherical:
         raise EulerError("embedding fails Euler's formula (not spherical)")
-    if not validate_steinitz(g).three_connected:
+    if not report.three_connected:
         raise NotThreeConnectedError("graph is not 3-connected")
 
 
@@ -307,9 +298,11 @@ def is_k_vertex_connected(g: PolyhedralGraph, k: int) -> bool:
     """True iff removing any k-1 vertices leaves the graph connected.
 
     Exhaustive over all (k-1)-subsets; intended for desk-scale graphs.
-    With k = 1 it is one search.  It is the reference that the face test
-    of :func:`validate_steinitz` is checked against, and decides
-    3-connectivity there only on an embedding that is not spherical.
+    With k = 1 it is one search, and that is the only way the package
+    runs it: :func:`validate_steinitz` needs the graph connected before
+    Euler's formula shows it spherical.  Any k serves the tests as the
+    reference for the face test.  It stays here, not among the test
+    references, while the benchmark traces it by this module path.
     """
     if not 1 <= k <= g.vertex_count - 1:
         raise ValueError(f"k must be in [1, V-1], got {k}")
@@ -392,9 +385,8 @@ def parse_graph(text: str) -> PolyhedralGraph:
     head = lines[1][1].split()
     if len(head) != 2 or head[0] != "vertices":
         raise FormatError(f"line {lines[1][0]}: expected 'vertices N'")
-    try:
-        n = int(head[1])
-    except ValueError:
+    n = _int(head[1])
+    if n is None:
         raise FormatError(f"line {lines[1][0]}: vertex count is not an integer")
     if n < 1:
         raise FormatError(f"line {lines[1][0]}: vertex count must be positive")
@@ -404,16 +396,15 @@ def parse_graph(text: str) -> PolyhedralGraph:
             raise FormatError(f"line {lineno}: expected 'v <i>: ...'")
         head_part, _, tail = line.partition(":")
         parts = head_part.split()
-        if len(parts) != 2 or parts[0] != "v" or not _is_int(parts[1]):
+        i = _int(parts[1]) if len(parts) == 2 and parts[0] == "v" else None
+        if i is None:
             raise FormatError(f"line {lineno}: expected 'v <i>: ...'")
-        i = int(parts[1])
         if not 0 <= i < n:
             raise FormatError(f"line {lineno}: vertex {i} out of range")
         if i in rows:
             raise FormatError(f"line {lineno}: vertex {i} listed twice")
-        try:
-            rows[i] = [int(tok) for tok in tail.split()]
-        except ValueError:
+        rows[i] = [_int(tok) for tok in tail.split()]
+        if None in rows[i]:
             raise FormatError(f"line {lineno}: neighbor list is not integers")
     if len(rows) < n:
         # rows holds distinct vertices below n, so one of 0..len(rows) is missing
@@ -431,9 +422,10 @@ def format_graph(g: PolyhedralGraph) -> str:
     return "\n".join(out) + "\n"
 
 
-def _is_int(tok: str) -> bool:
+def _int(tok: str) -> int | None:
+    """tok as an integer if it is written as format_graph writes one,
+    in ASCII digits after an optional minus sign; else None."""
     try:
-        int(tok)
-        return True
-    except ValueError:
-        return False
+        return int(tok) if re.fullmatch("-?[0-9]+", tok) else None
+    except ValueError:  # more digits than int() converts
+        return None

@@ -169,7 +169,11 @@ def _check_structure(name, g):
     assert report.planar_spherical, name
     assert report.three_connected, name
     faces = trace_faces(g)
-    darts = [(e, fwd) for f in faces for e, fwd in f.boundary]
+    darts = [
+        (tail, head)
+        for f in faces
+        for tail, head in zip(f.vertices, f.vertices[1:] + f.vertices[:1])
+    ]
     assert len(darts) == 2 * g.edge_count and len(set(darts)) == 2 * g.edge_count, name
     _check_double_dual(name, g)
     if g.vertex_count <= 14:

@@ -88,15 +88,21 @@ class TestValidate:
         assert code == 0
         assert "three_connected: false" in out
 
-    def test_k5_is_not_spherical_but_three_connected(self, capsys):
+    def test_k5_is_not_spherical_and_not_checked(self, capsys):
+        # 3-connected, but off the sphere 3-connectivity is not decided
         code, out, _ = run_cli(capsys, ["validate", "-"], stdin=K5)
         assert code == 0
-        assert out == "planar_spherical: false\nthree_connected: true\n"
+        assert out == "planar_spherical: false\nthree_connected: not checked\n"
+
+    def test_k5_json_reports_null(self, capsys):
+        code, out, _ = run_cli(capsys, ["validate", "-", "--format", "json"], stdin=K5)
+        assert code == 0
+        assert json.loads(out) == {"planar_spherical": False, "three_connected": None}
 
     def test_disconnected_graph_is_not_spherical(self, capsys):
         code, out, _ = run_cli(capsys, ["validate", "-"], stdin=K4_AND_K7)
         assert code == 0
-        assert out == "planar_spherical: false\nthree_connected: false\n"
+        assert out == "planar_spherical: false\nthree_connected: not checked\n"
 
     def test_malformed_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.pg"

@@ -62,6 +62,17 @@ def k5() -> PolyhedralGraph:
     )
 
 
+def swapped_prism(n: int) -> PolyhedralGraph:
+    """prism n, parsed after two neighbours of vertex 0 are swapped in
+    its file: 3-connected, but the rotation is not spherical."""
+    lines = format_graph(generate("prism", n)).splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("v 0:"))
+    words = lines[i].split()
+    words[2], words[3] = words[3], words[2]
+    lines[i] = " ".join(words)
+    return parse_graph("\n".join(lines) + "\n")
+
+
 class TestParse:
     def test_tetrahedron_file(self):
         g = parse_graph(TETRAHEDRON_FILE)
@@ -98,10 +109,46 @@ class TestParse:
         with pytest.raises(FormatError):
             parse_graph("polygraph 1\nvertices 3\nv 0: 1\nv 1: 0\n")
 
+    @pytest.mark.parametrize("position", ["count", "index", "neighbor"])
+    @pytest.mark.parametrize("token", ["+1", "1_0", "\u0662"])
+    def test_numbers_are_ascii_digits(self, position, token):
+        # int() reads the tokens as 1, 10 and 2; format_graph never
+        # writes them so
+        value = int(token)
+        n = value if position == "count" else 11
+        index = [str(i) for i in range(n)]
+        nbrs = [[str(j) for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
+        if position == "index":
+            index[value] = token
+        elif position == "neighbor":
+            nbrs[value - 1][-1] = token
+        text = f"polygraph 1\nvertices {token if position == 'count' else n}\n" + "".join(
+            f"v {index[i]}: {' '.join(nbrs[i])}\n" for i in range(n)
+        )
+        # a path on n vertices once the token is written as format_graph does
+        assert parse_graph(text.replace(token, str(value))).edge_count == n - 1
+        with pytest.raises(FormatError):
+            parse_graph(text)
+
+    @pytest.mark.parametrize("text,error,message", [
+        ("vertices -3\nv 0:\n", FormatError, "^line 2: vertex count must be positive$"),
+        ("vertices 2\nv -1: 1\nv 1: 0\n", FormatError, "^line 3: vertex -1 out of range$"),
+        ("vertices 2\nv 0: -1\nv 1: 0\n", EmbeddingError, "^vertex 0 lists neighbor -1 out of range$"),
+    ], ids=["count", "index", "neighbor"])
+    def test_negative_numbers(self, text, error, message):
+        with pytest.raises(error, match=message):
+            parse_graph("polygraph 1\n" + text)
+
     def test_huge_declared_vertex_count(self):
         # the search for the first missing line stops after the lines given
         text = "polygraph 1\nvertices 99999999999999999999\nv 0: 1 2\n"
         with pytest.raises(FormatError, match="^no neighbor line for vertex 1$"):
+            parse_graph(text)
+
+    def test_more_digits_than_int_converts(self):
+        # int() refuses digit strings past sys.get_int_max_str_digits()
+        text = f"polygraph 1\nvertices {'9' * 5000}\nv 0: 1\n"
+        with pytest.raises(FormatError):
             parse_graph(text)
 
     # parsing checks the format and the embedding; require_polyhedral
@@ -112,14 +159,9 @@ class TestParse:
             require_polyhedral(parse_graph(format_graph(k5())))
 
     def test_nonspherical_is_rejected_before_three_connectivity(self, monkeypatch):
-        # two neighbours of vertex 0 swapped: the faces no longer fit the
-        # sphere, and the exhaustive k = 3 check is never reached
-        lines = format_graph(generate("prism", 80)).splitlines()
-        i = next(i for i, line in enumerate(lines) if line.startswith("v 0:"))
-        words = lines[i].split()
-        words[2], words[3] = words[3], words[2]
-        lines[i] = " ".join(words)
-        g = parse_graph("\n".join(lines) + "\n")
+        # the faces no longer fit the sphere, and the exhaustive k = 3
+        # check is never reached
+        g = swapped_prism(80)
         calls = []
         connected = graph_module.is_k_vertex_connected
 
@@ -165,9 +207,12 @@ class TestTraceFaces:
     def test_dart_partition(self):
         for fam, n in [("cube", None), ("wheel", 7), ("kleetope(tetrahedron)", None)]:
             g = generate(fam, n)
-            darts = [
-                (e, fwd) for face in trace_faces(g) for e, fwd in face.boundary
-            ]
+            darts = []
+            for face in trace_faces(g):
+                heads = face.vertices[1:] + face.vertices[:1]
+                for e, tail, head in zip(face.boundary, face.vertices, heads):
+                    assert set(g.edges[e]) == {tail, head}
+                    darts.append((tail, head))
             assert len(darts) == 2 * g.edge_count
             assert len(set(darts)) == 2 * g.edge_count
 
@@ -207,9 +252,24 @@ class TestValidate:
         report = validate_steinitz(k5())
         assert not report.planar_spherical
 
-    def test_k5_off_the_sphere_is_three_connected(self):
-        # not spherical, so the exhaustive check decides, as before
-        assert validate_steinitz(k5()).three_connected is True
+    def test_k5_off_the_sphere_is_not_checked(self):
+        # not spherical, so not polyhedral whatever its connectivity
+        assert validate_steinitz(k5()).three_connected is None
+
+    def test_off_the_sphere_runs_only_the_connectivity_search(self, monkeypatch):
+        # K5 and prism 40 are 3-connected, and neither embedding is
+        # spherical: no search beyond the k = 1 one behind sphericity runs
+        calls = []
+        connected = graph_module.is_k_vertex_connected
+
+        def recording(g, k):
+            calls.append(k)
+            return connected(g, k)
+
+        monkeypatch.setattr(graph_module, "is_k_vertex_connected", recording)
+        reports = [validate_steinitz(g) for g in (k5(), swapped_prism(40))]
+        assert set(calls) <= {1}
+        assert {(r.planar_spherical, r.three_connected) for r in reports} == {(False, None)}
 
     def test_face_test_matches_exhaustive_check(self):
         # stacked solids with 0-6 edges deleted, polyhedral or not; on
@@ -329,7 +389,7 @@ def reference_dual(g):
     neighbor_lists = []
     for face in trace_faces(g):
         row = []
-        for e, _ in face.boundary:
+        for e in face.boundary:
             f1, f2 = incident[e]
             row.append(f2 if f1 == face.id else f1)
         neighbor_lists.append(row)

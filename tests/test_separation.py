@@ -42,7 +42,7 @@ class TestCanonicalCircuit:
     @pytest.mark.parametrize("cut,message", [
         (lambda g: [0, 1, 0, 1], "at least 3 distinct edges"),
         (lambda g: [0, 1, g.edge_count], "names an unknown edge"),
-        (lambda g: [e for e, _ in trace_faces(g)[0].boundary][:-1],
+        (lambda g: list(trace_faces(g)[0].boundary[:-1]),
          "not a single simple cycle"),
         (lambda g: _two_disjoint_faces(g), "not a single simple cycle"),
     ], ids=["two-edges", "unknown-edge", "path", "two-cycles"])
