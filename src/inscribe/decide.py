@@ -86,7 +86,9 @@ def decide_circumscribable(g: PolyhedralGraph) -> Certificate:
 
     Maximizes the margin and, while it is positive, asks the separation
     oracle for the cheapest non-facial circuit; one that weighs less than
-    1 + t becomes a new row.  The loop ends by itself: maximize_margin
+    1 + t becomes a new row.  The oracle searches only up to 1 + t,
+    since a heavier circuit is never a row, and a search that finds
+    nothing there answers yes.  The loop ends by itself: maximize_margin
     re-checks every row exactly at the point it returns, so a circuit
     violated there is not yet a row, and add_circuit_constraint rejects
     repeats and faces besides.  Each round thus adds a distinct
@@ -113,10 +115,10 @@ def decide_circumscribable(g: PolyhedralGraph) -> Certificate:
                 cuts=tuple(cuts),
                 multipliers=y,
             )
-        circuit, weight = min_nonfacial_circuit(g, solution.weights)
-        if weight - solution.margin < 1:
-            system = add_circuit_constraint(system, circuit)
-            cuts.append(circuit)
+        found = min_nonfacial_circuit(g, solution.weights, 1 + solution.margin)
+        if found is not None and found[1] - solution.margin < 1:
+            system = add_circuit_constraint(system, found[0])
+            cuts.append(found[0])
             continue
         return Certificate(
             answer="yes",

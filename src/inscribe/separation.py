@@ -16,8 +16,19 @@ The search from the endpoint of e0 where the canonical form of C*
 starts, avoiding one edge of each face that C* misses, returns C*: any
 other path it could prefer closes a non-facial circuit of no greater
 weight whose canonical form is smaller.  Both ends of every edge are
-searched, and each search stops at the best weight found so far, since
-a heavier path is never chosen.
+searched.
+
+A caller may pass a ``limit``: only a circuit weighing at most it is
+wanted, and None stands for "none is that light".  The search keeps a
+cap, first the limit (or the sum of all weights), then each better
+circuit's weight, and prunes by three rules that keep it exact:
+
+- an edge above the cap is not searched from, since every circuit whose
+  least edge it is weighs at least as much;
+- when the u-v search for a set of avoided edges finds nothing, the v-u
+  search is skipped, since the graph is undirected;
+- a search stops at the cap less w(e), since a heavier path is never
+  chosen.
 
 :func:`brute_force_min_nonfacial` is the independent reference oracle: it
 enumerates every simple cycle of the graph outright.
@@ -100,7 +111,7 @@ def _shortest_path(
     source: int,
     target: int,
     banned: Container[int],
-    bound: int | None = None,
+    bound: int,
 ) -> tuple[int, tuple[int, ...]] | None:
     """Min-weight source-target path over ``adj`` avoiding banned edges.
 
@@ -108,14 +119,14 @@ def _shortest_path(
     may use.  Requires nonnegative integer weights.  Ties are broken by
     the lexicographic order of the path's edge id sequence, which makes
     the result unique.  Returns None if no path weighs at most ``bound``.
+    A label is never pushed above ``bound``, and its path tuple is built
+    only once its distance is no worse than the label it would replace.
     """
     best: dict[int, tuple[int, tuple[int, ...]]] = {}
     settled = set()
     heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), source)]
     while heap:
         dist, path, v = heapq.heappop(heap)
-        if bound is not None and dist > bound:
-            return None
         if v in settled:
             continue
         settled.add(v)
@@ -124,10 +135,14 @@ def _shortest_path(
         for e, u in adj[v]:
             if e in banned or u in settled:
                 continue
-            cand = (dist + nums[e], path + (e,))
-            if u not in best or cand < best[u]:
-                best[u] = cand
-                heapq.heappush(heap, (cand[0], cand[1], u))
+            d = dist + nums[e]
+            old = best.get(u)
+            if d > bound or old is not None and d > old[0]:
+                continue
+            p = path + (e,)
+            if old is None or (d, p) < old:
+                best[u] = (d, p)
+                heapq.heappush(heap, (d, p, u))
     return None
 
 
@@ -146,50 +161,64 @@ def min_cycle_through_edge(
     _check_weights(g, w, nonnegative=True)
     nums, denom = _scaled(w)
     adj = [[(x, g.other_end(x, v)) for x in rot] for v, rot in enumerate(g.rotation)]
-    sp = _shortest_path(adj, nums, *g.edges[e], banned | {e})
+    sp = _shortest_path(adj, nums, *g.edges[e], banned | {e}, sum(nums))
     if sp is None:
         return None
     dist, path = sp
     return canonical_circuit(g, (e,) + path), Fraction(dist + nums[e], denom)
 
 
-def min_nonfacial_circuit(g: PolyhedralGraph, w) -> tuple[tuple[int, ...], Fraction]:
+def min_nonfacial_circuit(
+    g: PolyhedralGraph, w, limit: Fraction | None = None
+) -> tuple[tuple[int, ...], Fraction] | None:
     """Globally cheapest simple circuit that does not bound a face, as
     (canonical edge id tuple, weight).
 
     Looks for each circuit only from its least edge e, over the edges
     above e; see the module docstring for why this finds the least
     (weight, canonical edge sequence) circuit, so the result is
-    deterministic.  Requires nonnegative weights.
+    deterministic.  Requires nonnegative weights.  With a ``limit``, the
+    search looks only at circuits weighing at most it, and returns None
+    when the least circuit weighs more; without one, a graph with no
+    non-facial circuit raises InternalError.
     """
     _check_weights(g, w, nonnegative=True)
     nums, denom = _scaled(w)
+    # no simple circuit weighs more than all the edges together
+    cap = sum(nums) if limit is None else math.floor(limit * denom)
     faces = trace_faces(g)
     incident = edge_faces(g)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
     best: tuple[int, tuple[int, ...]] | None = None
     for e in reversed(range(g.edge_count)):
         u, v = g.edges[e]
-        # a face with an edge below e is never the path; a face whose
-        # other edges all lie above e loses one of them in each search
-        avoid = [
-            faces[i].edge_ids - {e} for i in incident[e] if min(faces[i].edge_ids) == e
-        ]
-        for banned in itertools.product(*avoid):
-            for source, target in ((u, v), (v, u)):
-                bound = None if best is None else best[0] - nums[e]
-                sp = _shortest_path(adj, nums, source, target, banned, bound)
-                if sp is None:
-                    continue
-                # the key is the canonical form when read from the
-                # circuit's canonical start, and larger from its other end
-                dist, path = sp
-                key = (dist + nums[e], (e,) + path)
-                if best is None or key < best:
-                    best = key
+        # every circuit whose least edge is e weighs at least w(e)
+        if nums[e] <= cap:
+            # a face with an edge below e is never the path; a face whose
+            # other edges all lie above e loses one of them in each search
+            avoid = [
+                faces[i].edge_ids - {e}
+                for i in incident[e]
+                if min(faces[i].edge_ids) == e
+            ]
+            for banned in itertools.product(*avoid):
+                for source, target in ((u, v), (v, u)):
+                    sp = _shortest_path(adj, nums, source, target, banned, cap - nums[e])
+                    if sp is None:
+                        # the graph is undirected: the reverse fails too
+                        break
+                    # the key is the canonical form when read from the
+                    # circuit's canonical start, and larger from its other end
+                    dist, path = sp
+                    key = (dist + nums[e], (e,) + path)
+                    if best is None or key < best:
+                        best = key
+                        cap = key[0]
         adj[u].append((e, v))
         adj[v].append((e, u))
     if best is None:
+        if limit is not None:
+            return None
         raise InternalError("polyhedral graph has no non-facial circuit")
     weight, ids = best
     return canonical_circuit(g, ids), Fraction(weight, denom)
@@ -247,7 +276,9 @@ def weighting_problems(g: PolyhedralGraph, w, margin: Fraction) -> list[str]:
     decides.  A negative weight, already a bound violation, keeps the
     oracle from running.  Only a weighting that meets all three is held
     to its least slack, min(w, 1/2 - w, circuit - 1), which must equal
-    ``margin``.  The cost is at most one oracle call.
+    ``margin``.  The cost is at most one oracle call, limited to
+    1 + max(bound slack, 0) with bound slack = min(w, 1/2 - w): a
+    heavier circuit is above 1 and cannot lower the least slack.
     """
     _check_weights(g, w, nonnegative=False)
     # bounds and face sums on the numerators over one denominator d:
@@ -263,11 +294,15 @@ def weighting_problems(g: PolyhedralGraph, w, margin: Fraction) -> list[str]:
             problems.append(f"face {f.id} sums to {Fraction(total, d)}")
     if min(nums) < 0:
         return problems
-    circuit, weight = min_nonfacial_circuit(g, w)
-    if weight <= 1:
-        problems.append(f"circuit {circuit} weighs {weight} <= 1")
-    if not problems:
-        slack = min(Fraction(min(nums), d), Fraction(d - 2 * max(nums), 2 * d), weight - 1)
-        if slack != margin:
-            problems.append(f"recomputed slack {slack} differs from recorded margin {margin}")
+    bound_slack = min(Fraction(min(nums), d), Fraction(d - 2 * max(nums), 2 * d))
+    # a heavier circuit neither weighs <= 1 nor lowers the least slack
+    found = min_nonfacial_circuit(g, w, 1 + max(bound_slack, 0))
+    slack = bound_slack
+    if found is not None:
+        circuit, weight = found
+        if weight <= 1:
+            problems.append(f"circuit {circuit} weighs {weight} <= 1")
+        slack = min(slack, weight - 1)
+    if not problems and slack != margin:
+        problems.append(f"recomputed slack {slack} differs from recorded margin {margin}")
     return problems

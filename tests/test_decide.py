@@ -183,17 +183,26 @@ class TestNoAtFirstNonPositiveMargin:
         (decide_circumscribable, "bipyramid", 3),
     ])
     def test_separation_sees_only_positive_weights(self, monkeypatch, decide, family, n):
-        calls = []
+        calls, limits, margins = [], [], []
 
-        def checked(g, w):
+        def checked(g, w, limit):
             assert all(x > 0 for x in w)
             calls.append(w)
-            return min_nonfacial_circuit(g, w)
+            limits.append(limit)
+            return min_nonfacial_circuit(g, w, limit)
+
+        def solved(system):
+            solution = lp_module.maximize_margin(system)
+            margins.append(solution.margin)
+            return solution
 
         monkeypatch.setattr(decide_module, "min_nonfacial_circuit", checked)
+        monkeypatch.setattr(decide_module, "maximize_margin", solved)
         cert = decide(generate(family, n))
         # one oracle call per round, except in the last round of a no
         assert len(calls) == cert.iterations - (not cert.is_yes)
+        # each call looks only below 1 + t, t the margin of its round
+        assert limits == [1 + t for t in margins[:len(calls)]]
 
 
 class TestDecideInscribable:
@@ -457,15 +466,16 @@ class TestVerifyCertificate:
         assert cert.is_yes
         calls = []
 
-        def counted(g, w):
-            calls.append(w)
-            return min_nonfacial_circuit(g, w)
+        def counted(g, w, limit):
+            calls.append(limit)
+            return min_nonfacial_circuit(g, w, limit)
 
         for module in (separation_module, decide_module):
             monkeypatch.setattr(module, "min_nonfacial_circuit", counted)
         ok, problems = verify_certificate(cert, g)
         assert ok, problems
-        assert len(calls) == 1
+        # a genuine yes's margin is its bound slack, the limit verify uses
+        assert calls == [1 + cert.margin]
 
     def test_tampered_weights_fail(self):
         g = generate("tetrahedron")

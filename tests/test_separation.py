@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import small_corpus
+from helpers import circumscribable, corpus, inscribable, small_corpus
 
 import inscribe.separation as separation_module
 from inscribe import (
     PolyhedralGraph,
     all_nonfacial_circuits,
     brute_force_min_nonfacial,
+    dual,
     generate,
     min_cycle_through_edge,
     min_nonfacial_circuit,
@@ -173,6 +174,23 @@ class TestMinNonfacialCircuit:
         w = tuple(Fraction(i % 5, 7) for i in range(g.edge_count))
         assert min_nonfacial_circuit(g, w) == min_nonfacial_circuit(g, w)
 
+    def test_limit_matches_the_reference(self):
+        # the least circuit when it weighs at most the limit, else None;
+        # tied and zero weights included
+        rng = random.Random(20261020)
+        for name, g in small_corpus().items():
+            for _ in range(6):
+                w = tuple(
+                    Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 4]))
+                    for _ in range(g.edge_count)
+                )
+                least = brute_force_min_nonfacial(g, w)
+                weight = least[1]
+                assert min_nonfacial_circuit(g, w, None) == least, name
+                assert min_nonfacial_circuit(g, w, weight) == least, name
+                assert min_nonfacial_circuit(g, w, weight + 1) == least, name
+                assert min_nonfacial_circuit(g, w, weight - Fraction(1, 97)) is None, name
+
 
 class TestBruteForce:
     def test_matches_oracle_on_random_weightings(self):
@@ -326,3 +344,75 @@ class TestWeightingProblems:
             "face 0 sums to 5/12",
             "face 1 sums to 5/12",
         ]
+
+    @pytest.mark.parametrize("question", ["circumscribable", "inscribable"])
+    def test_corpus_yes_on_both_sides_of_its_margin(self, question):
+        # verify searches only up to 1 + the bound slack; it must report
+        # what the unbounded oracle reports, whatever margin is recorded
+        decide = circumscribable if question == "circumscribable" else inscribable
+        step = Fraction(1, 1000)
+        checked = 0
+        for name, g in corpus().items():
+            cert = decide(g)
+            if not cert.is_yes:
+                continue
+            tested = g if question == "circumscribable" else dual(g).dual
+            for margin in (cert.margin - step, cert.margin, cert.margin + step):
+                assert weighting_problems(tested, cert.weights, margin) == (
+                    _reference_problems(tested, cert.weights, margin)
+                ), name
+            checked += 1
+        assert checked
+
+    def test_weight_above_half_still_reports_circuits_up_to_1(self):
+        # one edge at 3/5 puts the bound slack at -1/10, yet the search
+        # must still reach the equator (0, 1, 9, 5), which weighs 1
+        g = generate("octahedron")
+        w = (Fraction(1, 4),) * (g.edge_count - 1) + (Fraction(3, 5),)
+        problems = weighting_problems(g, w, Fraction(1, 6))
+        assert problems == _reference_problems(g, w, Fraction(1, 6))
+        assert problems[0] == f"bound violations on edges ({g.edge_count - 1},)"
+        assert problems[-1] == "circuit (0, 1, 9, 5) weighs 1 <= 1"
+
+    def test_least_circuit_sets_the_slack(self):
+        # octahedron: the equator between two opposite poles at 27/100,
+        # the other edges at 73/200, so every face sums to 1 and the
+        # bound slack is 27/200, while the equator weighs 27/25 and sets
+        # the least slack at 2/25
+        g = generate("octahedron")
+        poles = set(range(g.vertex_count)) - {g.other_end(e, 0) for e in g.rotation[0]}
+        equator = [e for e, ends in enumerate(g.edges) if not poles & set(ends)]
+        w = tuple(
+            Fraction(27, 100) if e in equator else Fraction(73, 200)
+            for e in range(g.edge_count)
+        )
+        assert min_nonfacial_circuit(g, w) == (
+            canonical_circuit(g, equator), Fraction(27, 25)
+        )
+        for margin in (Fraction(2, 25), Fraction(27, 200)):
+            assert weighting_problems(g, w, margin) == _reference_problems(g, w, margin)
+        assert weighting_problems(g, w, Fraction(2, 25)) == []
+        assert weighting_problems(g, w, Fraction(27, 200)) == [
+            "recomputed slack 2/25 differs from recorded margin 27/200",
+        ]
+
+
+def _reference_problems(g, w, margin):
+    """weighting_problems stated on Fractions, with the unbounded oracle."""
+    problems = []
+    bounds = tuple(e for e, x in enumerate(w) if not 0 < x < Fraction(1, 2))
+    if bounds:
+        problems.append(f"bound violations on edges {bounds}")
+    for f in trace_faces(g):
+        total = sum(w[e] for e in f.edge_ids)
+        if total != 1:
+            problems.append(f"face {f.id} sums to {total}")
+    if min(w) < 0:
+        return problems
+    circuit, weight = min_nonfacial_circuit(g, w)
+    if weight <= 1:
+        problems.append(f"circuit {circuit} weighs {weight} <= 1")
+    slack = min(min(w), Fraction(1, 2) - max(w), weight - 1)
+    if not problems and slack != margin:
+        problems.append(f"recomputed slack {slack} differs from recorded margin {margin}")
+    return problems
