@@ -5,96 +5,80 @@ the graph (or its planar dual) with exact rational arithmetic: weights in
 the open interval (0, 1/2), unit face sums, and every non-facial circuit
 strictly heavier than 1.  Feasibility is certified by a positive margin;
 cut generation keeps the circuit family implicit.
+
+Importing the package loads none of its modules: each public name is
+loaded from its module the first time it is asked for (PEP 562), so a
+command that never decides never compiles the LP or the oracle.
 """
 
-from .decide import (
-    Certificate,
-    certificate_from_json,
-    certificate_to_json,
-    decide_circumscribable,
-    decide_inscribable,
-    dihedral_angles,
-    verify_certificate,
-)
-from .errors import (
-    EmbeddingError,
-    EulerError,
-    FormatError,
-    GraphError,
-    InternalError,
-    NotThreeConnectedError,
-)
-from .generators import generate, kleetope, stack_on_faces
-from .graph import (
-    DualPair,
-    Face,
-    PolyhedralGraph,
-    SteinitzReport,
-    dual,
-    edge_faces,
-    euler_characteristic,
-    format_graph,
-    is_k_vertex_connected,
-    parse_graph,
-    require_polyhedral,
-    trace_faces,
-    validate_steinitz,
-)
-from .lp import (
-    ConstraintSystem,
-    MarginSolution,
-    Row,
-    add_circuit_constraint,
-    maximize_margin,
-    new_system,
-)
-from .separation import (
-    all_nonfacial_circuits,
-    brute_force_min_nonfacial,
-    min_cycle_through_edge,
-    min_nonfacial_circuit,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "ConstraintSystem",
-    "DualPair",
-    "EmbeddingError",
-    "EulerError",
-    "Face",
-    "FormatError",
-    "GraphError",
-    "InternalError",
-    "MarginSolution",
-    "NotThreeConnectedError",
-    "PolyhedralGraph",
-    "Row",
-    "SteinitzReport",
-    "add_circuit_constraint",
-    "all_nonfacial_circuits",
-    "brute_force_min_nonfacial",
-    "certificate_from_json",
-    "certificate_to_json",
-    "decide_circumscribable",
-    "decide_inscribable",
-    "dihedral_angles",
-    "dual",
-    "edge_faces",
-    "euler_characteristic",
-    "format_graph",
-    "generate",
-    "is_k_vertex_connected",
-    "kleetope",
-    "maximize_margin",
-    "min_cycle_through_edge",
-    "min_nonfacial_circuit",
-    "new_system",
-    "parse_graph",
-    "require_polyhedral",
-    "stack_on_faces",
-    "trace_faces",
-    "validate_steinitz",
-    "verify_certificate",
-]
+# Each public name, listed once under the module that defines it.
+_EXPORTS = {
+    "decide": (
+        "Certificate",
+        "certificate_from_json",
+        "certificate_to_json",
+        "decide_circumscribable",
+        "decide_inscribable",
+        "dihedral_angles",
+        "verify_certificate",
+    ),
+    "errors": (
+        "EmbeddingError",
+        "EulerError",
+        "FormatError",
+        "GraphError",
+        "InternalError",
+        "NotThreeConnectedError",
+    ),
+    "generators": ("generate", "kleetope", "stack_on_faces"),
+    "graph": (
+        "DualPair",
+        "Face",
+        "PolyhedralGraph",
+        "SteinitzReport",
+        "dual",
+        "edge_faces",
+        "euler_characteristic",
+        "format_graph",
+        "is_k_vertex_connected",
+        "parse_graph",
+        "require_polyhedral",
+        "trace_faces",
+        "validate_steinitz",
+    ),
+    "lp": (
+        "ConstraintSystem",
+        "MarginSolution",
+        "Row",
+        "add_circuit_constraint",
+        "maximize_margin",
+        "new_system",
+    ),
+    "separation": (
+        "all_nonfacial_circuits",
+        "brute_force_min_nonfacial",
+        "min_cycle_through_edge",
+        "min_nonfacial_circuit",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

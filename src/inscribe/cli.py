@@ -13,6 +13,10 @@ Commands::
 ``-`` reads the graph or the certificate from standard input; input that
 is not UTF-8 is invalid.  Exit codes: 0 for any successfully computed
 answer (yes or no), 2 for invalid input, 3 for an internal error.
+
+A command imports only the modules it runs: ``decide``, ``angles`` and
+``verify`` load the decision modules, ``generate`` the generators, and
+the other commands the graph module alone.
 """
 
 from __future__ import annotations
@@ -20,19 +24,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .decide import (
-    Certificate,
-    _frac_str,
-    certificate_from_json,
-    certificate_to_json,
-    decide_circumscribable,
-    decide_inscribable,
-    dihedral_angles,
-    verify_certificate,
-)
 from .errors import GraphError, InternalError
-from .generators import generate
 from .graph import (
     dual,
     format_graph,
@@ -40,6 +34,9 @@ from .graph import (
     trace_faces,
     validate_steinitz,
 )
+
+if TYPE_CHECKING:
+    from .decide import Certificate
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -109,12 +106,16 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .generators import generate
+
     g = generate(args.family, args.n)
     sys.stdout.write(format_graph(g))
     return EXIT_OK
 
 
 def _cmd_decide(args) -> int:
+    from .decide import decide_circumscribable, decide_inscribable, dihedral_angles
+
     g = parse_graph(_read_source(args.file))
     if args.inscribable:
         cert = decide_inscribable(g)
@@ -127,6 +128,8 @@ def _cmd_decide(args) -> int:
 
 
 def _emit_certificate(cert, angles, fmt) -> None:
+    from .decide import _frac_str, certificate_to_json
+
     if fmt == "json":
         sys.stdout.write(certificate_to_json(cert, angles))
         return
@@ -149,6 +152,8 @@ def _emit_certificate(cert, angles, fmt) -> None:
 
 
 def _cmd_angles(args) -> int:
+    from .decide import _frac_str, dihedral_angles, verify_certificate
+
     cert = _load_certificate(args.certificate)
     g = parse_graph(_read_source(args.file))
     ok, problems = verify_certificate(cert, g)
@@ -170,6 +175,8 @@ def _cmd_angles(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .decide import verify_certificate
+
     cert = _load_certificate(args.certificate)
     g = parse_graph(_read_source(args.file))
     ok, problems = verify_certificate(cert, g)
@@ -183,6 +190,8 @@ def _cmd_verify(args) -> int:
 
 
 def _load_certificate(path: str) -> Certificate:
+    from .decide import certificate_from_json
+
     text = _read_source(path)
     try:
         return certificate_from_json(text)

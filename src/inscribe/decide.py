@@ -18,8 +18,8 @@ without solving an LP.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InternalError
 from .graph import (
@@ -43,8 +43,7 @@ from .separation import (
 )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Outcome of a type decision, reproducible from its cut list.
 
     For a yes answer, ``weights`` is a witness on the tested graph's
@@ -102,7 +101,7 @@ def decide_circumscribable(g: PolyhedralGraph) -> Certificate:
     cuts: list[tuple[int, ...]] = []
     while True:
         solution = maximize_margin(system)
-        if solution.status == "infeasible" or solution.margin <= 0:
+        if solution.margin is None or solution.margin <= 0:
             y = solution.multipliers
             problems = multiplier_problems(system, y, solution.margin)
             if problems:
@@ -135,7 +134,7 @@ def decide_inscribable(g: PolyhedralGraph) -> Certificate:
     edge ids; the bijection from primal edge ids is included."""
     pair = dual(g)
     cert = decide_circumscribable(pair.dual)
-    return replace(cert, graph_role="dual", edge_bijection=pair.primal_to_dual)
+    return cert._replace(graph_role="dual", edge_bijection=pair.primal_to_dual)
 
 
 def dihedral_angles(cert: Certificate, pair: DualPair) -> tuple[Fraction, ...]:

@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     EmbeddingError,
@@ -23,7 +22,6 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class PolyhedralGraph:
     """Simple undirected graph with an explicit rotation system.
 
@@ -34,22 +32,29 @@ class PolyhedralGraph:
     edge listed once at each endpoint); sphericity and 3-connectivity are
     checked by :func:`validate_steinitz`.
 
-    Instances are immutable and hashable, and safe to share across threads.
+    Instances are immutable and hashable, equal by their three fields,
+    and safe to share across threads.  What is derived from them is
+    computed once and kept in the instance's ``__dict__``.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     rotation: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.vertex_count < 1:
+    def __init__(
+        self,
+        vertex_count: int,
+        edges: tuple[tuple[int, int], ...],
+        rotation: tuple[tuple[int, ...], ...],
+    ):
+        if vertex_count < 1:
             raise EmbeddingError("vertex count must be positive")
-        if len(self.rotation) != self.vertex_count:
+        if len(rotation) != vertex_count:
             raise EmbeddingError("rotation must list every vertex exactly once")
-        incident: list[set[int]] = [set() for _ in range(self.vertex_count)]
+        incident: list[set[int]] = [set() for _ in range(vertex_count)]
         seen_pairs: set[frozenset[int]] = set()
-        for eid, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+        for eid, (u, v) in enumerate(edges):
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise EmbeddingError(f"edge {eid} has an endpoint out of range")
             if u == v:
                 raise EmbeddingError(f"edge {eid} is a loop at vertex {u}")
@@ -59,14 +64,38 @@ class PolyhedralGraph:
             seen_pairs.add(pair)
             incident[u].add(eid)
             incident[v].add(eid)
-        for v in range(self.vertex_count):
-            rot = self.rotation[v]
+        for v in range(vertex_count):
+            rot = rotation[v]
             if len(rot) != len(set(rot)):
                 raise EmbeddingError(f"rotation of vertex {v} repeats an edge")
             if set(rot) != incident[v]:
                 raise EmbeddingError(
                     f"rotation of vertex {v} does not list exactly its incident edges"
                 )
+        vars(self).update(vertex_count=vertex_count, edges=edges, rotation=rotation)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to attribute {name!r} of an immutable graph")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete attribute {name!r} of an immutable graph")
+
+    def _key(self) -> tuple:
+        return (self.vertex_count, self.edges, self.rotation)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(vertex_count={self.vertex_count!r}, "
+            f"edges={self.edges!r}, rotation={self.rotation!r})"
+        )
 
     @classmethod
     def from_neighbor_rotations(
@@ -155,16 +184,19 @@ class PolyhedralGraph:
         return tuple(self.other_end(e, v) for e in self.rotation[v])
 
 
-@dataclass(frozen=True)
-class Face:
+# Face extends its fields' tuple so that its instances have a __dict__,
+# where the cached edge_ids is kept.
+class _FaceFields(NamedTuple):
+    id: int
+    boundary: tuple[int, ...]
+    vertices: tuple[int, ...]
+
+
+class Face(_FaceFields):
     """One face of the embedding, a closed walk: ``boundary[i]`` is the id
     of the edge that leads from ``vertices[i]`` to the next vertex,
     cyclically, so each step's direction is read off ``vertices``.
     """
-
-    id: int
-    boundary: tuple[int, ...]
-    vertices: tuple[int, ...]
 
     @cached_property
     def edge_ids(self) -> frozenset[int]:
@@ -228,8 +260,7 @@ def euler_characteristic(g: PolyhedralGraph) -> int:
     return g.vertex_count - g.edge_count + len(trace_faces(g))
 
 
-@dataclass(frozen=True)
-class SteinitzReport:
+class SteinitzReport(NamedTuple):
     """Outcome of the polyhedral-graph validation.  ``three_connected``
     is None, not checked, exactly when ``planar_spherical`` is false:
     off the sphere a graph is not polyhedral whatever its connectivity."""
@@ -323,8 +354,7 @@ def is_k_vertex_connected(g: PolyhedralGraph, k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DualPair:
+class DualPair(NamedTuple):
     """A graph's planar dual and the edge bijection to it:
     ``primal_to_dual[e]`` is the id of the dual edge that crosses edge e.
 

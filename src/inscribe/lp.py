@@ -50,9 +50,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalError
 from .graph import PolyhedralGraph, trace_faces
@@ -72,8 +71,7 @@ _KINDS = {
 _STALL_THRESHOLD = 64
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One integer row over the nonnegative variables (U, S).
 
     ``terms`` lists the nonzero ``(index, coeff)`` pairs; index e < E is
@@ -90,8 +88,7 @@ class Row:
     ref: object = None
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     """Immutable snapshot of the margin LP's rows over U >= 0, S >= 0.
 
     Always contains, for every edge e, U_e + 2S <= 5 (w_e + t <= 1/2),
@@ -142,8 +139,7 @@ def add_circuit_constraint(s: ConstraintSystem, key: tuple[int, ...]) -> Constra
     return ConstraintSystem(s.edge_count, s.rows + (Row(terms, 2 * len(key), "circuit", key),))
 
 
-@dataclass(frozen=True)
-class MarginSolution:
+class MarginSolution(NamedTuple):
     """Exact optimum of the margin LP, or None for ``margin`` and
     ``weights`` when the rows have no point.
 

@@ -1,3 +1,5 @@
+import pytest
+
 import inscribe
 
 # a new public name must change this list
@@ -48,3 +50,16 @@ def test_public_names_are_pinned_and_import():
     assert inscribe.__all__ == PUBLIC == sorted(PUBLIC)
     for name in PUBLIC:
         getattr(inscribe, name)
+
+
+def test_names_load_from_their_modules_on_first_use():
+    namespace = {}
+    exec("from inscribe import *", namespace)
+    assert set(PUBLIC) <= namespace.keys()
+    assert namespace["decide_inscribable"] is inscribe.decide.decide_inscribable
+    assert set(PUBLIC) <= set(dir(inscribe))
+    # no public name is a submodule's, so these import the submodule
+    from inscribe import decide as D
+    assert D.__name__ == "inscribe.decide"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        inscribe.no_such_name

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from helpers import GOLDENS
 
+import inscribe
 import inscribe.graph as graph_module
 from inscribe import (
     InternalError,
@@ -704,6 +706,67 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("polygraph 1")
+
+
+# Runs one command in a fresh interpreter as ``python -m inscribe.cli``
+# does, and prints its exit code and every module then loaded.
+COLD_START = """
+import io, runpy, sys
+sys.argv = ["inscribe", *sys.argv[1:]]
+out, sys.stdout = sys.stdout, io.StringIO()
+try:
+    runpy.run_module("inscribe.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(sys.modules), file=out)
+"""
+
+DECISION_MODULES = {"inscribe.lp", "inscribe.separation", "inscribe.decide"}
+
+
+def cold_start(*args: str) -> tuple[int, set[str]]:
+    """Exit code and loaded modules of ``python -S -c`` args: no site
+    hooks, and this inscribe first on the path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(inscribe.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", *args], capture_output=True, text=True, env=env
+    )
+    assert proc.stderr == ""
+    code, *modules = proc.stdout.split()
+    return int(code), set(modules)
+
+
+class TestColdStart:
+    """What one CLI call imports, pinned by name; no timing is asserted."""
+
+    @pytest.mark.parametrize("argv,unloaded", [
+        (["validate", "{graph}"], DECISION_MODULES | {"inscribe.generators"}),
+        (["faces", "{graph}"], DECISION_MODULES | {"inscribe.generators"}),
+        (["dual", "{graph}"], DECISION_MODULES | {"inscribe.generators"}),
+        (["generate", "cube"], DECISION_MODULES),
+        (["decide", "--inscribable", "{graph}"], {"inscribe.generators"}),
+        (["decide", "--circumscribable", "{graph}"], {"inscribe.generators"}),
+        (["verify", "{cert}", "{graph}"], {"inscribe.generators"}),
+        (["angles", "{cert}", "{graph}"], {"inscribe.generators"}),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+    def test_command_loads_only_what_it_runs(self, capsys, cube_file, tmp_path, argv, unloaded):
+        cert = tmp_path / "cert.json"
+        cert.write_text(run_cli(
+            capsys, ["decide", "--inscribable", cube_file, "--format", "json"]
+        )[1])
+        code, modules = cold_start(
+            COLD_START, *(a.format(graph=cube_file, cert=cert) for a in argv)
+        )
+        assert code == 0
+        # a dataclass compiles its methods when its class is created
+        assert not modules & ({"dataclasses", "inspect"} | unloaded)
+        assert "inscribe.graph" in modules
+
+    def test_bare_import_loads_no_submodule(self):
+        code, modules = cold_start("import sys, inscribe; print(0, *sys.modules)")
+        assert code == 0
+        assert "inscribe" in modules
+        assert not {m for m in modules if m.startswith("inscribe.")}
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.pg")), ids=lambda p: p.stem)

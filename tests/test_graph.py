@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -188,6 +187,33 @@ class TestParse:
             assert parse_graph(format_graph(g)) == g
 
 
+class TestValues:
+    def test_graph_is_immutable_and_equal_by_its_fields(self):
+        g = generate("tetrahedron")
+        with pytest.raises(AttributeError):
+            g.vertex_count = 5
+        with pytest.raises(AttributeError):
+            del g.edges
+        with pytest.raises(AttributeError):
+            g.extra = 1
+        same = PolyhedralGraph(g.vertex_count, g.edges, g.rotation)
+        assert same == g and hash(same) == hash(g) and same is not g
+        assert hash(g) == hash((g.vertex_count, g.edges, g.rotation))
+        assert g != (g.vertex_count, g.edges, g.rotation)
+        assert g != generate("cube")
+        assert repr(g) == (
+            f"PolyhedralGraph(vertex_count=4, edges={g.edges!r}, rotation={g.rotation!r})"
+        )
+
+    def test_derived_values_are_computed_once(self):
+        g = generate("cube")
+        assert validate_steinitz(g) is validate_steinitz(g)
+        assert g.edge_id(*g.edges[3]) == 3
+        face = trace_faces(g)[0]
+        assert face.edge_ids is face.edge_ids == frozenset(face.boundary)
+        assert face._replace(id=7) == (7, face.boundary, face.vertices)
+
+
 class TestTraceFaces:
     def test_tetrahedron_faces(self):
         faces = trace_faces(generate("tetrahedron"))
@@ -362,7 +388,7 @@ class TestDual:
 
     def test_dual_pair_is_the_dual_and_the_bijection(self):
         # no field holds the primal graph, which keeps the pair
-        assert [f.name for f in dataclasses.fields(DualPair)] == ["dual", "primal_to_dual"]
+        assert DualPair._fields == ("dual", "primal_to_dual")
 
     def test_matches_the_dual_built_from_neighbor_rotations(self):
         rng = random.Random(2026)
