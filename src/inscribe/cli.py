@@ -16,13 +16,13 @@ answer (yes or no), 2 for invalid input, 3 for an internal error.
 
 A command imports only the modules it runs: ``decide``, ``angles`` and
 ``verify`` load the decision modules, ``generate`` the generators, and
-the other commands the graph module alone.
+the other commands the graph module alone; ``json`` loads only where a
+command reads or writes JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING
 
@@ -57,6 +57,8 @@ def _cmd_validate(args) -> int:
     g = parse_graph(_read_source(args.file))
     report = validate_steinitz(g)
     if args.format == "json":
+        import json
+
         print(json.dumps({
             "planar_spherical": report.planar_spherical,
             "three_connected": report.three_connected,
@@ -72,6 +74,8 @@ def _cmd_faces(args) -> int:
     g = parse_graph(_read_source(args.file))
     faces = trace_faces(g)
     if args.format == "json":
+        import json
+
         print(json.dumps([
             {
                 "id": f.id,
@@ -93,6 +97,8 @@ def _cmd_dual(args) -> int:
     g = parse_graph(_read_source(args.file))
     pair = dual(g)
     if args.format == "json":
+        import json
+
         print(json.dumps({
             "dual_polygraph": format_graph(pair.dual),
             "edge_bijection": {str(e): d for e, d in enumerate(pair.primal_to_dual)},
@@ -164,6 +170,8 @@ def _cmd_angles(args) -> int:
     except ValueError as exc:
         raise GraphError(str(exc)) from exc
     if args.format == "json":
+        import json
+
         print(json.dumps(
             {str(e): _frac_str(angles[e]) for e in range(len(angles))}, indent=2
         ))
@@ -181,6 +189,8 @@ def _cmd_verify(args) -> int:
     g = parse_graph(_read_source(args.file))
     ok, problems = verify_certificate(cert, g)
     if args.format == "json":
+        import json
+
         print(json.dumps({"valid": ok, "problems": problems}, indent=2))
     else:
         print(f"verification: {'PASS' if ok else 'FAIL'}")

@@ -253,7 +253,8 @@ class _Tableau:
     objective row is ``reduced / obj_den``, a map of the nonzero reduced
     costs, with value ``value / obj_den``.  Every denominator is positive
     and every row is kept primitive (the gcd of its integers and its
-    denominator is 1), so each row has one canonical form.  A basic
+    denominator is 1), so each row has one canonical form.  The tableau
+    owns its maps: a pivot rewrites each row it touches in place.  A basic
     column reads ``den[i]`` in its own row and is absent elsewhere.
     ``maximize`` runs to an optimum; every LP here is bounded, so a
     column that no row bounds raises InternalError.  ``bland`` records
@@ -295,26 +296,24 @@ class _Tableau:
         self.obj_den = d // g
 
     def pivot(self, r, c):
-        row = self.rows[r]
+        rows, rhs, den = self.rows, self.rhs, self.den
+        row = rows[r]
         # divide by the row's gcd, signed so that the pivot entry p > 0
-        g = math.gcd(*row.values(), self.rhs[r]) * (1 if row[c] > 0 else -1)
+        g = math.gcd(*row.values(), rhs[r]) * (1 if row[c] > 0 else -1)
         if g != 1:
-            row = {j: x // g for j, x in row.items()}
+            for j, x in row.items():
+                row[j] = x // g
         p = row[c]
-        b = self.rhs[r] // g
-        self.rows[r] = row
-        self.rhs[r] = b
-        self.den[r] = p
-        for i, other in enumerate(self.rows):
+        b = rhs[r] = rhs[r] // g
+        den[r] = p
+        for i, other in enumerate(rows):
             a = other.get(c)
             if a and i != r:
-                self.rows[i], self.rhs[i], self.den[i] = _eliminate(
-                    other, self.rhs[i], self.den[i], a, row, b, p
-                )
+                _, rhs[i], den[i] = _eliminate(other, rhs[i], den[i], a, row, b, p)
         a = self.reduced.get(c)
         if a:
             # (reduced, -value) updates like a constraint row (row, rhs)
-            self.reduced, value, self.obj_den = _eliminate(
+            _, value, self.obj_den = _eliminate(
                 self.reduced, -self.value, self.obj_den, a, row, b, p
             )
             self.value = -value
@@ -324,6 +323,7 @@ class _Tableau:
         self.bland = False
         stall = 0
         priced = self.priced
+        rows, rhs, basis = self.rows, self.rhs, self.basis
         while True:
             if self.nonpositive and self.value == 0:
                 return
@@ -343,22 +343,20 @@ class _Tableau:
             # entry too, at ratio 0, so that column stays at 0
             leave = -1
             best_b = best_a = 0
-            for i, row in enumerate(self.rows):
-                a = row.get(enter, 0)
-                if a < 0 and self.basis[i] >= priced:
-                    a = -a
-                if a > 0:
-                    b = self.rhs[i]
-                    if leave < 0:
-                        better = True
-                    else:
-                        lhs, rhs = b * best_a, best_b * a
-                        better = lhs < rhs or (
-                            lhs == rhs and self.basis[i] < self.basis[leave]
-                        )
-                    if better:
-                        best_b, best_a = b, a
-                        leave = i
+            for i, row in enumerate(rows):
+                a = row.get(enter)
+                if not a or (a < 0 and basis[i] < priced):
+                    continue
+                a = abs(a)
+                b = rhs[i]
+                if leave < 0:
+                    better = True
+                else:
+                    left, right = b * best_a, best_b * a
+                    better = left < right or (left == right and basis[i] < basis[leave])
+                if better:
+                    best_b, best_a = b, a
+                    leave = i
             if leave < 0:
                 raise InternalError(f"no row bounds entering column {enter}")
             degenerate = best_b == 0
@@ -373,23 +371,34 @@ class _Tableau:
 
 def _eliminate(row, b, d, a, prow, pb, p):
     """Clear entry a of the row (row, b) / d with the pivot row
-    (prow, pb) / p, whose pivot entry is p:  (p row - a prow) / (d p),
-    reduced to primitive form.  Rows are maps of their nonzeros."""
-    new = {j: p * x for j, x in row.items()}
+    (prow, pb) / p, whose pivot entry is p > 0:  (p row - a prow) / (d p),
+    reduced to primitive form.  Rows are maps of their nonzeros, and
+    ``row`` is rewritten in place: scaled only when p does not divide a,
+    and divided by a gcd only when its new denominator is not 1."""
+    g = math.gcd(p, a)
+    if g != 1:
+        p //= g
+        a //= g
+    if p != 1:
+        for j, x in row.items():
+            row[j] = p * x
+        b *= p
+        d *= p
     for j, y in prow.items():
-        x = new.get(j, 0) - a * y
+        x = row.get(j, 0) - a * y
         if x:
-            new[j] = x
+            row[j] = x
         else:
-            del new[j]
-    b = p * b - a * pb
-    d *= p
-    g = math.gcd(*new.values(), b, d)
-    if g > 1:
-        new = {j: x // g for j, x in new.items()}
-        b //= g
-        d //= g
-    return new, b, d
+            del row[j]
+    b -= a * pb
+    if d != 1:
+        g = math.gcd(*row.values(), b, d)
+        if g > 1:
+            for j, x in row.items():
+                row[j] = x // g
+            b //= g
+            d //= g
+    return row, b, d
 
 
 def _solve_lp(n_vars, rows, target):
@@ -416,7 +425,7 @@ def _solve_lp(n_vars, rows, target):
             raise ValueError(f"unknown row kind {row.kind!r}")
         if row.rhs < 0:
             raise ValueError(f"{row.kind} row {row.ref} has right-hand side {row.rhs} < 0")
-        vec = {j: c for j, c in row.terms if c}
+        vec = {j: c for j, c in row.terms if c}  # fresh: pivots rewrite it in place
         sign = _KINDS[row.kind][1]
         if sign:
             vec[next_slack] = sign

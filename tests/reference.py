@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from inscribe import (
     MarginSolution,
     PolyhedralGraph,
@@ -35,3 +37,25 @@ def solve_full_enumeration(g: PolyhedralGraph) -> tuple[MarginSolution, int]:
         if weight - solution.margin >= 1:
             return solution, solves
         system = add_circuit_constraint(system, circuit)
+
+
+def reference_eliminate(row, b, d, a, prow, pb, p):
+    """The simplex's row update written as a copy: clear entry a of the
+    row (row, b) / d with the pivot row (prow, pb) / p, whose pivot entry
+    is p:  (p row - a prow) / (d p) in a new map, reduced to primitive
+    form by the gcd of every entry.  The input maps are left as they are."""
+    new = {j: p * x for j, x in row.items()}
+    for j, y in prow.items():
+        x = new.get(j, 0) - a * y
+        if x:
+            new[j] = x
+        else:
+            del new[j]
+    b = p * b - a * pb
+    d *= p
+    g = math.gcd(*new.values(), b, d)
+    if g > 1:
+        new = {j: x // g for j, x in new.items()}
+        b //= g
+        d //= g
+    return new, b, d

@@ -740,10 +740,10 @@ class TestColdStart:
     """What one CLI call imports, pinned by name; no timing is asserted."""
 
     @pytest.mark.parametrize("argv,unloaded", [
-        (["validate", "{graph}"], DECISION_MODULES | {"inscribe.generators"}),
-        (["faces", "{graph}"], DECISION_MODULES | {"inscribe.generators"}),
-        (["dual", "{graph}"], DECISION_MODULES | {"inscribe.generators"}),
-        (["generate", "cube"], DECISION_MODULES),
+        (["validate", "{graph}"], DECISION_MODULES | {"inscribe.generators", "json"}),
+        (["faces", "{graph}"], DECISION_MODULES | {"inscribe.generators", "json"}),
+        (["dual", "{graph}"], DECISION_MODULES | {"inscribe.generators", "json"}),
+        (["generate", "cube"], DECISION_MODULES | {"json"}),
         (["decide", "--inscribable", "{graph}"], {"inscribe.generators"}),
         (["decide", "--circumscribable", "{graph}"], {"inscribe.generators"}),
         (["verify", "{cert}", "{graph}"], {"inscribe.generators"}),
@@ -767,6 +767,13 @@ class TestColdStart:
         assert code == 0
         assert "inscribe" in modules
         assert not {m for m in modules if m.startswith("inscribe.")}
+
+    def test_cli_import_loads_no_json(self):
+        # json loads only in the commands that read or write it
+        code, modules = cold_start("import sys, inscribe.cli; print(0, *sys.modules)")
+        assert code == 0
+        assert "inscribe.cli" in modules
+        assert "json" not in modules
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.pg")), ids=lambda p: p.stem)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import CORPUS_SPECS
+from reference import reference_eliminate
 
 import inscribe.lp as lp_module
 from inscribe import (
@@ -456,21 +457,74 @@ class TestRowChecks:
             maximize_margin(s)
 
 
+def random_elimination(rng):
+    """Arguments of one row update: a primitive row (row, b) / d with
+    entry a in pivot column 0, and a pivot row (prow, pb) / p with p > 0
+    there.  p is 1, a divisor of a or random; when p divides a, some of
+    the row's entries are a / p times the pivot row's, so they cancel;
+    b is of either sign, as the objective's -value is."""
+    p = rng.choice((1, 2, 6, rng.randint(1, 40)))
+    prow = {j: rng.choice((-1, 1)) * rng.randint(1, 30) for j in range(1, 8) if rng.random() < 0.5}
+    prow[0] = p
+    k = rng.choice((-3, -1, 1, 2))
+    a = rng.choice((k * p, k * rng.choice((2, 3)), rng.choice((-1, 1)) * rng.randint(1, 40)))
+    row = {j: rng.choice((-1, 1)) * rng.randint(1, 30) for j in range(1, 9) if rng.random() < 0.5}
+    if a == k * p:
+        row.update((j, k * y) for j, y in prow.items() if j and rng.random() < 0.5)
+    row[0] = a
+    b = rng.randint(-30, 30)
+    d = rng.choice((1, rng.randint(1, 30)))
+    g = math.gcd(*row.values(), b, d)
+    row = {j: x // g for j, x in row.items()}
+    return row, b // g, d // g, a // g, prow, rng.randint(0, 30), p
+
+
+class TestEliminate:
+    def test_matches_the_copying_update(self):
+        rng = random.Random(2025)
+        seen = set()
+        for _ in range(2000):
+            row, b, d, a, prow, pb, p = random_elimination(rng)
+            expected = reference_eliminate(row, b, d, a, prow, pb, p)
+            before = dict(prow)
+            result = lp_module._eliminate(row, b, d, a, prow, pb, p)
+            assert result == expected
+            assert result[0] is row
+            assert prow == before
+            seen.update(name for name, hit in (
+                ("p = 1", p == 1),
+                ("p shares a factor with a", p > 1 and math.gcd(p, a) > 1),
+                ("negative a", a < 0),
+                ("d = 1", d == 1),
+                ("d > 1", d > 1),
+                ("an entry cancels", any(j and j not in row for j in before)),
+                ("negative rhs", b < 0),
+                ("new denominator 1", result[2] == 1),
+            ) if hit)
+        assert len(seen) == 8, seen
+
+
 class TestTableauInvariant:
-    """Rows store only nonzeros, the basis stays an identity, and in
-    phase 2 every artificial still basic sits at 0."""
+    """Rows store only nonzeros, each is primitive and its own map, the
+    basis stays an identity, and in phase 2 every artificial still basic
+    sits at 0."""
 
     @staticmethod
     def check(tab):
         basic = set(tab.basis)
+        # a pivot rewrites each row's map in place, so no two may share one
+        maps = {id(row) for row in tab.rows}
+        assert len(maps) == len(tab.rows) and id(tab.reduced) not in maps
         for i, row in enumerate(tab.rows):
             assert 0 not in row.values()
+            assert math.gcd(*row.values(), tab.rhs[i], tab.den[i]) == 1
             assert row[tab.basis[i]] == tab.den[i] > 0
             assert basic & row.keys() == {tab.basis[i]}
             # phase 2 prices no artificial; in phase 1 none is unpriced
             if tab.basis[i] >= tab.priced:
                 assert tab.rhs[i] == 0
         assert 0 not in tab.reduced.values()
+        assert math.gcd(*tab.reduced.values(), tab.value, tab.obj_den) == 1
         assert not basic & tab.reduced.keys()
 
     @pytest.mark.parametrize("family,n,cuts,phase2_pivots", [
@@ -601,3 +655,5 @@ class TestPhaseOneStop:
         for family, n in CORPUS_SPECS:
             decide(generate(family, n))
         assert log and all(ph is not None for ph, _ in log)
+        # pinned: how a row update is computed changes no pivot
+        assert len(log) == {decide_inscribable: 385, decide_circumscribable: 567}[decide]
