@@ -10,8 +10,8 @@ Commands::
     angles <certificate.json> <file>     ideal dihedral angles from a certificate
     verify <certificate.json> <file>     re-check an emitted certificate
 
-``-`` reads the graph or the certificate from standard input; input that
-is not UTF-8 is invalid.  Exit codes: 0 for any successfully computed
+``-`` reads the graph or the certificate from standard input, not both;
+input that is not UTF-8 is invalid.  Exit codes: 0 for any successfully computed
 answer (yes or no), 2 for invalid input, 3 for an internal error.
 
 A command imports only the modules it runs: ``decide``, ``angles`` and
@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 from .errors import GraphError, InternalError
 from .graph import (
+    PolyhedralGraph,
     dual,
     format_graph,
     parse_graph,
@@ -53,16 +54,20 @@ def _read_source(path: str) -> str:
         raise GraphError(f"cannot read {path}: {exc}") from exc
 
 
+def _print_json(obj) -> None:
+    import json
+
+    print(json.dumps(obj, indent=2))
+
+
 def _cmd_validate(args) -> int:
     g = parse_graph(_read_source(args.file))
     report = validate_steinitz(g)
     if args.format == "json":
-        import json
-
-        print(json.dumps({
+        _print_json({
             "planar_spherical": report.planar_spherical,
             "three_connected": report.three_connected,
-        }, indent=2))
+        })
     else:
         print(f"planar_spherical: {str(report.planar_spherical).lower()}")
         three = report.three_connected
@@ -74,16 +79,14 @@ def _cmd_faces(args) -> int:
     g = parse_graph(_read_source(args.file))
     faces = trace_faces(g)
     if args.format == "json":
-        import json
-
-        print(json.dumps([
+        _print_json([
             {
                 "id": f.id,
                 "vertices": list(f.vertices),
                 "edges": list(f.boundary),
             }
             for f in faces
-        ], indent=2))
+        ])
     else:
         print(f"faces: {len(faces)}")
         for f in faces:
@@ -97,12 +100,10 @@ def _cmd_dual(args) -> int:
     g = parse_graph(_read_source(args.file))
     pair = dual(g)
     if args.format == "json":
-        import json
-
-        print(json.dumps({
+        _print_json({
             "dual_polygraph": format_graph(pair.dual),
             "edge_bijection": {str(e): d for e, d in enumerate(pair.primal_to_dual)},
-        }, indent=2))
+        })
     else:
         sys.stdout.write(format_graph(pair.dual))
         print("# edge bijection (primal -> dual)")
@@ -147,21 +148,19 @@ def _emit_certificate(cert, angles, fmt) -> None:
         print("margin: none (face equalities contradictory)")
     print(f"iterations: {cert.iterations}")
     print(f"cuts: {len(cert.cuts)}")
-    if cert.weights is not None:
-        print("weights:")
-        for e in range(len(cert.weights)):
-            print(f"  edge {e}: {_frac_str(cert.weights[e])}")
-    if angles is not None:
-        print("dihedral angles (fractions of pi):")
-        for e in range(len(angles)):
-            print(f"  edge {e}: {_frac_str(angles[e])}")
+    for title, values in (
+        ("weights", cert.weights), ("dihedral angles (fractions of pi)", angles)
+    ):
+        if values is not None:
+            print(f"{title}:")
+            for e, x in enumerate(values):
+                print(f"  edge {e}: {_frac_str(x)}")
 
 
 def _cmd_angles(args) -> int:
-    from .decide import _frac_str, dihedral_angles, verify_certificate
+    from .decide import _frac_str, _index_json, dihedral_angles, verify_certificate
 
-    cert = _load_certificate(args.certificate)
-    g = parse_graph(_read_source(args.file))
+    cert, g = _load_certificate_and_graph(args)
     ok, problems = verify_certificate(cert, g)
     if not ok:
         raise GraphError("certificate fails verification: " + "; ".join(problems))
@@ -170,11 +169,7 @@ def _cmd_angles(args) -> int:
     except ValueError as exc:
         raise GraphError(str(exc)) from exc
     if args.format == "json":
-        import json
-
-        print(json.dumps(
-            {str(e): _frac_str(angles[e]) for e in range(len(angles))}, indent=2
-        ))
+        _print_json(_index_json(angles, _frac_str))
     else:
         for e in range(len(angles)):
             u, v = g.edges[e]
@@ -185,13 +180,10 @@ def _cmd_angles(args) -> int:
 def _cmd_verify(args) -> int:
     from .decide import verify_certificate
 
-    cert = _load_certificate(args.certificate)
-    g = parse_graph(_read_source(args.file))
+    cert, g = _load_certificate_and_graph(args)
     ok, problems = verify_certificate(cert, g)
     if args.format == "json":
-        import json
-
-        print(json.dumps({"valid": ok, "problems": problems}, indent=2))
+        _print_json({"valid": ok, "problems": problems})
     else:
         print(f"verification: {'PASS' if ok else 'FAIL'}")
         for p in problems:
@@ -199,14 +191,18 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _load_certificate(path: str) -> Certificate:
+def _load_certificate_and_graph(args) -> tuple[Certificate, PolyhedralGraph]:
     from .decide import certificate_from_json
 
+    path = args.certificate
+    if path == args.file == "-":
+        raise GraphError("the certificate and the graph cannot both come from standard input")
     text = _read_source(path)
     try:
-        return certificate_from_json(text)
+        cert = certificate_from_json(text)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise GraphError(f"malformed certificate {path}: {exc}") from exc
+    return cert, parse_graph(_read_source(args.file))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -269,11 +269,20 @@ def _json_int(value, field: str) -> int:
     return value
 
 
-def _index_map(raw, field: str) -> list:
-    """The values of a JSON object keyed "0" to "n-1", in key order."""
+def _index_json(values, write) -> dict | None:
+    """A per-edge vector as the JSON object keyed "0" to "n-1" that
+    :func:`_index_map` reads back; None stays None."""
+    return None if values is None else {str(e): write(x) for e, x in enumerate(values)}
+
+
+def _index_map(raw, field: str, parse) -> tuple | None:
+    """The parsed values of a JSON object keyed "0" to "n-1", in key
+    order; null reads as None."""
+    if raw is None:
+        return None
     if not isinstance(raw, dict) or raw.keys() != {str(e) for e in range(len(raw))}:
         raise ValueError(f'{field} is not a JSON object keyed "0" to "n-1"')
-    return [raw[str(e)] for e in range(len(raw))]
+    return tuple(parse(raw[str(e)]) for e in range(len(raw)))
 
 
 def _one_of(value, allowed: tuple[str, ...], field: str) -> str:
@@ -290,27 +299,15 @@ def certificate_to_json(
         "answer": cert.answer,
         "graph_role": cert.graph_role,
         "margin": _frac_str(cert.margin) if cert.margin is not None else None,
-        "weights": (
-            {str(e): _frac_str(cert.weights[e]) for e in range(len(cert.weights))}
-            if cert.weights is not None
-            else None
-        ),
-        "angles": (
-            {str(e): _frac_str(angles[e]) for e in range(len(angles))}
-            if angles is not None
-            else None
-        ),
+        "weights": _index_json(cert.weights, _frac_str),
+        "angles": _index_json(angles, _frac_str),
         "cuts": [list(c) for c in cert.cuts],
         "multipliers": (
             [_frac_str(y) for y in cert.multipliers]
             if cert.multipliers is not None
             else None
         ),
-        "edge_bijection": (
-            {str(e): d for e, d in enumerate(cert.edge_bijection)}
-            if cert.edge_bijection is not None
-            else None
-        ),
+        "edge_bijection": _index_json(cert.edge_bijection, int),
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -348,15 +345,10 @@ def certificate_from_json(text: str) -> Certificate:
         if not isinstance(multipliers, list):
             raise ValueError("multipliers is not a JSON list")
         multipliers = tuple(_frac_parse(y) for y in multipliers)
-    weights = None
-    if doc["weights"] is not None:
-        weights = tuple(_frac_parse(w) for w in _index_map(doc["weights"], "weights"))
-    bijection = None
-    if doc["edge_bijection"] is not None:
-        bijection = tuple(
-            _json_int(d, "edge_bijection value")
-            for d in _index_map(doc["edge_bijection"], "edge_bijection")
-        )
+    weights = _index_map(doc["weights"], "weights", _frac_parse)
+    bijection = _index_map(
+        doc["edge_bijection"], "edge_bijection", lambda d: _json_int(d, "edge_bijection value")
+    )
     cert = Certificate(
         answer=_one_of(doc["answer"], ("yes", "no"), "answer"),
         graph_role=_one_of(doc["graph_role"], ("primal", "dual"), "graph_role"),
@@ -366,9 +358,10 @@ def certificate_from_json(text: str) -> Certificate:
         edge_bijection=bijection,
         multipliers=multipliers,
     )
-    # angles are derived data: 1 - 2 w(e*) for each primal edge e
-    if doc["angles"] is not None:
-        angles = _index_map(doc["angles"], "angles")
+    # angles are derived data: 1 - 2 w(e*) for each primal edge e; each
+    # is parsed only once its edge's bijection value is known to be good
+    angles = _index_map(doc["angles"], "angles", lambda a: a)
+    if angles is not None:
         if not (cert.is_yes and cert.graph_role == "dual" and weights and bijection):
             raise ValueError(
                 "angles belong only to a dual-role yes with weights and an edge bijection"

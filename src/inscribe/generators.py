@@ -10,23 +10,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .errors import EmbeddingError, GraphError, InternalError
+from .errors import EmbeddingError, GraphError
 from .graph import PolyhedralGraph, dual, trace_faces
-
-FAMILIES = (
-    "tetrahedron",
-    "cube",
-    "octahedron",
-    "dodecahedron",
-    "icosahedron",
-    "prism",
-    "antiprism",
-    "wheel",
-    "pyramid",
-    "bipyramid",
-)
-
-_SIZED = {"prism", "antiprism", "wheel", "pyramid", "bipyramid"}
 
 _KLEETOPE_RE = re.compile(r"^kleetope\((.+)\)$")
 
@@ -154,13 +139,30 @@ def _icosahedron() -> PolyhedralGraph:
     # faces; combinatorially the regular icosahedron.
     base = _antiprism(5)
     pentagons = [f.id for f in trace_faces(base) if f.degree == 5]
-    if len(pentagons) != 2:
-        raise InternalError("antiprism(5) must have exactly two pentagonal faces")
     return stack_on_faces(base, pentagons)
 
 
 def _dodecahedron() -> PolyhedralGraph:
     return dual(_icosahedron()).dual
+
+
+# The families, in the order they are listed: builders of no argument,
+# then builders of the size n >= 3.
+_FIXED = {
+    "tetrahedron": _tetrahedron,
+    "cube": lambda: _prism(4),
+    "octahedron": lambda: _antiprism(3),
+    "dodecahedron": _dodecahedron,
+    "icosahedron": _icosahedron,
+}
+_SIZED = {
+    "prism": _prism,
+    "antiprism": _antiprism,
+    "wheel": _wheel,
+    "pyramid": _wheel,
+    "bipyramid": _bipyramid,
+}
+FAMILIES = (*_FIXED, *_SIZED)
 
 
 def generate(family: str, n: int | None = None) -> PolyhedralGraph:
@@ -175,29 +177,14 @@ def generate(family: str, n: int | None = None) -> PolyhedralGraph:
     m = _KLEETOPE_RE.match(name)
     if m:
         return kleetope(generate(m.group(1), n))
-    if name not in FAMILIES:
+    if name in _FIXED:
+        if n is not None:
+            raise GraphError(f"family {name!r} takes no size argument")
+        return _FIXED[name]()
+    if name not in _SIZED:
         raise GraphError(f"unknown family {family!r}")
-    if name in _SIZED:
-        if n is None:
-            raise GraphError(f"family {name!r} needs a size argument")
-        if n < 3:
-            raise GraphError(f"family {name!r} needs n >= 3, got {n}")
-    elif n is not None:
-        raise GraphError(f"family {name!r} takes no size argument")
-    if name == "tetrahedron":
-        return _tetrahedron()
-    if name == "cube":
-        return _prism(4)
-    if name == "octahedron":
-        return _antiprism(3)
-    if name == "dodecahedron":
-        return _dodecahedron()
-    if name == "icosahedron":
-        return _icosahedron()
-    if name == "prism":
-        return _prism(n)
-    if name == "antiprism":
-        return _antiprism(n)
-    if name in ("wheel", "pyramid"):
-        return _wheel(n)
-    return _bipyramid(n)
+    if n is None:
+        raise GraphError(f"family {name!r} needs a size argument")
+    if n < 3:
+        raise GraphError(f"family {name!r} needs n >= 3, got {n}")
+    return _SIZED[name](n)

@@ -52,16 +52,16 @@ class PolyhedralGraph:
         if len(rotation) != vertex_count:
             raise EmbeddingError("rotation must list every vertex exactly once")
         incident: list[set[int]] = [set() for _ in range(vertex_count)]
-        seen_pairs: set[frozenset[int]] = set()
+        edge_ids: dict[frozenset[int], int] = {}
         for eid, (u, v) in enumerate(edges):
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise EmbeddingError(f"edge {eid} has an endpoint out of range")
             if u == v:
                 raise EmbeddingError(f"edge {eid} is a loop at vertex {u}")
             pair = frozenset((u, v))
-            if pair in seen_pairs:
+            if pair in edge_ids:
                 raise EmbeddingError(f"parallel edge between {u} and {v}")
-            seen_pairs.add(pair)
+            edge_ids[pair] = eid
             incident[u].add(eid)
             incident[v].add(eid)
         for v in range(vertex_count):
@@ -72,7 +72,9 @@ class PolyhedralGraph:
                 raise EmbeddingError(
                     f"rotation of vertex {v} does not list exactly its incident edges"
                 )
-        vars(self).update(vertex_count=vertex_count, edges=edges, rotation=rotation)
+        vars(self).update(
+            vertex_count=vertex_count, edges=edges, rotation=rotation, _edge_ids=edge_ids
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to attribute {name!r} of an immutable graph")
@@ -130,10 +132,6 @@ class PolyhedralGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def _edge_ids(self) -> dict[frozenset[int], int]:
-        return {frozenset(pair): eid for eid, pair in enumerate(self.edges)}
 
     def edge_id(self, u: int, v: int) -> int:
         """Id of the edge between u and v; KeyError if absent."""
@@ -213,6 +211,9 @@ def trace_faces(g: PolyhedralGraph) -> tuple[Face, ...]:
 
     Each of the 2E darts is used by exactly one face.  Faces are numbered
     by the lowest dart id they contain, dart id being 2*edge + direction.
+    Every rotation lists its vertex's edges exactly once (checked when
+    the graph is built), so the next-dart map is a permutation of the
+    darts, and each walk closes at its start without meeting another.
     """
     pos = [{e: i for i, e in enumerate(rot)} for rot in g.rotation]
     visited = [False] * (2 * g.edge_count)
@@ -224,8 +225,6 @@ def trace_faces(g: PolyhedralGraph) -> tuple[Face, ...]:
         tails: list[int] = []
         d = start
         while True:
-            if visited[d]:
-                raise EmbeddingError("face traversal did not close")
             visited[d] = True
             e, back = divmod(d, 2)
             u, v = g.edges[e]
@@ -248,12 +247,8 @@ def edge_faces(g: PolyhedralGraph) -> tuple[tuple[int, int], ...]:
     for face in trace_faces(g):
         for e in face.boundary:
             found[e].append(face.id)
-    out = []
-    for e, pair in enumerate(found):
-        if len(pair) != 2:
-            raise EmbeddingError(f"edge {e} does not lie on exactly two darts")
-        out.append((pair[0], pair[1]))
-    return tuple(out)
+    # an edge's two darts each lie on exactly one traced face
+    return tuple(map(tuple, found))
 
 
 def euler_characteristic(g: PolyhedralGraph) -> int:

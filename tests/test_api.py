@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 import inscribe
@@ -63,3 +66,57 @@ def test_names_load_from_their_modules_on_first_use():
     assert D.__name__ == "inscribe.decide"
     with pytest.raises(AttributeError, match="no_such_name"):
         inscribe.no_such_name
+
+
+SRC = Path(inscribe.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Every name a module reads: bare names, attributes and the names
+    that a from-import takes from another module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    tree = MODULES[module]
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    assert {name: line for name, line in imported.items() if name not in read} == {}
+
+
+def test_every_private_module_name_is_read():
+    private = {}
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in defined:
+                if name.startswith("_") and not name.startswith("__"):
+                    private[name] = module
+    read = set().union(*map(_loaded_names, MODULES.values()))
+    assert {name: module for name, module in private.items() if name not in read} == {}

@@ -275,6 +275,30 @@ class TestAnglesAndVerify:
         assert code == 0
         assert "PASS" in out
 
+    def test_certificate_with_angles_is_pinned(self, capsys):
+        # the one golden that carries angles, as decide --inscribable writes it
+        golden = DATA / "cube_inscribable_angles.json"
+        cube = str(CORPUS / "cube.pg")
+        code, out, _ = run_cli(capsys, ["decide", "--inscribable", cube, "--format", "json"])
+        assert (code, out) == (0, golden.read_text())
+        code, out, _ = run_cli(capsys, ["verify", str(golden), cube])
+        assert (code, out) == (0, "verification: PASS\n")
+
+    @pytest.mark.parametrize("command", ["verify", "angles"])
+    def test_certificate_and_graph_both_from_stdin_exits_2(
+        self, capsys, monkeypatch, command
+    ):
+        text = (DATA / "cube_inscribable_angles.json").read_text()
+        stdin = io.StringIO(text + (CORPUS / "cube.pg").read_text())
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code = main([command, "-", "-"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: the certificate and the graph cannot both come from standard input\n"
+        )
+        assert stdin.tell() == 0  # rejected before anything is read
+
     def test_verify_no_certificate(self, capsys, kleetope_file, tmp_path):
         _, out, _ = run_cli(
             capsys, ["decide", "--inscribable", kleetope_file, "--format", "json"]

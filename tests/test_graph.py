@@ -230,9 +230,33 @@ class TestTraceFaces:
         assert len(faces) == 8
         assert all(f.degree == 3 for f in faces)
 
+    @staticmethod
+    def any_rotation_systems():
+        """Rotation systems that need not be spherical or connected: the
+        checks in PolyhedralGraph make any of them a permutation of the
+        darts, whose orbits are the traced faces."""
+        yield generate("cube")
+        yield generate("wheel", 7)
+        yield generate("kleetope(tetrahedron)")
+        yield k5()
+        # two triangles joined by the bridge 0-3
+        yield PolyhedralGraph.from_neighbor_rotations(
+            [[1, 3, 2], [2, 0], [0, 1], [4, 0, 5], [5, 3], [3, 4]]
+        )
+        # a tetrahedron and a triangle, apart
+        yield PolyhedralGraph.from_neighbor_rotations(
+            [[1, 3, 2], [0, 2, 3], [0, 3, 1], [0, 1, 2], [5, 6], [6, 4], [4, 5]]
+        )
+        for fam in ("cube", "icosahedron", "kleetope(cube)"):
+            base = generate(fam)
+            for seed in range(20):
+                rng = random.Random(seed)
+                rotation = tuple(tuple(rng.sample(rot, len(rot))) for rot in base.rotation)
+                yield PolyhedralGraph(base.vertex_count, base.edges, rotation)
+
     def test_dart_partition(self):
-        for fam, n in [("cube", None), ("wheel", 7), ("kleetope(tetrahedron)", None)]:
-            g = generate(fam, n)
+        spherical = 0
+        for g in self.any_rotation_systems():
             darts = []
             for face in trace_faces(g):
                 heads = face.vertices[1:] + face.vertices[:1]
@@ -241,6 +265,16 @@ class TestTraceFaces:
                     darts.append((tail, head))
             assert len(darts) == 2 * g.edge_count
             assert len(set(darts)) == 2 * g.edge_count
+            on_faces = edge_faces(g)
+            assert len(on_faces) == g.edge_count
+            for e, ids in enumerate(on_faces):
+                assert len(ids) == 2
+                assert sorted(ids) == sorted(
+                    f.id for f in trace_faces(g) for x in f.boundary if x == e
+                )
+            spherical += euler_characteristic(g) == 2
+        # most of them are not spherical
+        assert spherical == 4
 
     def test_each_edge_on_two_faces(self):
         g = generate("dodecahedron")
