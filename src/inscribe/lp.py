@@ -19,16 +19,19 @@ The solver is a two-phase simplex on sparse fraction-free integer rows:
 each row is a map of its nonzero integer entries over one positive
 denominator, so a pivot touches only nonzeros, the pivot loop builds no
 ``Fraction`` and there is no floating point anywhere; feasibility and
-optimality are exact.  The pivot rule is
-steepest reduced cost with a permanent switch to Bland's rule after a
-run of degenerate pivots, which guarantees termination.  Phase 1
-maximizes minus the sum of the artificial variables, which is never
-positive, so it stops the moment its value reaches 0, its known optimum,
-rather than pivoting on until no reduced cost is positive.  Every
-artificial still basic then sits at 0, and phase 2 keeps it there: its
-row blocks an entering column at ratio 0 whatever the sign of the
-entry, so it leaves only in a degenerate pivot, and on a redundant row
-it stays basic.
+optimality are exact.  A row updated by a pivot is reduced by its gcd
+only once its denominator reaches 2^30 (:data:`_REDUCE_AT`); it equals
+its reduced form as rationals, and no comparison the simplex makes
+depends on a positive row scale, so neither does any pivot or result.
+The pivot rule is steepest reduced cost with a permanent switch to
+Bland's rule after a run of degenerate pivots, which guarantees
+termination.  Phase 1 maximizes minus the sum of the artificial
+variables, which is never positive, so it stops the moment its value
+reaches 0, its known optimum, rather than pivoting on until no reduced
+cost is positive.  Every artificial still basic then sits at 0, and
+phase 2 keeps it there: its row blocks an entering column at ratio 0
+whatever the sign of the entry, so it leaves only in a degenerate pivot,
+and on a redundant row it stays basic.
 
 Every solve also yields exact LP multipliers y, one per row, read off
 the final tableau as it returns (``MarginSolution.multipliers``).  Each
@@ -69,6 +72,12 @@ _KINDS = {
 
 #: Degenerate pivots in a row before the simplex switches to Bland's rule.
 _STALL_THRESHOLD = 64
+
+#: A row update divides the row by its gcd only once the row's
+#: denominator reaches this: below it the denominator fits in one CPython
+#: int digit, so carrying a common factor costs less than the gcd that
+#: would remove it, and above it reducing keeps the integers from growing.
+_REDUCE_AT = 1 << 30
 
 
 class Row(NamedTuple):
@@ -251,10 +260,12 @@ class _Tableau:
     Row i stands for ``rows[i] / den[i]``, a ``{column: int}`` map of its
     nonzero entries, with right-hand side ``rhs[i] / den[i]``; the
     objective row is ``reduced / obj_den``, a map of the nonzero reduced
-    costs, with value ``value / obj_den``.  Every denominator is positive
-    and every row is kept primitive (the gcd of its integers and its
-    denominator is 1), so each row has one canonical form.  The tableau
-    owns its maps: a pivot rewrites each row it touches in place.  A basic
+    costs, with value ``value / obj_den``.  Every denominator is positive.
+    A row need not be primitive (the gcd of its integers and its
+    denominator 1) but equals its primitive form as rationals: the pivot
+    row and a new objective are reduced, and a row the pivot updates only
+    once its denominator reaches :data:`_REDUCE_AT`.  The tableau owns
+    its maps: a pivot rewrites each row it touches in place.  A basic
     column reads ``den[i]`` in its own row and is absent elsewhere.
     ``maximize`` runs to an optimum; every LP here is bounded, so a
     column that no row bounds raises InternalError.  ``bland`` records
@@ -371,10 +382,11 @@ class _Tableau:
 
 def _eliminate(row, b, d, a, prow, pb, p):
     """Clear entry a of the row (row, b) / d with the pivot row
-    (prow, pb) / p, whose pivot entry is p > 0:  (p row - a prow) / (d p),
-    reduced to primitive form.  Rows are maps of their nonzeros, and
-    ``row`` is rewritten in place: scaled only when p does not divide a,
-    and divided by a gcd only when its new denominator is not 1."""
+    (prow, pb) / p, whose pivot entry is p > 0:  (p row - a prow) / (d p).
+    Rows are maps of their nonzeros, and ``row`` is rewritten in place:
+    scaled only when p does not divide a, and reduced to primitive form
+    only once its new denominator reaches :data:`_REDUCE_AT`, so a row
+    equals its reduced form as rationals but need not be primitive."""
     g = math.gcd(p, a)
     if g != 1:
         p //= g
@@ -391,7 +403,7 @@ def _eliminate(row, b, d, a, prow, pb, p):
         else:
             del row[j]
     b -= a * pb
-    if d != 1:
+    if d >= _REDUCE_AT:
         g = math.gcd(*row.values(), b, d)
         if g > 1:
             for j, x in row.items():

@@ -43,7 +43,10 @@ def reference_eliminate(row, b, d, a, prow, pb, p):
     """The simplex's row update written as a copy: clear entry a of the
     row (row, b) / d with the pivot row (prow, pb) / p, whose pivot entry
     is p:  (p row - a prow) / (d p) in a new map, reduced to primitive
-    form by the gcd of every entry.  The input maps are left as they are."""
+    form by the gcd of every entry.  It is the fully reduced specification:
+    the simplex's update may leave a common factor in a row whose
+    denominator stays below 2^30, but must equal this as rationals.  The
+    input maps are left as they are."""
     new = {j: p * x for j, x in row.items()}
     for j, y in prow.items():
         x = new.get(j, 0) - a * y

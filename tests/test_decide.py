@@ -1,10 +1,11 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import GOLDENS, cuboctahedron, random_polyhedral_graph
+from helpers import CORPUS_SPECS, GOLDENS, cuboctahedron, random_polyhedral_graph
 from reference import solve_full_enumeration
 
 import inscribe.decide as decide_module
@@ -452,6 +453,26 @@ class TestGoldenCertificates:
         decide, graph = GOLDENS[name]
         expected = (DATA / f"{name}.json").read_text()
         assert certificate_to_json(decide(graph())) == expected
+
+    # every corpus graph and four kleetopes (kleetope(tetrahedron) again,
+    # kleetope(antiprism) 6 of several rounds): 68 decisions
+    DIGEST_SPECS = CORPUS_SPECS + [
+        ("kleetope(tetrahedron)", None),
+        ("kleetope(wheel)", 4),
+        ("kleetope(bipyramid)", 3),
+        ("kleetope(antiprism)", 6),
+    ]
+
+    def test_certificate_digest(self):
+        # both questions on each graph; pinned: when the simplex reduces
+        # a row by its gcd changes no certificate byte
+        digest = hashlib.sha256()
+        for family, n in self.DIGEST_SPECS:
+            g = generate(family, n)
+            for decide in (decide_inscribable, decide_circumscribable):
+                digest.update(certificate_to_json(decide(g)).encode())
+        assert digest.hexdigest() == (
+            "fb9080a409a8317123b4dfe24d2657b92f95048468aaba3c91badf03bc43f2ad")
 
 
 class TestVerifyCertificate:

@@ -458,11 +458,15 @@ class TestRowChecks:
 
 
 def random_elimination(rng):
-    """Arguments of one row update: a primitive row (row, b) / d with
-    entry a in pivot column 0, and a pivot row (prow, pb) / p with p > 0
-    there.  p is 1, a divisor of a or random; when p divides a, some of
-    the row's entries are a / p times the pivot row's, so they cancel;
-    b is of either sign, as the objective's -value is."""
+    """Arguments of one row update: a row (row, b) / d with entry a in
+    pivot column 0, and a pivot row (prow, pb) / p with p > 0 there.  p
+    is 1, a divisor of a or random; when p divides a, some of the row's
+    entries are a / p times the pivot row's, so they cancel; b is of
+    either sign, as the objective's -value is.  d is small, near 2^30
+    over a small factor or above 2^30, so the new denominator falls on
+    either side of the bound at which the update reduces the row; the
+    row is primitive or a small multiple of a primitive row, as a row
+    carried unreduced may be."""
     p = rng.choice((1, 2, 6, rng.randint(1, 40)))
     prow = {j: rng.choice((-1, 1)) * rng.randint(1, 30) for j in range(1, 8) if rng.random() < 0.5}
     prow[0] = p
@@ -473,10 +477,50 @@ def random_elimination(rng):
         row.update((j, k * y) for j, y in prow.items() if j and rng.random() < 0.5)
     row[0] = a
     b = rng.randint(-30, 30)
-    d = rng.choice((1, rng.randint(1, 30)))
+    d = rng.choice((
+        1,
+        rng.randint(1, 30),
+        max(1, (1 << 30) // rng.randint(1, 40) + rng.randint(-2, 2)),
+        rng.randint(1 << 30, 1 << 40),
+    ))
     g = math.gcd(*row.values(), b, d)
-    row = {j: x // g for j, x in row.items()}
-    return row, b // g, d // g, a // g, prow, rng.randint(0, 30), p
+    m = rng.choice((1, 1, 2, 6))  # the common factor of a row carried unreduced
+    row = {j: m * x // g for j, x in row.items()}
+    return row, m * b // g, m * d // g, m * a // g, prow, rng.randint(0, 30), p
+
+
+# the real update, which TestTableauInvariant replaces by a checking wrapper
+ELIMINATE = lp_module._eliminate
+
+
+def unreduced_denominator(d, a, p):
+    """The denominator d p / gcd(p, a) of a row update before any gcd."""
+    return d * (p // math.gcd(p, a))
+
+
+def check_eliminate(row, b, d, a, prow, pb, p):
+    """``_eliminate`` on these arguments, checked against
+    ``reference_eliminate``, the fully reduced update: equal as
+    rationals, with only nonzeros stored, the row rewritten in its own
+    map and the pivot row left as it is.  Its new denominator is
+    d p / gcd(p, a), and once that reaches 2^30 the row is reduced to
+    exactly the reference's primitive form, and otherwise left there."""
+    expected = reference_eliminate(row, b, d, a, prow, pb, p)
+    before = dict(prow)
+    result = ELIMINATE(row, b, d, a, prow, pb, p)
+    assert result[0] is row
+    assert prow == before
+    new, nb, nd = result
+    ref, rb, rd = expected
+    assert 0 not in new.values() and new.keys() == ref.keys()
+    assert nd > 0 and nb * rd == rb * nd
+    assert all(x * rd == ref[j] * nd for j, x in new.items())
+    unreduced = unreduced_denominator(d, a, p)
+    if unreduced >= lp_module._REDUCE_AT:
+        assert result == expected
+    else:
+        assert nd == unreduced
+    return result
 
 
 class TestEliminate:
@@ -485,29 +529,37 @@ class TestEliminate:
         seen = set()
         for _ in range(2000):
             row, b, d, a, prow, pb, p = random_elimination(rng)
-            expected = reference_eliminate(row, b, d, a, prow, pb, p)
-            before = dict(prow)
-            result = lp_module._eliminate(row, b, d, a, prow, pb, p)
-            assert result == expected
-            assert result[0] is row
-            assert prow == before
+            before = dict(row)
+            unreduced = unreduced_denominator(d, a, p)
+            new, nb, nd = check_eliminate(row, b, d, a, prow, pb, p)
             seen.update(name for name, hit in (
                 ("p = 1", p == 1),
                 ("p shares a factor with a", p > 1 and math.gcd(p, a) > 1),
                 ("negative a", a < 0),
                 ("d = 1", d == 1),
                 ("d > 1", d > 1),
-                ("an entry cancels", any(j and j not in row for j in before)),
+                ("the row is not primitive", math.gcd(*before.values(), b, d) > 1),
+                ("an entry cancels", any(j and j not in new for j in prow)),
                 ("negative rhs", b < 0),
-                ("new denominator 1", result[2] == 1),
+                ("new denominator 1", nd == 1),
+                ("carried unreduced below 2^30",
+                 unreduced < lp_module._REDUCE_AT and math.gcd(*new.values(), nb, nd) > 1),
+                ("reduced from 2^30 to below it", unreduced >= lp_module._REDUCE_AT > nd),
+                ("reduced, still at least 2^30", unreduced > nd >= lp_module._REDUCE_AT),
             ) if hit)
-        assert len(seen) == 8, seen
+        assert len(seen) == 12, seen
+
+
+def is_primitive(row, b, d):
+    return math.gcd(*row.values(), b, d) == 1
 
 
 class TestTableauInvariant:
-    """Rows store only nonzeros, each is primitive and its own map, the
-    basis stays an identity, and in phase 2 every artificial still basic
-    sits at 0."""
+    """Rows store only nonzeros, each is its own map and equals the
+    fully reduced row as rationals, the basis stays an identity, and in
+    phase 2 every artificial still basic sits at 0.  A row is primitive
+    once its denominator reaches 2^30, and the pivot row and a fresh
+    objective always are."""
 
     @staticmethod
     def check(tab):
@@ -517,14 +569,16 @@ class TestTableauInvariant:
         assert len(maps) == len(tab.rows) and id(tab.reduced) not in maps
         for i, row in enumerate(tab.rows):
             assert 0 not in row.values()
-            assert math.gcd(*row.values(), tab.rhs[i], tab.den[i]) == 1
+            if tab.den[i] >= lp_module._REDUCE_AT:
+                assert is_primitive(row, tab.rhs[i], tab.den[i])
             assert row[tab.basis[i]] == tab.den[i] > 0
             assert basic & row.keys() == {tab.basis[i]}
             # phase 2 prices no artificial; in phase 1 none is unpriced
             if tab.basis[i] >= tab.priced:
                 assert tab.rhs[i] == 0
         assert 0 not in tab.reduced.values()
-        assert math.gcd(*tab.reduced.values(), tab.value, tab.obj_den) == 1
+        if tab.obj_den >= lp_module._REDUCE_AT:
+            assert is_primitive(tab.reduced, tab.value, tab.obj_den)
         assert not basic & tab.reduced.keys()
 
     @pytest.mark.parametrize("family,n,cuts,phase2_pivots", [
@@ -536,25 +590,35 @@ class TestTableauInvariant:
     ])
     def test_after_every_pivot(self, monkeypatch, family, n, cuts, phase2_pivots):
         pivots = []  # one count per maximize call: phase 1, then phase 2
+        updates = [0]  # calls of _eliminate, each checked
         pivot = lp_module._Tableau.pivot
         maximize = lp_module._Tableau.maximize
 
         def checked_pivot(tab, r, c):
             pivot(tab, r, c)
             pivots[-1] += 1
+            assert is_primitive(tab.rows[r], tab.rhs[r], tab.den[r])
             self.check(tab)
 
         def counted_maximize(tab):
             pivots.append(0)
+            # set_objective has just reduced the objective
+            assert is_primitive(tab.reduced, tab.value, tab.obj_den)
             self.check(tab)
             return maximize(tab)
 
+        def checked_eliminate(*args):
+            updates[0] += 1
+            return check_eliminate(*args)
+
         monkeypatch.setattr(lp_module._Tableau, "pivot", checked_pivot)
         monkeypatch.setattr(lp_module._Tableau, "maximize", counted_maximize)
+        monkeypatch.setattr(lp_module, "_eliminate", checked_eliminate)
         solution = maximize_margin(dual_with_cuts(family, n, cuts))
         assert solution.status == "optimal"
         assert len(pivots) == 2 and pivots[0] > 0
         assert pivots[1] == phase2_pivots
+        assert updates[0] > 0
 
 
 def record_pivots(monkeypatch):
