@@ -31,7 +31,9 @@ circuit's weight, and prunes by three rules that keep it exact:
   chosen.
 
 :func:`brute_force_min_nonfacial` is the independent reference oracle: it
-enumerates every simple cycle of the graph outright.
+takes the least circuit of :func:`all_nonfacial_circuits`, which lists
+every simple cycle outright, each by a depth-first search from its least
+vertex through the vertices above it, and drops the face boundaries.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Container, Iterable, Sequence
 
-from .errors import InternalError
 from .graph import PolyhedralGraph, edge_faces, trace_faces
 
 
@@ -180,7 +181,7 @@ def min_nonfacial_circuit(
     deterministic.  Requires nonnegative weights.  With a ``limit``, the
     search looks only at circuits weighing at most it, and returns None
     when the least circuit weighs more; without one, a graph with no
-    non-facial circuit raises InternalError.
+    non-facial circuit raises ValueError.
     """
     _check_weights(g, w, nonnegative=True)
     nums, denom = _scaled(w)
@@ -219,7 +220,7 @@ def min_nonfacial_circuit(
     if best is None:
         if limit is not None:
             return None
-        raise InternalError("polyhedral graph has no non-facial circuit")
+        raise ValueError("graph has no non-facial circuit")
     weight, ids = best
     return canonical_circuit(g, ids), Fraction(weight, denom)
 
@@ -229,26 +230,35 @@ def all_nonfacial_circuits(g: PolyhedralGraph) -> tuple[tuple[int, ...], ...]:
     """Every simple circuit of g that is not a face boundary, as its
     canonical edge id tuple.
 
-    Exhaustive enumeration; exponential in general, cached per graph.
-    Sorted by (length, canonical edge sequence).
+    Each circuit is found from its least vertex s: a depth-first search
+    over the simple paths from s through vertices above s closes a
+    circuit at each edge back to s.  Both directions of a circuit are
+    such paths, and only the one whose closing edge id is above its
+    first is kept.  Exhaustive; exponential in general, cached per
+    graph.  Sorted by (length, canonical edge sequence).
     """
-    import networkx as nx
-
-    G = nx.Graph()
-    G.add_nodes_from(range(g.vertex_count))
-    G.add_edges_from(g.edges)
     face_sets = {f.edge_ids for f in trace_faces(g)}
+    adj = [[(e, g.other_end(e, v)) for e in rot] for v, rot in enumerate(g.rotation)]
     out = []
-    for nodes in nx.simple_cycles(G):
-        if len(nodes) < 3:
-            continue
-        ids = tuple(
-            g.edge_id(nodes[i], nodes[(i + 1) % len(nodes)])
-            for i in range(len(nodes))
-        )
-        if frozenset(ids) in face_sets:
-            continue
-        out.append(_canonical(ids))
+
+    def extend(s: int, v: int, path: list[int], on_path: set[int]) -> None:
+        for e, u in adj[v]:
+            if u == s:
+                # one of the circuit's two directions; this also skips
+                # the way back along path[0], as g has no parallel edges
+                if e > path[0]:
+                    ids = (*path, e)
+                    if frozenset(ids) not in face_sets:
+                        out.append(_canonical(ids))
+            elif u > s and u not in on_path:
+                path.append(e)
+                on_path.add(u)
+                extend(s, u, path, on_path)
+                path.pop()
+                on_path.remove(u)
+
+    for s in range(g.vertex_count):
+        extend(s, s, [], {s})
     out.sort(key=lambda c: (len(c), c))
     return tuple(out)
 
@@ -261,7 +271,7 @@ def brute_force_min_nonfacial(g: PolyhedralGraph, w) -> tuple[tuple[int, ...], F
     nums, denom = _scaled(w)
     keys = [(sum(nums[e] for e in c), c) for c in all_nonfacial_circuits(g)]
     if not keys:
-        raise InternalError("polyhedral graph has no non-facial circuit")
+        raise ValueError("graph has no non-facial circuit")
     weight, best = min(keys)
     return best, Fraction(weight, denom)
 

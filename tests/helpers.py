@@ -84,6 +84,37 @@ def small_corpus() -> dict:
     return {name: g for name, g in corpus().items() if g.vertex_count <= 14}
 
 
+def map_code(g: PolyhedralGraph) -> tuple[tuple[int, ...], ...]:
+    """A canonical code of g's map, after Weinberg (1966): equal codes
+    mean isomorphic maps, mirror images included.
+
+    From a start dart and a sense of rotation, number the vertices in
+    the order a breadth-first scan reaches them, each vertex listing
+    its neighbours in rotation order from the edge it was reached by;
+    the code is the least such list over every start.  A 3-connected
+    planar graph has one map up to reflection (Whitney), so two such
+    graphs are isomorphic exactly when their codes are equal."""
+    codes = []
+    for rotation in (g.rotation, tuple(rot[::-1] for rot in g.rotation)):
+        for start, rot in enumerate(rotation):
+            for first in rot:
+                label = {start: 0}
+                reached = [(start, first)]
+                code = []
+                for v, e in reached:  # grows as the scan reaches vertices
+                    i = rotation[v].index(e)
+                    row = []
+                    for x in rotation[v][i:] + rotation[v][:i]:
+                        u = g.other_end(x, v)
+                        if u not in label:
+                            label[u] = len(label)
+                            reached.append((u, x))
+                        row.append(label[u])
+                    code.append(tuple(row))
+                codes.append(tuple(code))
+    return min(codes)
+
+
 # Decisions are deterministic; share them across acceptance criteria.
 circumscribable = functools.lru_cache(maxsize=None)(decide_circumscribable)
 inscribable = functools.lru_cache(maxsize=None)(decide_inscribable)

@@ -29,7 +29,7 @@ from inscribe import (
     trace_faces,
     validate_steinitz,
 )
-from inscribe.separation import weighting_problems
+from inscribe.separation import canonical_circuit, weighting_problems
 
 F = Fraction
 
@@ -176,8 +176,7 @@ def _check_structure(name, g):
     ]
     assert len(darts) == 2 * g.edge_count and len(set(darts)) == 2 * g.edge_count, name
     _check_double_dual(name, g)
-    if g.vertex_count <= 14:
-        _check_facial_circuit_lemma(name, g)
+    _check_facial_circuit_lemma(name, g)
 
 
 def _check_double_dual(name, g):
@@ -197,38 +196,21 @@ def _check_double_dual(name, g):
 
 
 def _check_facial_circuit_lemma(name, g):
-    """Each edge lies on exactly two faces, and any simple circuit whose
-    edge set equals a face's is one of the two faces at each of its
-    edges.  Checked by direct enumeration of all simple cycles."""
+    """Each edge lies on exactly two faces, and each face's edge set is
+    one simple cycle of the face's degree, with the face among the two
+    faces at each of its edges."""
     faces = trace_faces(g)
     incident = edge_faces(g)
-    face_of = {f.edge_ids: f.id for f in faces}
-    assert len(face_of) == len(faces), name
+    assert len({f.edge_ids for f in faces}) == len(faces), name
     counts = {e: 0 for e in range(g.edge_count)}
     for f in faces:
         for e in f.edge_ids:
             counts[e] += 1
     assert all(c == 2 for c in counts.values()), name
-    facial = [c for c in _all_simple_cycle_edge_sets(g) if c in face_of]
-    for edge_set in facial:
-        fid = face_of[edge_set]
-        for e in edge_set:
-            assert fid in incident[e], name
-
-
-def _all_simple_cycle_edge_sets(g):
-    import networkx as nx
-
-    G = nx.Graph()
-    G.add_nodes_from(range(g.vertex_count))
-    G.add_edges_from(g.edges)
-    for nodes in nx.simple_cycles(G):
-        if len(nodes) < 3:
-            continue
-        yield frozenset(
-            g.edge_id(nodes[i], nodes[(i + 1) % len(nodes)])
-            for i in range(len(nodes))
-        )
+    for f in faces:
+        assert len(canonical_circuit(g, f.edge_ids)) == len(f.boundary), name
+        for e in f.edge_ids:
+            assert f.id in incident[e], name
 
 
 def test_criterion_7_structural_invariants():

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +121,25 @@ def test_every_private_module_name_is_read():
                     private[name] = module
     read = set().union(*map(_loaded_names, MODULES.values()))
     assert {name: module for name, module in private.items() if name not in read} == {}
+
+
+TESTS = Path(__file__).parent
+
+
+def test_imports_name_only_the_standard_library_pytest_and_the_project():
+    # deciding needs nothing but Python, and the tests only pytest
+    allowed = sys.stdlib_module_names | {"pytest", "inscribe"}
+    allowed |= {path.stem for path in TESTS.glob("*.py")}
+    foreign = {}
+    for path in [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.partition(".")[0] not in allowed:
+                    foreign[f"{path.parent.name}/{path.name}:{node.lineno}"] = name
+    assert foreign == {}

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import corpus, delete_edge, random_stacked_variant
+from helpers import corpus, delete_edge, map_code, random_stacked_variant
 
 import inscribe.graph as graph_module
 from inscribe import (
@@ -19,6 +19,7 @@ from inscribe import (
     is_k_vertex_connected,
     parse_graph,
     require_polyhedral,
+    stack_on_faces,
     trace_faces,
     validate_steinitz,
 )
@@ -374,26 +375,41 @@ class TestConnectivity:
         assert not is_k_vertex_connected(g, 2)
 
 
+class TestMapCode:
+    def test_prism_4_is_the_cube(self):
+        assert map_code(generate("prism", 4)) == map_code(generate("cube"))
+
+    def test_mirror_image_has_the_same_code(self):
+        # a chiral map: no relabelling turns it into its mirror image
+        g = stack_on_faces(generate("antiprism", 4), [1, 2])
+        mirror = PolyhedralGraph(
+            g.vertex_count, g.edges, tuple(rot[::-1] for rot in g.rotation)
+        )
+        assert map_code(mirror) == map_code(g)
+
+    def test_maps_of_equal_size_differ(self):
+        # 7 vertices and 15 edges each: two apexes of degree 5, or one
+        a = generate("bipyramid", 5)
+        b = stack_on_faces(generate("octahedron"), [0])
+        assert (a.vertex_count, a.edge_count) == (b.vertex_count, b.edge_count) == (7, 15)
+        assert map_code(a) != map_code(b)
+
+
 class TestDual:
     def test_cube_dual_is_octahedron(self):
-        import networkx as nx
-
         pair = dual(generate("cube"))
         assert pair.dual.vertex_count == 6
         assert pair.dual.edge_count == 12
         assert len(trace_faces(pair.dual)) == 8
-        a = nx.Graph(list(pair.dual.edges))
-        b = nx.Graph(list(generate("octahedron").edges))
-        assert nx.is_isomorphic(a, b)
+        assert map_code(pair.dual) == map_code(generate("octahedron"))
 
     def test_tetrahedron_self_dual(self):
-        import networkx as nx
-
         g = generate("tetrahedron")
-        assert nx.is_isomorphic(
-            nx.Graph(list(dual(g).dual.edges)),
-            nx.Graph(list(g.edges)),
-        )
+        assert map_code(dual(g).dual) == map_code(g)
+
+    def test_icosahedron_dual_is_dodecahedron(self):
+        dodecahedron = generate("dodecahedron")
+        assert map_code(dual(generate("icosahedron")).dual) == map_code(dodecahedron)
 
     def test_bijection_is_consistent(self):
         g = generate("prism", 5)

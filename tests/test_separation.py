@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -192,6 +193,26 @@ class TestMinNonfacialCircuit:
                 assert min_nonfacial_circuit(g, w, weight - Fraction(1, 97)) is None, name
 
 
+class TestNoNonfacialCircuit:
+    """A triangle is not polyhedral: its one cycle bounds both faces."""
+
+    def triangle(self):
+        return PolyhedralGraph.from_neighbor_rotations([[1, 2], [2, 0], [0, 1]])
+
+    def test_enumeration_is_empty(self):
+        assert all_nonfacial_circuits(self.triangle()) == ()
+
+    @pytest.mark.parametrize("oracle", [min_nonfacial_circuit, brute_force_min_nonfacial])
+    def test_oracles_reject_it_as_bad_input(self, oracle):
+        g = self.triangle()
+        with pytest.raises(ValueError, match="^graph has no non-facial circuit$"):
+            oracle(g, uniform(g, 1))
+
+    def test_a_limit_gives_none(self):
+        g = self.triangle()
+        assert min_nonfacial_circuit(g, uniform(g, 1), Fraction(5)) is None
+
+
 class TestBruteForce:
     def test_matches_oracle_on_random_weightings(self):
         rng = random.Random(20260810)
@@ -268,11 +289,26 @@ class TestBruteForce:
         g = generate("dodecahedron")
         assert brute_force_min_nonfacial(g, uniform(g)) == min_nonfacial_circuit(g, uniform(g))
 
-    def test_enumeration_counts(self):
+    @pytest.mark.parametrize("family,n,cycles,faces", [
+        ("tetrahedron", None, 7, 4),
+        ("cube", None, 28, 6),
+        ("octahedron", None, 63, 8),
+        # wheel n: n^2 - n + 1 cycles; prism n: 2^n + n(n - 1)
+        *(("wheel", n, n * n - n + 1, n + 1) for n in range(3, 13)),
+        *(("prism", n, 2**n + n * (n - 1), n + 2) for n in range(3, 13)),
+    ])
+    def test_enumeration_counts(self, family, n, cycles, faces):
         # classical cycle counts minus the face boundaries
-        assert len(all_nonfacial_circuits(generate("tetrahedron"))) == 7 - 4
-        assert len(all_nonfacial_circuits(generate("cube"))) == 28 - 6
-        assert len(all_nonfacial_circuits(generate("octahedron"))) == 63 - 8
+        assert len(all_nonfacial_circuits(generate(family, n))) == cycles - faces
+
+    def test_enumeration_digest(self):
+        # sha256 of every small-corpus graph's circuit tuple, then the
+        # dodecahedron's, pinned from an independent enumerator's output
+        graphs = [*small_corpus().values(), generate("dodecahedron")]
+        text = repr([all_nonfacial_circuits(g) for g in graphs])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0d5dd48f9b5cfc38cdede4013cfccb9c49d30c8330a59224b3a88017268ff790"
+        )
 
 
 def _permuted(g, rng):
