@@ -24,20 +24,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import GraphError, InternalError
-from .graph import (
-    PolyhedralGraph,
-    dual,
-    format_graph,
-    parse_graph,
-    trace_faces,
-    validate_steinitz,
-)
-
-if TYPE_CHECKING:
-    from .decide import Certificate
+from .graph import dual, format_graph, parse_graph, trace_faces, validate_steinitz
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -146,7 +135,6 @@ def _emit_certificate(cert, angles, fmt) -> None:
         print(f"margin: {_frac_str(cert.margin)}")
     else:
         print("margin: none (face equalities contradictory)")
-    print(f"iterations: {cert.iterations}")
     print(f"cuts: {len(cert.cuts)}")
     for title, values in (
         ("weights", cert.weights), ("dihedral angles (fractions of pi)", angles)
@@ -191,7 +179,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _load_certificate_and_graph(args) -> tuple[Certificate, PolyhedralGraph]:
+def _load_certificate_and_graph(args) -> tuple:
     from .decide import certificate_from_json
 
     path = args.certificate

@@ -117,8 +117,6 @@ class PolyhedralGraph:
             for v in nbrs:
                 if not 0 <= v < n:
                     raise EmbeddingError(f"vertex {u} lists neighbor {v} out of range")
-                if v == u:
-                    raise EmbeddingError(f"loop at vertex {u}")
                 pair = frozenset((u, v))
                 eid = ids.get(pair)
                 if eid is None:

@@ -299,8 +299,8 @@ class _Tableau:
             for j, x in self.rows[i].items():
                 reduced[j] = reduced.get(j, 0) - f * x
             value += f * self.rhs[i]
-        basic_cols = set(self.basis)
-        reduced = {j: x for j, x in reduced.items() if x and j not in basic_cols}
+        # a basic column's own row cancels its cost, so it drops out as 0
+        reduced = {j: x for j, x in reduced.items() if x}
         g = math.gcd(*reduced.values(), value, d)
         self.reduced = {j: x // g for j, x in reduced.items()}
         self.value = value // g
@@ -321,13 +321,12 @@ class _Tableau:
             a = other.get(c)
             if a and i != r:
                 _, rhs[i], den[i] = _eliminate(other, rhs[i], den[i], a, row, b, p)
-        a = self.reduced.get(c)
-        if a:
-            # (reduced, -value) updates like a constraint row (row, rhs)
-            _, value, self.obj_den = _eliminate(
-                self.reduced, -self.value, self.obj_den, a, row, b, p
-            )
-            self.value = -value
+        # (reduced, -value) updates like a constraint row (row, rhs); the
+        # entering column's reduced cost is positive
+        _, value, self.obj_den = _eliminate(
+            self.reduced, -self.value, self.obj_den, self.reduced[c], row, b, p
+        )
+        self.value = -value
         self.basis[r] = c
 
     def maximize(self):
@@ -470,8 +469,6 @@ def _solve_lp(n_vars, rows, target):
     cost = {target: 1}
     tab.set_objective(cost)
     tab.maximize()
-    if any(v > 0 for j, v in tab.reduced.items() if j < art_start):
-        raise InternalError("simplex stopped with a positive reduced cost")
     x = [_F0] * n_vars
     for i, bc in enumerate(tab.basis):
         if bc < n_vars:

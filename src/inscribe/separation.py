@@ -16,7 +16,10 @@ The search from the endpoint of e0 where the canonical form of C*
 starts, avoiding one edge of each face that C* misses, returns C*: any
 other path it could prefer closes a non-facial circuit of no greater
 weight whose canonical form is smaller.  Both ends of every edge are
-searched.
+searched.  A circuit's key, its weight and its edges from e on, is
+(weight, canonical form) when read from the canonical start and larger
+from the other end, so the least key is already canonical and the
+oracle returns it as it is.
 
 A caller may pass a ``limit``: only a circuit weighing at most it is
 wanted, and None stands for "none is that light".  The search keeps a
@@ -90,13 +93,15 @@ def _canonical(ids: tuple[int, ...]) -> tuple[int, ...]:
     return min(fwd, bwd)
 
 
-def _check_weights(g: PolyhedralGraph, w, *, nonnegative: bool) -> None:
+def _numerators(g: PolyhedralGraph, w, *, nonnegative: bool) -> tuple[list[int], int]:
+    """:func:`_scaled` of a weight vector with one entry per edge of g,
+    which ``nonnegative`` requires to be at least 0; else ValueError."""
     if len(w) != g.edge_count:
-        raise ValueError(
-            f"weight vector has {len(w)} entries for {g.edge_count} edges"
-        )
-    if nonnegative and any(w[e] < 0 for e in range(g.edge_count)):
+        raise ValueError(f"weight vector has {len(w)} entries for {g.edge_count} edges")
+    nums, denom = _scaled(w)
+    if nonnegative and min(nums, default=0) < 0:
         raise ValueError("edge weights must be nonnegative")
+    return nums, denom
 
 
 def _scaled(w) -> tuple[list[int], int]:
@@ -159,14 +164,14 @@ def min_cycle_through_edge(
     banned = frozenset(forbidden)
     if e in banned:
         raise ValueError("the required edge cannot be forbidden")
-    _check_weights(g, w, nonnegative=True)
-    nums, denom = _scaled(w)
+    nums, denom = _numerators(g, w, nonnegative=True)
     adj = [[(x, g.other_end(x, v)) for x in rot] for v, rot in enumerate(g.rotation)]
     sp = _shortest_path(adj, nums, *g.edges[e], banned | {e}, sum(nums))
     if sp is None:
         return None
     dist, path = sp
-    return canonical_circuit(g, (e,) + path), Fraction(dist + nums[e], denom)
+    # a shortest path closed by e is a simple cycle
+    return _canonical((e,) + path), Fraction(dist + nums[e], denom)
 
 
 def min_nonfacial_circuit(
@@ -183,8 +188,7 @@ def min_nonfacial_circuit(
     when the least circuit weighs more; without one, a graph with no
     non-facial circuit raises ValueError.
     """
-    _check_weights(g, w, nonnegative=True)
-    nums, denom = _scaled(w)
+    nums, denom = _numerators(g, w, nonnegative=True)
     # no simple circuit weighs more than all the edges together
     cap = sum(nums) if limit is None else math.floor(limit * denom)
     faces = trace_faces(g)
@@ -208,8 +212,6 @@ def min_nonfacial_circuit(
                     if sp is None:
                         # the graph is undirected: the reverse fails too
                         break
-                    # the key is the canonical form when read from the
-                    # circuit's canonical start, and larger from its other end
                     dist, path = sp
                     key = (dist + nums[e], (e,) + path)
                     if best is None or key < best:
@@ -222,7 +224,7 @@ def min_nonfacial_circuit(
             return None
         raise ValueError("graph has no non-facial circuit")
     weight, ids = best
-    return canonical_circuit(g, ids), Fraction(weight, denom)
+    return ids, Fraction(weight, denom)
 
 
 @lru_cache(maxsize=64)
@@ -267,8 +269,7 @@ def brute_force_min_nonfacial(g: PolyhedralGraph, w) -> tuple[tuple[int, ...], F
     """Reference oracle: the least (weight, canonical edge sequence)
     circuit over the exhaustive non-facial circuit list, the same one
     :func:`min_nonfacial_circuit` returns.  Accepts negative weights."""
-    _check_weights(g, w, nonnegative=False)
-    nums, denom = _scaled(w)
+    nums, denom = _numerators(g, w, nonnegative=False)
     keys = [(sum(nums[e] for e in c), c) for c in all_nonfacial_circuits(g)]
     if not keys:
         raise ValueError("graph has no non-facial circuit")
@@ -290,10 +291,9 @@ def weighting_problems(g: PolyhedralGraph, w, margin: Fraction) -> list[str]:
     1 + max(bound slack, 0) with bound slack = min(w, 1/2 - w): a
     heavier circuit is above 1 and cannot lower the least slack.
     """
-    _check_weights(g, w, nonnegative=False)
     # bounds and face sums on the numerators over one denominator d:
     # 0 < w < 1/2 is 0 < n < d/2, and a unit face sum is d
-    nums, d = _scaled(w)
+    nums, d = _numerators(g, w, nonnegative=False)
     problems = []
     bounds = tuple(e for e, n in enumerate(nums) if not 0 < 2 * n < d)
     if bounds:

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import GOLDENS, map_code
+from helpers import GOLDENS, cuboctahedron, map_code
 
 import inscribe
 import inscribe.graph as graph_module
@@ -209,6 +209,29 @@ class TestDecide:
         assert "answer: yes" in out
         assert "margin: 1/4" in out
 
+    def test_text_output_of_a_yes_and_a_no(self, capsys):
+        thirds = "".join(f"  edge {e}: 1/3\n" for e in range(6))
+        code, out, _ = run_cli(
+            capsys, ["decide", "--inscribable", str(CORPUS / "tetrahedron.pg")]
+        )
+        assert (code, out) == (0, (
+            "answer: yes\ngraph_role: dual\nmargin: 1/6\ncuts: 0\n"
+            "weights:\n" + thirds + "dihedral angles (fractions of pi):\n" + thirds
+        ))
+        code, out, _ = run_cli(
+            capsys, ["decide", "--inscribable", str(CORPUS / "kleetope_tetrahedron.pg")]
+        )
+        assert (code, out) == (0, "answer: no\ngraph_role: dual\nmargin: 0/1\ncuts: 0\n")
+
+    def test_contradictory_face_sums_text(self, capsys, tmp_path):
+        path = tmp_path / "cuboctahedron.pg"
+        path.write_text(format_graph(cuboctahedron()))
+        code, out, _ = run_cli(capsys, ["decide", "--circumscribable", str(path)])
+        assert (code, out) == (0, (
+            "answer: no\ngraph_role: primal\n"
+            "margin: none (face equalities contradictory)\ncuts: 0\n"
+        ))
+
     def test_mutually_exclusive_flags(self, capsys, cube_file):
         with pytest.raises(SystemExit) as info:
             main(["decide", "--inscribable", "--circumscribable", cube_file])
@@ -318,6 +341,20 @@ class TestAnglesAndVerify:
         code, out, _ = run_cli(capsys, ["verify", str(cert), cube_file])
         assert code == 0
         assert "FAIL" in out
+
+    def test_verify_json(self, capsys):
+        golden = DATA / "cube_inscribable_angles.json"
+        cube = str(CORPUS / "cube.pg")
+        code, out, _ = run_cli(capsys, ["verify", str(golden), cube, "--format", "json"])
+        assert (code, out) == (0, '{\n  "valid": true,\n  "problems": []\n}\n')
+        # the cube's certificate against the octahedron, the cube's dual
+        octahedron = str(CORPUS / "octahedron.pg")
+        code, out, _ = run_cli(capsys, ["verify", str(golden), octahedron, "--format", "json"])
+        assert (code, json.loads(out)) == (0, {
+            "valid": False,
+            "problems": ["recorded edge bijection does not match the dual"]
+            + [f"face {f} sums to 4/3" for f in range(6)],
+        })
 
     def test_angles_output(self, capsys, cube_file, tmp_path):
         _, out, _ = run_cli(

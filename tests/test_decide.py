@@ -364,6 +364,11 @@ class TestDihedralAngles:
         with pytest.raises(ValueError):
             dihedral_angles(cert, dual(g))
 
+    def test_rejects_another_graphs_dual(self):
+        cert = decide_inscribable(generate("tetrahedron"))
+        with pytest.raises(ValueError, match="^certificate does not match the dual graph$"):
+            dihedral_angles(cert, dual(generate("cube")))
+
 
 class TestCertificateSerialization:
     def test_roundtrip(self):

@@ -4,7 +4,9 @@ import re
 import pytest
 
 from inscribe import (
+    EmbeddingError,
     GraphError,
+    PolyhedralGraph,
     format_graph,
     generate,
     kleetope,
@@ -13,7 +15,7 @@ from inscribe import (
     trace_faces,
     validate_steinitz,
 )
-from inscribe.generators import _SIZED, FAMILIES
+from inscribe.generators import _SIZED, FAMILIES, from_oriented_faces
 
 
 @pytest.mark.parametrize(
@@ -84,6 +86,38 @@ def test_stack_on_one_face():
     assert g.edge_count == 16
     assert len(trace_faces(g)) == 9
     assert validate_steinitz(g).is_polyhedral
+
+
+@pytest.mark.parametrize(
+    "vertex_count,faces,message",
+    [
+        (3, [(0, 1)], "face with fewer than 3 vertices"),
+        (3, [(0, 1, 5)], "face vertex 5 out of range"),
+        (3, [(0, 1, 2), (0, 1, 2)], "directed edge 2->0 used by more than one face"),
+        (4, [(0, 1, 2), (0, 2, 1)], "vertex 3 lies on no face"),
+        (3, [(0, 1, 2)], "faces do not close up into a disk around vertex 0"),
+        (
+            5,
+            [(0, 1, 2), (0, 2, 1), (0, 3, 4), (0, 4, 3)],
+            "faces around vertex 0 split into several cycles",
+        ),
+    ],
+)
+def test_from_oriented_faces_rejections(vertex_count, faces, message):
+    with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
+        from_oriented_faces(vertex_count, faces)
+
+
+def test_stack_on_faces_rejections():
+    # two triangles sharing vertex 0: face 0 passes through it twice
+    bowtie = PolyhedralGraph.from_neighbor_rotations(
+        [[1, 2, 3, 4], [0, 2], [1, 0], [0, 4], [3, 0]]
+    )
+    message = "directed edge 5->0 used by more than one face"
+    with pytest.raises(EmbeddingError, match=f"^{re.escape(message)}$"):
+        stack_on_faces(bowtie, [0])
+    with pytest.raises(GraphError, match="^face id 9 out of range$"):
+        stack_on_faces(bowtie, [9])
 
 
 def test_shipped_corpus_files_match_generators():

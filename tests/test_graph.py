@@ -93,7 +93,7 @@ class TestParse:
 
     def test_loop_rejected(self):
         text = "polygraph 1\nvertices 2\nv 0: 0 1\nv 1: 0\n"
-        with pytest.raises(EmbeddingError):
+        with pytest.raises(EmbeddingError, match="^edge 0 is a loop at vertex 0$"):
             parse_graph(text)
 
     def test_parallel_edge_rejected(self):
@@ -108,6 +108,15 @@ class TestParse:
     def test_missing_vertex_line(self):
         with pytest.raises(FormatError):
             parse_graph("polygraph 1\nvertices 3\nv 0: 1\nv 1: 0\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("# only a comment\n\n", "^empty polygraph file$"),
+        ("polygraph 1\n", "^missing 'vertices N' line$"),
+        ("polygraph 1\nvertices 2\nv 0: 1\nv 0: 1\n", "^line 4: vertex 0 listed twice$"),
+    ], ids=["empty", "no-count", "twice"])
+    def test_file_shape_rejected(self, text, message):
+        with pytest.raises(FormatError, match=message):
+            parse_graph(text)
 
     @pytest.mark.parametrize("position", ["count", "index", "neighbor"])
     @pytest.mark.parametrize("token", ["+1", "1_0", "\u0662"])
@@ -205,6 +214,22 @@ class TestValues:
         assert repr(g) == (
             f"PolyhedralGraph(vertex_count=4, edges={g.edges!r}, rotation={g.rotation!r})"
         )
+
+    @pytest.mark.parametrize("args,message", [
+        ((0, (), ()), "^vertex count must be positive$"),
+        ((2, ((0, 1),), ((0,),)), "^rotation must list every vertex exactly once$"),
+        ((2, ((0, 2),), ((0,), (0,))), "^edge 0 has an endpoint out of range$"),
+        ((2, ((0, 1), (1, 0)), ((0, 1), (0, 1))), "^parallel edge between 1 and 0$"),
+    ], ids=["count", "rotation-length", "endpoint", "parallel"])
+    def test_constructor_rejections(self, args, message):
+        with pytest.raises(EmbeddingError, match=message):
+            PolyhedralGraph(*args)
+
+    def test_other_end_of_a_vertex_off_the_edge(self):
+        g = generate("tetrahedron")
+        assert g.other_end(0, 1) == 0
+        with pytest.raises(ValueError, match="^vertex 3 is not an endpoint of edge 0$"):
+            g.other_end(0, 3)
 
     def test_derived_values_are_computed_once(self):
         g = generate("cube")

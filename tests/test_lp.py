@@ -120,6 +120,11 @@ class TestAddCircuit:
         with pytest.raises(ValueError, match="bounds a face"):
             add_circuit_constraint(s, facial)
 
+    def test_unknown_edge_rejected(self):
+        s = new_system(generate("tetrahedron"))
+        with pytest.raises(ValueError, match="^circuit references an unknown edge$"):
+            add_circuit_constraint(s, (0, 3, 6))
+
 
 class TestMaximizeMargin:
     def test_k4_without_circuit_rows(self):

@@ -193,6 +193,28 @@ class TestMinNonfacialCircuit:
                 assert min_nonfacial_circuit(g, w, weight - Fraction(1, 97)) is None, name
 
 
+class TestWeightChecks:
+    CALLERS = {
+        "min_cycle_through_edge": lambda g, w: min_cycle_through_edge(g, w, 0),
+        "min_nonfacial_circuit": min_nonfacial_circuit,
+        "brute_force_min_nonfacial": brute_force_min_nonfacial,
+        "weighting_problems": lambda g, w: weighting_problems(g, w, THIRD),
+    }
+
+    @pytest.mark.parametrize("name", CALLERS)
+    def test_one_weight_per_edge(self, name):
+        g = generate("tetrahedron")
+        with pytest.raises(ValueError, match="^weight vector has 5 entries for 6 edges$"):
+            self.CALLERS[name](g, uniform(g)[:5])
+
+    @pytest.mark.parametrize("name", ["min_cycle_through_edge", "min_nonfacial_circuit"])
+    def test_tiny_negative_weight_rejected(self, name):
+        g = generate("tetrahedron")
+        w = uniform(g)[:5] + (Fraction(-1, 10**30),)
+        with pytest.raises(ValueError, match="^edge weights must be nonnegative$"):
+            self.CALLERS[name](g, w)
+
+
 class TestNoNonfacialCircuit:
     """A triangle is not polyhedral: its one cycle bounds both faces."""
 
