@@ -23,6 +23,10 @@ optimality are exact.  A row updated by a pivot is reduced by its gcd
 only once its denominator reaches 2^30 (:data:`_REDUCE_AT`); it equals
 its reduced form as rationals, and no comparison the simplex makes
 depends on a positive row scale, so neither does any pivot or result.
+The objective is the tableau's last row: its entries are the reduced
+costs and its right-hand side minus the objective's value.  A new
+objective is its cost map with each basic column eliminated by the same
+update, and each pivot updates it as it updates every constraint row.
 The pivot rule is steepest reduced cost with a permanent switch to
 Bland's rule after a run of degenerate pivots, which guarantees
 termination.  Phase 1 maximizes minus the sum of the artificial
@@ -258,53 +262,40 @@ class _Tableau:
     """Simplex tableau on fraction-free integer rows of nonzeros.
 
     Row i stands for ``rows[i] / den[i]``, a ``{column: int}`` map of its
-    nonzero entries, with right-hand side ``rhs[i] / den[i]``; the
-    objective row is ``reduced / obj_den``, a map of the nonzero reduced
-    costs, with value ``value / obj_den``.  Every denominator is positive.
-    A row need not be primitive (the gcd of its integers and its
-    denominator 1) but equals its primitive form as rationals: the pivot
-    row and a new objective are reduced, and a row the pivot updates only
-    once its denominator reaches :data:`_REDUCE_AT`.  The tableau owns
-    its maps: a pivot rewrites each row it touches in place.  A basic
-    column reads ``den[i]`` in its own row and is absent elsewhere.
-    ``maximize`` runs to an optimum; every LP here is bounded, so a
-    column that no row bounds raises InternalError.  ``bland`` records
-    whether the last ``maximize`` fell back to Bland's rule.  Only
-    columns below ``priced`` may enter the basis, and a basic column at
-    or above it stays at 0.  While
-    ``nonpositive`` is set the objective can never exceed 0 (phase 1),
-    so ``maximize`` stops as soon as its value reaches 0.
+    nonzero entries, with right-hand side ``rhs[i] / den[i]``.  The last
+    row is the objective: its entries are the nonzero reduced costs and
+    its right-hand side is minus the objective's value, so a pivot
+    updates it as it updates every constraint row.  Every denominator is
+    positive.  A row need not be primitive (the gcd of its integers and
+    its denominator 1) but equals its primitive form as rationals: the
+    pivot row is reduced, and any other row only once its denominator
+    reaches :data:`_REDUCE_AT`.  The tableau owns its maps: a pivot
+    rewrites each row it touches in place.  ``basis`` names one column
+    per constraint row; a basic column reads ``den[i]`` in its own row
+    and is absent elsewhere, the objective row included.  ``maximize``
+    runs to an optimum; every LP here is bounded, so a column that no row
+    bounds raises InternalError.  ``bland`` records whether the last
+    ``maximize`` fell back to Bland's rule.  Only columns below
+    ``priced`` may enter the basis, and a basic column at or above it
+    stays at 0.
     """
 
     def __init__(self, rows, rhs, basis, priced):
-        self.rows = rows
-        self.rhs = rhs
-        self.den = [1] * len(rows)
+        self.rows = [*rows, {}]
+        self.rhs = [*rhs, 0]
+        self.den = [1] * len(self.rows)
         self.basis = basis
         self.priced = priced
-        self.nonpositive = False
-        self.reduced = {}
-        self.value = 0
-        self.obj_den = 1
         self.bland = False
 
     def set_objective(self, cost):
-        """Reduced costs and value of the sparse integer cost map ``cost``."""
-        basic = [(i, cost[bc]) for i, bc in enumerate(self.basis) if cost.get(bc)]
-        d = math.lcm(*(self.den[i] for i, _ in basic))
-        reduced = {j: c * d for j, c in cost.items()}
-        value = 0
-        for i, cb in basic:
-            f = cb * (d // self.den[i])
-            for j, x in self.rows[i].items():
-                reduced[j] = reduced.get(j, 0) - f * x
-            value += f * self.rhs[i]
-        # a basic column's own row cancels its cost, so it drops out as 0
-        reduced = {j: x for j, x in reduced.items() if x}
-        g = math.gcd(*reduced.values(), value, d)
-        self.reduced = {j: x // g for j, x in reduced.items()}
-        self.value = value // g
-        self.obj_den = d // g
+        """Make the sparse integer cost map ``cost`` the objective row,
+        with each basic column removed as a pivot removes it."""
+        row, b, d = dict(cost), 0, 1
+        for i, bc in enumerate(self.basis):
+            if bc in row:
+                b, d = _eliminate(row, b, d, row[bc], self.rows[i], self.rhs[i], self.den[i])
+        self.rows[-1], self.rhs[-1], self.den[-1] = row, b, d
 
     def pivot(self, r, c):
         rows, rhs, den = self.rows, self.rhs, self.den
@@ -320,24 +311,20 @@ class _Tableau:
         for i, other in enumerate(rows):
             a = other.get(c)
             if a and i != r:
-                _, rhs[i], den[i] = _eliminate(other, rhs[i], den[i], a, row, b, p)
-        # (reduced, -value) updates like a constraint row (row, rhs); the
-        # entering column's reduced cost is positive
-        _, value, self.obj_den = _eliminate(
-            self.reduced, -self.value, self.obj_den, self.reduced[c], row, b, p
-        )
-        self.value = -value
+                rhs[i], den[i] = _eliminate(other, rhs[i], den[i], a, row, b, p)
         self.basis[r] = c
 
-    def maximize(self):
+    def maximize(self, nonpositive=False):
+        """Pivot to an optimum; with ``nonpositive`` the objective can
+        never exceed 0 (phase 1), so stop as soon as its value reaches 0."""
         self.bland = False
         stall = 0
         priced = self.priced
         rows, rhs, basis = self.rows, self.rhs, self.basis
         while True:
-            if self.nonpositive and self.value == 0:
+            if nonpositive and rhs[-1] == 0:
                 return
-            reduced = self.reduced
+            reduced = rows[-1]
             improving = [j for j, v in reduced.items() if v > 0 and j < priced]
             if not improving:
                 return
@@ -353,7 +340,7 @@ class _Tableau:
             # entry too, at ratio 0, so that column stays at 0
             leave = -1
             best_b = best_a = 0
-            for i, row in enumerate(rows):
+            for i, row in enumerate(rows[:-1]):
                 a = row.get(enter)
                 if not a or (a < 0 and basis[i] < priced):
                     continue
@@ -385,7 +372,8 @@ def _eliminate(row, b, d, a, prow, pb, p):
     Rows are maps of their nonzeros, and ``row`` is rewritten in place:
     scaled only when p does not divide a, and reduced to primitive form
     only once its new denominator reaches :data:`_REDUCE_AT`, so a row
-    equals its reduced form as rationals but need not be primitive."""
+    equals its reduced form as rationals but need not be primitive.
+    Returns the row's new right-hand side and denominator."""
     g = math.gcd(p, a)
     if g != 1:
         p //= g
@@ -409,7 +397,7 @@ def _eliminate(row, b, d, a, prow, pb, p):
                 row[j] = x // g
             b //= g
             d //= g
-    return row, b, d
+    return b, d
 
 
 def _solve_lp(n_vars, rows, target):
@@ -424,7 +412,7 @@ def _solve_lp(n_vars, rows, target):
     unpriced: one left basic at 0 stays at 0, so tableau row i is row i
     for the whole solve.  Returns (x, y): x holds Fractions, None when
     the rows have no point, and y the LP multipliers of the rows (a
-    Farkas ray without a point), read off the final reduced costs.  A
+    Farkas ray without a point), read off the objective row.  A
     row of unknown kind or with a negative right-hand side raises
     ValueError.
     """
@@ -447,24 +435,22 @@ def _solve_lp(n_vars, rows, target):
 
     art_start = next_slack
     art_rows = [i for i, bc in enumerate(basis) if bc is None]
-    tab = _Tableau(matrix, [row.rhs for row in rows], basis, art_start + len(art_rows))
     for k, i in enumerate(art_rows):
         matrix[i][art_start + k] = 1
         basis[i] = art_start + k
+    tab = _Tableau(matrix, [row.rhs for row in rows], basis, art_start + len(art_rows))
     # each row's first basic column is a unit column of the original
     # rows: its reduced cost is its cost less the row's multiplier
     unit_columns = tuple(basis)
-    if art_rows:
-        cost = {art_start + k: -1 for k in range(len(art_rows))}
-        tab.set_objective(cost)
-        tab.nonpositive = True
-        tab.maximize()
-        if tab.value != 0:
-            return None, _multipliers(tab, cost, unit_columns)
-        # artificial columns stay in the rows, never to enter again;
-        # those still basic sit at 0 and stay there
-        tab.priced = art_start
-        tab.nonpositive = False
+    # with no artificials the cost is empty and phase 1 returns at once
+    cost = {art_start + k: -1 for k in range(len(art_rows))}
+    tab.set_objective(cost)
+    tab.maximize(nonpositive=True)
+    if tab.rhs[-1] != 0:
+        return None, _multipliers(tab, cost, unit_columns)
+    # artificial columns stay in the rows, never to enter again; those
+    # still basic sit at 0 and stay there
+    tab.priced = art_start
 
     cost = {target: 1}
     tab.set_objective(cost)
@@ -477,9 +463,7 @@ def _solve_lp(n_vars, rows, target):
 
 
 def _multipliers(tab, cost, unit_columns):
-    """y read off the tableau's current reduced costs: y_i = cost(c) -
+    """y read off the objective row's reduced costs: y_i = cost(c) -
     d(c) for row i's unit column c."""
-    reduced, obj_den = tab.reduced, tab.obj_den
-    return tuple(
-        Fraction(cost.get(c, 0) * obj_den - reduced.get(c, 0), obj_den) for c in unit_columns
-    )
+    reduced, d = tab.rows[-1], tab.den[-1]
+    return tuple(Fraction(cost.get(c, 0) * d - reduced.get(c, 0), d) for c in unit_columns)

@@ -335,8 +335,8 @@ class TestBlandsRule:
         ran_bland = []
         maximize = lp_module._Tableau.maximize
 
-        def recording(tab):
-            status = maximize(tab)
+        def recording(tab, **kwargs):
+            status = maximize(tab, **kwargs)
             ran_bland.append(tab.bland)
             return status
 
@@ -467,7 +467,7 @@ def random_elimination(rng):
     pivot column 0, and a pivot row (prow, pb) / p with p > 0 there.  p
     is 1, a divisor of a or random; when p divides a, some of the row's
     entries are a / p times the pivot row's, so they cancel; b is of
-    either sign, as the objective's -value is.  d is small, near 2^30
+    either sign, as the objective row's is.  d is small, near 2^30
     over a small factor or above 2^30, so the new denominator falls on
     either side of the bound at which the update reduces the row; the
     row is primitive or a small multiple of a primitive row, as a row
@@ -509,23 +509,23 @@ def check_eliminate(row, b, d, a, prow, pb, p):
     rationals, with only nonzeros stored, the row rewritten in its own
     map and the pivot row left as it is.  Its new denominator is
     d p / gcd(p, a), and once that reaches 2^30 the row is reduced to
-    exactly the reference's primitive form, and otherwise left there."""
+    exactly the reference's primitive form, and otherwise left there.
+    Returns the new right-hand side and denominator, as ``_eliminate``
+    does."""
     expected = reference_eliminate(row, b, d, a, prow, pb, p)
     before = dict(prow)
-    result = ELIMINATE(row, b, d, a, prow, pb, p)
-    assert result[0] is row
+    nb, nd = ELIMINATE(row, b, d, a, prow, pb, p)
     assert prow == before
-    new, nb, nd = result
     ref, rb, rd = expected
-    assert 0 not in new.values() and new.keys() == ref.keys()
+    assert 0 not in row.values() and row.keys() == ref.keys()
     assert nd > 0 and nb * rd == rb * nd
-    assert all(x * rd == ref[j] * nd for j, x in new.items())
+    assert all(x * rd == ref[j] * nd for j, x in row.items())
     unreduced = unreduced_denominator(d, a, p)
     if unreduced >= lp_module._REDUCE_AT:
-        assert result == expected
+        assert (row, nb, nd) == expected
     else:
         assert nd == unreduced
-    return result
+    return nb, nd
 
 
 class TestEliminate:
@@ -536,7 +536,7 @@ class TestEliminate:
             row, b, d, a, prow, pb, p = random_elimination(rng)
             before = dict(row)
             unreduced = unreduced_denominator(d, a, p)
-            new, nb, nd = check_eliminate(row, b, d, a, prow, pb, p)
+            nb, nd = check_eliminate(row, b, d, a, prow, pb, p)
             seen.update(name for name, hit in (
                 ("p = 1", p == 1),
                 ("p shares a factor with a", p > 1 and math.gcd(p, a) > 1),
@@ -544,11 +544,11 @@ class TestEliminate:
                 ("d = 1", d == 1),
                 ("d > 1", d > 1),
                 ("the row is not primitive", math.gcd(*before.values(), b, d) > 1),
-                ("an entry cancels", any(j and j not in new for j in prow)),
+                ("an entry cancels", any(j and j not in row for j in prow)),
                 ("negative rhs", b < 0),
                 ("new denominator 1", nd == 1),
                 ("carried unreduced below 2^30",
-                 unreduced < lp_module._REDUCE_AT and math.gcd(*new.values(), nb, nd) > 1),
+                 unreduced < lp_module._REDUCE_AT and math.gcd(*row.values(), nb, nd) > 1),
                 ("reduced from 2^30 to below it", unreduced >= lp_module._REDUCE_AT > nd),
                 ("reduced, still at least 2^30", unreduced > nd >= lp_module._REDUCE_AT),
             ) if hit)
@@ -559,32 +559,54 @@ def is_primitive(row, b, d):
     return math.gcd(*row.values(), b, d) == 1
 
 
+def reference_objective(tab, cost):
+    """The reduced costs c - c_B B^-1 A, nonzeros only, and the value
+    c_B B^-1 b of the integer cost map ``cost``, as ``Fraction``s: the
+    tableau's constraint rows are B^-1 [A | b], row i over ``den[i]``."""
+    reduced = {j: F(c) for j, c in cost.items()}
+    value = F(0)
+    for i, bc in enumerate(tab.basis):
+        cb = cost.get(bc, 0)
+        if not cb:
+            continue
+        for j, x in tab.rows[i].items():
+            reduced[j] = reduced.get(j, 0) - F(cb * x, tab.den[i])
+        value += F(cb * tab.rhs[i], tab.den[i])
+    return {j: x for j, x in reduced.items() if x}, value
+
+
 class TestTableauInvariant:
     """Rows store only nonzeros, each is its own map and equals the
     fully reduced row as rationals, the basis stays an identity, and in
     phase 2 every artificial still basic sits at 0.  A row is primitive
-    once its denominator reaches 2^30, and the pivot row and a fresh
-    objective always are."""
+    once its denominator reaches 2^30, and the pivot row always is.  The
+    last row is the objective, checked as every other row is, with no
+    basic column; as each ``maximize`` starts and after every pivot it
+    equals the reduced costs and minus the value of the cost map that
+    ``set_objective`` was given, computed apart from the tableau's
+    arithmetic."""
 
     @staticmethod
-    def check(tab):
+    def check(tab, cost):
         basic = set(tab.basis)
         # a pivot rewrites each row's map in place, so no two may share one
         maps = {id(row) for row in tab.rows}
-        assert len(maps) == len(tab.rows) and id(tab.reduced) not in maps
-        for i, row in enumerate(tab.rows):
-            assert 0 not in row.values()
-            if tab.den[i] >= lp_module._REDUCE_AT:
-                assert is_primitive(row, tab.rhs[i], tab.den[i])
-            assert row[tab.basis[i]] == tab.den[i] > 0
-            assert basic & row.keys() == {tab.basis[i]}
+        assert len(maps) == len(tab.rows) == len(tab.basis) + 1
+        for row, b, d in zip(tab.rows, tab.rhs, tab.den):
+            assert 0 not in row.values() and d > 0
+            if d >= lp_module._REDUCE_AT:
+                assert is_primitive(row, b, d)
+        for i, bc in enumerate(tab.basis):
+            assert tab.rows[i][bc] == tab.den[i]
+            assert basic & tab.rows[i].keys() == {bc}
             # phase 2 prices no artificial; in phase 1 none is unpriced
-            if tab.basis[i] >= tab.priced:
+            if bc >= tab.priced:
                 assert tab.rhs[i] == 0
-        assert 0 not in tab.reduced.values()
-        if tab.obj_den >= lp_module._REDUCE_AT:
-            assert is_primitive(tab.reduced, tab.value, tab.obj_den)
-        assert not basic & tab.reduced.keys()
+        objective, d = tab.rows[-1], tab.den[-1]
+        assert not basic & objective.keys()
+        reduced, value = reference_objective(tab, cost)
+        assert {j: F(x, d) for j, x in objective.items()} == reduced
+        assert F(-tab.rhs[-1], d) == value
 
     @pytest.mark.parametrize("family,n,cuts,phase2_pivots", [
         ("cube", None, 0, 0),
@@ -596,21 +618,25 @@ class TestTableauInvariant:
     def test_after_every_pivot(self, monkeypatch, family, n, cuts, phase2_pivots):
         pivots = []  # one count per maximize call: phase 1, then phase 2
         updates = [0]  # calls of _eliminate, each checked
+        costs = []  # each cost map given to set_objective
         pivot = lp_module._Tableau.pivot
         maximize = lp_module._Tableau.maximize
+        set_objective = lp_module._Tableau.set_objective
 
         def checked_pivot(tab, r, c):
             pivot(tab, r, c)
             pivots[-1] += 1
             assert is_primitive(tab.rows[r], tab.rhs[r], tab.den[r])
-            self.check(tab)
+            self.check(tab, costs[-1])
 
-        def counted_maximize(tab):
+        def counted_maximize(tab, **kwargs):
             pivots.append(0)
-            # set_objective has just reduced the objective
-            assert is_primitive(tab.reduced, tab.value, tab.obj_den)
-            self.check(tab)
-            return maximize(tab)
+            self.check(tab, costs[-1])
+            return maximize(tab, **kwargs)
+
+        def recorded_set_objective(tab, cost):
+            costs.append(dict(cost))
+            return set_objective(tab, cost)
 
         def checked_eliminate(*args):
             updates[0] += 1
@@ -618,10 +644,11 @@ class TestTableauInvariant:
 
         monkeypatch.setattr(lp_module._Tableau, "pivot", checked_pivot)
         monkeypatch.setattr(lp_module._Tableau, "maximize", counted_maximize)
+        monkeypatch.setattr(lp_module._Tableau, "set_objective", recorded_set_objective)
         monkeypatch.setattr(lp_module, "_eliminate", checked_eliminate)
         solution = maximize_margin(dual_with_cuts(family, n, cuts))
         assert solution.status == "optimal"
-        assert len(pivots) == 2 and pivots[0] > 0
+        assert len(pivots) == len(costs) == 2 and pivots[0] > 0
         assert pivots[1] == phase2_pivots
         assert updates[0] > 0
 
@@ -635,14 +662,14 @@ def record_pivots(monkeypatch):
     maximize = lp_module._Tableau.maximize
 
     def logging_pivot(tab, r, c):
-        log.append((phase[0] if inside[0] else None, tab.value))
+        log.append((phase[0] if inside[0] else None, F(-tab.rhs[-1], tab.den[-1])))
         pivot(tab, r, c)
 
-    def logging_maximize(tab):
+    def logging_maximize(tab, **kwargs):
         phase[0] += 1
         inside[0] = True
         try:
-            return maximize(tab)
+            return maximize(tab, **kwargs)
         finally:
             inside[0] = False
 
@@ -697,13 +724,14 @@ class TestPhaseOneStop:
         s = all_triples_system(duplicate)
         art_start = s.variable_count + row_counts(s)["upper"]
         art_rows = row_counts(s)["face"]
-        ends = []  # (value, basic artificials, rows) as each phase ends
+        ends = []  # (value, basic artificials, constraint rows) as each phase ends
         log, _ = record_pivots(monkeypatch)
         maximize = lp_module._Tableau.maximize
 
-        def recording(tab):
-            status = maximize(tab)
-            ends.append((tab.value, sum(bc >= art_start for bc in tab.basis), len(tab.rows)))
+        def recording(tab, **kwargs):
+            status = maximize(tab, **kwargs)
+            value = F(-tab.rhs[-1], tab.den[-1])
+            ends.append((value, sum(bc >= art_start for bc in tab.basis), len(tab.basis)))
             return status
 
         monkeypatch.setattr(lp_module._Tableau, "maximize", recording)
@@ -726,3 +754,11 @@ class TestPhaseOneStop:
         assert log and all(ph is not None for ph, _ in log)
         # pinned: how a row update is computed changes no pivot
         assert len(log) == {decide_inscribable: 385, decide_circumscribable: 567}[decide]
+
+    def test_many_round_decision_pivot_count(self, monkeypatch):
+        # nine solves, each a phase 1 and a phase 2 from a fresh tableau
+        log, phase = record_pivots(monkeypatch)
+        cert = decide_circumscribable(generate("kleetope(antiprism)", 8))
+        assert (cert.answer, cert.margin, cert.iterations) == ("yes", F(1, 8), 9)
+        assert phase == [2 * 9 - 1]
+        assert len(log) == 1659
