@@ -16,17 +16,19 @@ re-checked against every row exactly, on integer numerators over one
 denominator (:func:`point_problem`).
 
 The solver is a two-phase simplex on sparse fraction-free integer rows:
-each row is a map of its nonzero integer entries over one positive
-denominator, so a pivot touches only nonzeros, the pivot loop builds no
-``Fraction`` and there is no floating point anywhere; feasibility and
-optimality are exact.  A row updated by a pivot is reduced by its gcd
-only once its denominator reaches 2^30 (:data:`_REDUCE_AT`); it equals
-its reduced form as rationals, and no comparison the simplex makes
-depends on a positive row scale, so neither does any pivot or result.
-The objective is the tableau's last row: its entries are the reduced
-costs and its right-hand side minus the objective's value.  A new
-objective is its cost map with each basic column eliminated by the same
-update, and each pivot updates it as it updates every constraint row.
+each row is a map of its nonzero integer entries, its right-hand side
+one more column, and its denominator is its entry in its basic column,
+so a pivot touches only nonzeros, the pivot loop builds no ``Fraction``
+and there is no floating point anywhere; feasibility and optimality are
+exact.  A row updated by a pivot is reduced by its gcd only once its
+denominator reaches 2^30 (:data:`_REDUCE_AT`); it equals its reduced
+form as rationals, and no comparison the simplex makes depends on a
+positive row scale, so neither does any pivot or result.  The objective
+is the tableau's last row, with a basic column z of its own: its
+entries are the reduced costs and its right-hand side minus the
+objective's value.  A new objective is its cost map with each basic
+column eliminated by the same update, and each pivot updates it as it
+updates every constraint row.
 The pivot rule is steepest reduced cost with a permanent switch to
 Bland's rule after a run of degenerate pivots, which guarantees
 termination.  Phase 1 maximizes minus the sum of the artificial
@@ -261,70 +263,68 @@ def multiplier_problems(
 class _Tableau:
     """Simplex tableau on fraction-free integer rows of nonzeros.
 
-    Row i stands for ``rows[i] / den[i]``, a ``{column: int}`` map of its
-    nonzero entries, with right-hand side ``rhs[i] / den[i]``.  The last
-    row is the objective: its entries are the nonzero reduced costs and
-    its right-hand side is minus the objective's value, so a pivot
-    updates it as it updates every constraint row.  Every denominator is
-    positive.  A row need not be primitive (the gcd of its integers and
-    its denominator 1) but equals its primitive form as rationals: the
-    pivot row is reduced, and any other row only once its denominator
-    reaches :data:`_REDUCE_AT`.  The tableau owns its maps: a pivot
-    rewrites each row it touches in place.  ``basis`` names one column
-    per constraint row; a basic column reads ``den[i]`` in its own row
-    and is absent elsewhere, the objective row included.  ``maximize``
-    runs to an optimum; every LP here is bounded, so a column that no row
-    bounds raises InternalError.  ``bland`` records whether the last
+    Each row is a ``{column: int}`` map of its nonzero entries, its
+    right-hand side included as column ``rhs``, past every variable.
+    ``basis`` names one column per row, and row i stands for
+    ``rows[i] / rows[i][basis[i]]``: a basic column reads the row's
+    denominator, which is positive, in its own row and is absent from
+    every other.  The last row is the objective, whose basic column z
+    (``rhs + 1``) is its own: its entries are the nonzero reduced costs
+    and its right-hand side is minus the objective's value, so a pivot
+    updates it as it updates every constraint row.  A row need not be
+    primitive (the gcd of its entries 1) but equals its primitive form
+    as rationals: the pivot row is reduced, and any other row only once
+    its denominator reaches :data:`_REDUCE_AT`.  The tableau owns its
+    maps: a pivot rewrites each row it touches in place.  ``maximize``
+    runs to an optimum; every LP here is bounded, so a column that no
+    row bounds raises InternalError.  ``bland`` records whether the last
     ``maximize`` fell back to Bland's rule.  Only columns below
-    ``priced`` may enter the basis, and a basic column at or above it
-    stays at 0.
+    ``priced`` may enter the basis, and a constraint row whose basic
+    column is at or above it stays at 0.
     """
 
-    def __init__(self, rows, rhs, basis, priced):
-        self.rows = [*rows, {}]
-        self.rhs = [*rhs, 0]
-        self.den = [1] * len(self.rows)
-        self.basis = basis
-        self.priced = priced
+    def __init__(self, rows, basis, rhs):
+        self.rows = [*rows, {rhs + 1: 1}]
+        self.basis = [*basis, rhs + 1]
+        self.priced = self.rhs = rhs
         self.bland = False
 
     def set_objective(self, cost):
         """Make the sparse integer cost map ``cost`` the objective row,
         with each basic column removed as a pivot removes it."""
-        row, b, d = dict(cost), 0, 1
-        for i, bc in enumerate(self.basis):
+        z = self.basis[-1]
+        row = {**cost, z: 1}
+        for prow, bc in zip(self.rows[:-1], self.basis):
             if bc in row:
-                b, d = _eliminate(row, b, d, row[bc], self.rows[i], self.rhs[i], self.den[i])
-        self.rows[-1], self.rhs[-1], self.den[-1] = row, b, d
+                _eliminate(row, z, row[bc], prow, prow[bc])
+        self.rows[-1] = row
 
     def pivot(self, r, c):
-        rows, rhs, den = self.rows, self.rhs, self.den
+        rows, basis = self.rows, self.basis
         row = rows[r]
-        # divide by the row's gcd, signed so that the pivot entry p > 0
-        g = math.gcd(*row.values(), rhs[r]) * (1 if row[c] > 0 else -1)
+        # divide by the row's gcd, signed so that the pivot entry p > 0,
+        # which is then the row's denominator
+        g = math.gcd(*row.values()) * (1 if row[c] > 0 else -1)
         if g != 1:
             for j, x in row.items():
                 row[j] = x // g
         p = row[c]
-        b = rhs[r] = rhs[r] // g
-        den[r] = p
         for i, other in enumerate(rows):
             a = other.get(c)
             if a and i != r:
-                rhs[i], den[i] = _eliminate(other, rhs[i], den[i], a, row, b, p)
-        self.basis[r] = c
+                _eliminate(other, basis[i], a, row, p)
+        basis[r] = c
 
     def maximize(self, nonpositive=False):
         """Pivot to an optimum; with ``nonpositive`` the objective can
         never exceed 0 (phase 1), so stop as soon as its value reaches 0."""
         self.bland = False
         stall = 0
-        priced = self.priced
-        rows, rhs, basis = self.rows, self.rhs, self.basis
+        rows, basis, priced, rhs = self.rows, self.basis, self.priced, self.rhs
         while True:
-            if nonpositive and rhs[-1] == 0:
-                return
             reduced = rows[-1]
+            if nonpositive and rhs not in reduced:
+                return
             improving = [j for j, v in reduced.items() if v > 0 and j < priced]
             if not improving:
                 return
@@ -334,24 +334,20 @@ class _Tableau:
                 enter = min(improving)
             else:
                 enter = max(improving, key=lambda j: (reduced[j], -j))
-            # minimum ratio rhs[i] / rows[i][enter] over positive entries,
-            # compared by cross-multiplying (den[i] cancels); a row whose
-            # basic column is unpriced sits at 0 and blocks a negative
-            # entry too, at ratio 0, so that column stays at 0
-            leave = -1
-            best_b = best_a = 0
+            # minimum ratio row[rhs] / row[enter] over positive entries,
+            # compared by cross-multiplying (the row's denominator
+            # cancels), from the ratio 1/0, which every row beats; a row
+            # whose basic column is unpriced sits at 0 and blocks a
+            # negative entry too, at ratio 0, so that column stays at 0
+            leave, best_b, best_a = -1, 1, 0
             for i, row in enumerate(rows[:-1]):
                 a = row.get(enter)
                 if not a or (a < 0 and basis[i] < priced):
                     continue
                 a = abs(a)
-                b = rhs[i]
-                if leave < 0:
-                    better = True
-                else:
-                    left, right = b * best_a, best_b * a
-                    better = left < right or (left == right and basis[i] < basis[leave])
-                if better:
+                b = row.get(rhs, 0)
+                left, right = b * best_a, best_b * a
+                if left < right or (left == right and basis[i] < basis[leave]):
                     best_b, best_a = b, a
                     leave = i
             if leave < 0:
@@ -366,14 +362,14 @@ class _Tableau:
                 stall = 0
 
 
-def _eliminate(row, b, d, a, prow, pb, p):
-    """Clear entry a of the row (row, b) / d with the pivot row
-    (prow, pb) / p, whose pivot entry is p > 0:  (p row - a prow) / (d p).
-    Rows are maps of their nonzeros, and ``row`` is rewritten in place:
-    scaled only when p does not divide a, and reduced to primitive form
-    only once its new denominator reaches :data:`_REDUCE_AT`, so a row
-    equals its reduced form as rationals but need not be primitive.
-    Returns the row's new right-hand side and denominator."""
+def _eliminate(row, bc, a, prow, p):
+    """Clear entry a of ``row``, whose basic column bc reads its
+    denominator d, with the pivot row ``prow``, whose pivot entry is
+    p > 0 and which lacks bc:  (p row - a prow) / (d p).  Rows are maps
+    of their nonzeros, and ``row`` is rewritten in place: scaled only
+    when p does not divide a, and reduced to primitive form only once
+    its new denominator reaches :data:`_REDUCE_AT`, so a row equals its
+    reduced form as rationals but need not be primitive."""
     g = math.gcd(p, a)
     if g != 1:
         p //= g
@@ -381,23 +377,17 @@ def _eliminate(row, b, d, a, prow, pb, p):
     if p != 1:
         for j, x in row.items():
             row[j] = p * x
-        b *= p
-        d *= p
     for j, y in prow.items():
         x = row.get(j, 0) - a * y
         if x:
             row[j] = x
         else:
             del row[j]
-    b -= a * pb
-    if d >= _REDUCE_AT:
-        g = math.gcd(*row.values(), b, d)
+    if row[bc] >= _REDUCE_AT:
+        g = math.gcd(*row.values())
         if g > 1:
             for j, x in row.items():
                 row[j] = x // g
-            b //= g
-            d //= g
-    return b, d
 
 
 def _solve_lp(n_vars, rows, target):
@@ -416,6 +406,9 @@ def _solve_lp(n_vars, rows, target):
     row of unknown kind or with a negative right-hand side raises
     ValueError.
     """
+    # the right-hand side's column lies past every variable, as a row
+    # adds at most a slack and an artificial column
+    rhs = n_vars + 2 * len(rows)
     matrix: list[dict[int, int]] = []
     basis: list[int | None] = []
     next_slack = n_vars
@@ -424,7 +417,8 @@ def _solve_lp(n_vars, rows, target):
             raise ValueError(f"unknown row kind {row.kind!r}")
         if row.rhs < 0:
             raise ValueError(f"{row.kind} row {row.ref} has right-hand side {row.rhs} < 0")
-        vec = {j: c for j, c in row.terms if c}  # fresh: pivots rewrite it in place
+        # fresh: pivots rewrite it in place
+        vec = {j: c for j, c in (*row.terms, (rhs, row.rhs)) if c}
         sign = _KINDS[row.kind][1]
         if sign:
             vec[next_slack] = sign
@@ -438,7 +432,7 @@ def _solve_lp(n_vars, rows, target):
     for k, i in enumerate(art_rows):
         matrix[i][art_start + k] = 1
         basis[i] = art_start + k
-    tab = _Tableau(matrix, [row.rhs for row in rows], basis, art_start + len(art_rows))
+    tab = _Tableau(matrix, basis, rhs)
     # each row's first basic column is a unit column of the original
     # rows: its reduced cost is its cost less the row's multiplier
     unit_columns = tuple(basis)
@@ -446,7 +440,7 @@ def _solve_lp(n_vars, rows, target):
     cost = {art_start + k: -1 for k in range(len(art_rows))}
     tab.set_objective(cost)
     tab.maximize(nonpositive=True)
-    if tab.rhs[-1] != 0:
+    if rhs in tab.rows[-1]:
         return None, _multipliers(tab, cost, unit_columns)
     # artificial columns stay in the rows, never to enter again; those
     # still basic sit at 0 and stay there
@@ -456,14 +450,15 @@ def _solve_lp(n_vars, rows, target):
     tab.set_objective(cost)
     tab.maximize()
     x = [_F0] * n_vars
-    for i, bc in enumerate(tab.basis):
+    for row, bc in zip(tab.rows, tab.basis):
         if bc < n_vars:
-            x[bc] = Fraction(tab.rhs[i], tab.den[i])
+            x[bc] = Fraction(row.get(rhs, 0), row[bc])
     return x, _multipliers(tab, cost, unit_columns)
 
 
 def _multipliers(tab, cost, unit_columns):
-    """y read off the objective row's reduced costs: y_i = cost(c) -
-    d(c) for row i's unit column c."""
-    reduced, d = tab.rows[-1], tab.den[-1]
+    """y read off the objective row's reduced costs, over its entry in
+    z: y_i = cost(c) - d(c) for row i's unit column c."""
+    reduced = tab.rows[-1]
+    d = reduced[tab.basis[-1]]
     return tuple(Fraction(cost.get(c, 0) * d - reduced.get(c, 0), d) for c in unit_columns)

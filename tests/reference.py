@@ -39,14 +39,16 @@ def solve_full_enumeration(g: PolyhedralGraph) -> tuple[MarginSolution, int]:
         system = add_circuit_constraint(system, circuit)
 
 
-def reference_eliminate(row, b, d, a, prow, pb, p):
-    """The simplex's row update written as a copy: clear entry a of the
-    row (row, b) / d with the pivot row (prow, pb) / p, whose pivot entry
-    is p:  (p row - a prow) / (d p) in a new map, reduced to primitive
-    form by the gcd of every entry.  It is the fully reduced specification:
-    the simplex's update may leave a common factor in a row whose
-    denominator stays below 2^30, but must equal this as rationals.  The
-    input maps are left as they are."""
+def reference_eliminate(row, bc, a, prow, p):
+    """The simplex's row update written as a copy: clear entry a of
+    ``row``, whose basic column bc reads its denominator d, with the
+    pivot row ``prow``, whose pivot entry is p and which lacks bc:
+    (p row - a prow) / (d p) in a new map, reduced to primitive form by
+    the gcd of every entry.  A row's right-hand side is one more of its
+    columns.  It is the fully reduced specification: the simplex's
+    update may leave a common factor in a row whose denominator stays
+    below 2^30, but must equal this as rationals.  The input maps are
+    left as they are."""
     new = {j: p * x for j, x in row.items()}
     for j, y in prow.items():
         x = new.get(j, 0) - a * y
@@ -54,11 +56,5 @@ def reference_eliminate(row, b, d, a, prow, pb, p):
             new[j] = x
         else:
             del new[j]
-    b = p * b - a * pb
-    d *= p
-    g = math.gcd(*new.values(), b, d)
-    if g > 1:
-        new = {j: x // g for j, x in new.items()}
-        b //= g
-        d //= g
-    return new, b, d
+    g = math.gcd(*new.values())
+    return {j: x // g for j, x in new.items()}

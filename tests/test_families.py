@@ -9,10 +9,15 @@ LP that made the decision, and each certificate must pass ``verify``:
   or a vertex lie on one circle, so they span the medial polyhedron;
 * the kleetope of a triangulation with V vertices is not: its F = 2V - 4
   apexes are independent, at least half of its 3V - 4 vertices
-  (Steinitz's criterion).
+  (Steinitz's criterion);
+* a stacked polytope is inscribable exactly when no tetrahedron of its
+  stacking has all four of its faces glued to others (Gonska and
+  Ziegler, *Adv. Geom.* 13, 2013).
 """
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -87,3 +92,51 @@ def test_kleetope_of_a_triangulation_is_not_inscribable(t):
     # breaks it is a finding about the margin, not a wrong answer
     v = t.vertex_count
     assert cert.margin == -Fraction(v - 4, 6 * (v - 2))
+
+
+def stacked_polytopes():
+    """40 stacked polytopes drawn with seed 0, as (name, graph, the
+    criterion's answer): the tetrahedron with 1-21 tetrahedra glued on,
+    one face at a time.  A map from each face's vertex set to the
+    tetrahedron that owns it gives each gluing's node in the dual tree,
+    which counts a degree per tetrahedron.  In odd draws a stacking
+    picks a face of the tetrahedron that the previous one made (the
+    first, of the tetrahedron itself) with probability 0.7, so that some
+    tetrahedra get all four faces glued; otherwise it picks uniformly."""
+    rng = random.Random(0)
+    draws = []
+    for k in range(40):
+        g = generate("tetrahedron")
+        owner = {frozenset(f.vertices): 0 for f in trace_faces(g)}
+        degree = [0]
+        for _ in range(rng.randint(1, 21)):
+            faces = trace_faces(g)
+            if k % 2 and rng.random() < 0.7:
+                faces = [f for f in faces if owner[frozenset(f.vertices)] == len(degree) - 1]
+            face = rng.choice(faces)
+            glued = frozenset(face.vertices)
+            degree[owner.pop(glued)] += 1
+            apex = g.vertex_count
+            owner.update((frozenset((*pair, apex)), len(degree))
+                         for pair in itertools.combinations(glued, 2))
+            degree.append(1)
+            g = stack_on_faces(g, [face.id])
+            assert owner.keys() == {frozenset(f.vertices) for f in trace_faces(g)}
+        draws.append((f"draw {k}, V {g.vertex_count}", g, max(degree) < 4))
+    return draws
+
+
+STACKED = stacked_polytopes()
+
+
+def test_stacked_draws_give_both_answers():
+    # pinned: seed 0 gives these many yes and no, and at most 25 vertices
+    assert Counter(inscribable for _, _, inscribable in STACKED) == {True: 33, False: 7}
+    assert max(g.vertex_count for _, g, _ in STACKED) <= 25
+
+
+@pytest.mark.parametrize("g,inscribable", [pytest.param(g, i, id=name) for name, g, i in STACKED])
+def test_stacked_polytope_is_inscribable_unless_a_tetrahedron_is_all_glued(g, inscribable):
+    cert = decide_inscribable(g)
+    assert cert.answer == ("yes" if inscribable else "no")
+    assert verify_certificate(cert, g) == (True, [])

@@ -462,16 +462,22 @@ class TestRowChecks:
             maximize_margin(s)
 
 
+# columns of random_elimination's rows: the pivot column is 0, the
+# right-hand side is in both rows, the denominator only in the updated one
+RHS, DEN = 9, 10
+
+
 def random_elimination(rng):
-    """Arguments of one row update: a row (row, b) / d with entry a in
-    pivot column 0, and a pivot row (prow, pb) / p with p > 0 there.  p
-    is 1, a divisor of a or random; when p divides a, some of the row's
-    entries are a / p times the pivot row's, so they cancel; b is of
-    either sign, as the objective row's is.  d is small, near 2^30
-    over a small factor or above 2^30, so the new denominator falls on
-    either side of the bound at which the update reduces the row; the
-    row is primitive or a small multiple of a primitive row, as a row
-    carried unreduced may be."""
+    """Arguments of one row update: a row with entry a in pivot column 0
+    and its denominator d in its basic column DEN, and a pivot row with
+    p > 0 there, which lacks DEN.  p is 1, a divisor of a or random; when
+    p divides a, some of the row's entries are a / p times the pivot
+    row's, so they cancel; the row's right-hand side is of either sign,
+    as the objective row's is.  d is small, near 2^30 over a small factor
+    or above 2^30, so the new denominator falls on either side of the
+    bound at which the update reduces the row; the row is primitive or a
+    small multiple of a primitive row, as a row carried unreduced may
+    be."""
     p = rng.choice((1, 2, 6, rng.randint(1, 40)))
     prow = {j: rng.choice((-1, 1)) * rng.randint(1, 30) for j in range(1, 8) if rng.random() < 0.5}
     prow[0] = p
@@ -481,17 +487,18 @@ def random_elimination(rng):
     if a == k * p:
         row.update((j, k * y) for j, y in prow.items() if j and rng.random() < 0.5)
     row[0] = a
-    b = rng.randint(-30, 30)
-    d = rng.choice((
+    row[RHS] = rng.randint(-30, 30)
+    row[DEN] = rng.choice((
         1,
         rng.randint(1, 30),
         max(1, (1 << 30) // rng.randint(1, 40) + rng.randint(-2, 2)),
         rng.randint(1 << 30, 1 << 40),
     ))
-    g = math.gcd(*row.values(), b, d)
+    prow[RHS] = rng.randint(0, 30)
+    g = math.gcd(*row.values())
     m = rng.choice((1, 1, 2, 6))  # the common factor of a row carried unreduced
-    row = {j: m * x // g for j, x in row.items()}
-    return row, m * b // g, m * d // g, m * a // g, prow, rng.randint(0, 30), p
+    row = {j: m * x // g for j, x in row.items() if x}
+    return row, DEN, row[0], {j: y for j, y in prow.items() if y}, p
 
 
 # the real update, which TestTableauInvariant replaces by a checking wrapper
@@ -503,29 +510,27 @@ def unreduced_denominator(d, a, p):
     return d * (p // math.gcd(p, a))
 
 
-def check_eliminate(row, b, d, a, prow, pb, p):
+def check_eliminate(row, bc, a, prow, p):
     """``_eliminate`` on these arguments, checked against
     ``reference_eliminate``, the fully reduced update: equal as
     rationals, with only nonzeros stored, the row rewritten in its own
-    map and the pivot row left as it is.  Its new denominator is
-    d p / gcd(p, a), and once that reaches 2^30 the row is reduced to
-    exactly the reference's primitive form, and otherwise left there.
-    Returns the new right-hand side and denominator, as ``_eliminate``
-    does."""
-    expected = reference_eliminate(row, b, d, a, prow, pb, p)
+    map, the pivot row left as it is and nothing returned.  The row's
+    new denominator, its entry in bc, is d p / gcd(p, a), and once that
+    reaches 2^30 the row is reduced to exactly the reference's primitive
+    form, and otherwise left there."""
+    assert bc not in prow and p > 0
+    expected = reference_eliminate(row, bc, a, prow, p)
     before = dict(prow)
-    nb, nd = ELIMINATE(row, b, d, a, prow, pb, p)
+    unreduced = unreduced_denominator(row[bc], a, p)
+    assert ELIMINATE(row, bc, a, prow, p) is None
     assert prow == before
-    ref, rb, rd = expected
-    assert 0 not in row.values() and row.keys() == ref.keys()
-    assert nd > 0 and nb * rd == rb * nd
-    assert all(x * rd == ref[j] * nd for j, x in row.items())
-    unreduced = unreduced_denominator(d, a, p)
+    assert 0 not in row.values() and row.keys() == expected.keys()
+    d, rd = row[bc], expected[bc]
+    assert d > 0 and all(x * rd == expected[j] * d for j, x in row.items())
     if unreduced >= lp_module._REDUCE_AT:
-        assert (row, nb, nd) == expected
+        assert row == expected
     else:
-        assert nd == unreduced
-    return nb, nd
+        assert d == unreduced
 
 
 class TestEliminate:
@@ -533,80 +538,97 @@ class TestEliminate:
         rng = random.Random(2025)
         seen = set()
         for _ in range(2000):
-            row, b, d, a, prow, pb, p = random_elimination(rng)
+            row, bc, a, prow, p = random_elimination(rng)
             before = dict(row)
+            d = row[bc]
             unreduced = unreduced_denominator(d, a, p)
-            nb, nd = check_eliminate(row, b, d, a, prow, pb, p)
+            check_eliminate(row, bc, a, prow, p)
+            nd = row[bc]
             seen.update(name for name, hit in (
                 ("p = 1", p == 1),
                 ("p shares a factor with a", p > 1 and math.gcd(p, a) > 1),
                 ("negative a", a < 0),
                 ("d = 1", d == 1),
                 ("d > 1", d > 1),
-                ("the row is not primitive", math.gcd(*before.values(), b, d) > 1),
+                ("the row is not primitive", not is_primitive(before)),
                 ("an entry cancels", any(j and j not in row for j in prow)),
-                ("negative rhs", b < 0),
+                ("negative rhs", before.get(RHS, 0) < 0),
                 ("new denominator 1", nd == 1),
                 ("carried unreduced below 2^30",
-                 unreduced < lp_module._REDUCE_AT and math.gcd(*row.values(), nb, nd) > 1),
+                 unreduced < lp_module._REDUCE_AT and not is_primitive(row)),
                 ("reduced from 2^30 to below it", unreduced >= lp_module._REDUCE_AT > nd),
                 ("reduced, still at least 2^30", unreduced > nd >= lp_module._REDUCE_AT),
             ) if hit)
         assert len(seen) == 12, seen
 
 
-def is_primitive(row, b, d):
-    return math.gcd(*row.values(), b, d) == 1
+def is_primitive(row):
+    return math.gcd(*row.values()) == 1
+
+
+def objective_value(tab):
+    """The objective's value: minus its row's right-hand side over the
+    row's entry in z, its basic column."""
+    objective = tab.rows[-1]
+    return F(-objective.get(tab.rhs, 0), objective[tab.basis[-1]])
 
 
 def reference_objective(tab, cost):
     """The reduced costs c - c_B B^-1 A, nonzeros only, and the value
     c_B B^-1 b of the integer cost map ``cost``, as ``Fraction``s: the
-    tableau's constraint rows are B^-1 [A | b], row i over ``den[i]``."""
+    tableau's constraint rows are B^-1 [A | b], row i over its entry in
+    its basic column, with b in column ``rhs``."""
     reduced = {j: F(c) for j, c in cost.items()}
     value = F(0)
-    for i, bc in enumerate(tab.basis):
+    for row, bc in zip(tab.rows[:-1], tab.basis):
         cb = cost.get(bc, 0)
         if not cb:
             continue
-        for j, x in tab.rows[i].items():
-            reduced[j] = reduced.get(j, 0) - F(cb * x, tab.den[i])
-        value += F(cb * tab.rhs[i], tab.den[i])
+        d = row[bc]
+        for j, x in row.items():
+            if j != tab.rhs:
+                reduced[j] = reduced.get(j, 0) - F(cb * x, d)
+        value += F(cb * row.get(tab.rhs, 0), d)
     return {j: x for j, x in reduced.items() if x}, value
 
 
 class TestTableauInvariant:
     """Rows store only nonzeros, each is its own map and equals the
-    fully reduced row as rationals, the basis stays an identity, and in
-    phase 2 every artificial still basic sits at 0.  A row is primitive
-    once its denominator reaches 2^30, and the pivot row always is.  The
-    last row is the objective, checked as every other row is, with no
-    basic column; as each ``maximize`` starts and after every pivot it
-    equals the reduced costs and minus the value of the cost map that
-    ``set_objective`` was given, computed apart from the tableau's
-    arithmetic."""
+    fully reduced row as rationals, and the basis stays an identity:
+    each row's basic entry is its positive denominator, and the column
+    is absent from every other row.  In phase 2 every artificial still
+    basic sits at 0.  A row is primitive once its denominator reaches
+    2^30, and the pivot row always is.  The last row is the objective,
+    checked as every other row is, with z as its basic column; as each
+    ``maximize`` starts and after every pivot it equals the reduced
+    costs and minus the value of the cost map that ``set_objective``
+    was given, computed apart from the tableau's arithmetic."""
 
     @staticmethod
     def check(tab, cost):
+        rhs, z = tab.rhs, tab.basis[-1]
         basic = set(tab.basis)
         # a pivot rewrites each row's map in place, so no two may share one
         maps = {id(row) for row in tab.rows}
-        assert len(maps) == len(tab.rows) == len(tab.basis) + 1
-        for row, b, d in zip(tab.rows, tab.rhs, tab.den):
-            assert 0 not in row.values() and d > 0
-            if d >= lp_module._REDUCE_AT:
-                assert is_primitive(row, b, d)
-        for i, bc in enumerate(tab.basis):
-            assert tab.rows[i][bc] == tab.den[i]
-            assert basic & tab.rows[i].keys() == {bc}
+        assert len(maps) == len(tab.rows) == len(tab.basis)
+        # neither the right-hand side nor z is ever priced, and the
+        # right-hand side is in no basis
+        assert tab.priced <= rhs < z and rhs not in basic
+        for row, bc in zip(tab.rows, tab.basis):
+            # each row holds its own basic column and no other, so z is
+            # in the objective row alone
+            assert basic & row.keys() == {bc}
+            assert 0 not in row.values() and row[bc] > 0
+            if row[bc] >= lp_module._REDUCE_AT:
+                assert is_primitive(row)
+        for row, bc in zip(tab.rows[:-1], tab.basis):
             # phase 2 prices no artificial; in phase 1 none is unpriced
             if bc >= tab.priced:
-                assert tab.rhs[i] == 0
-        objective, d = tab.rows[-1], tab.den[-1]
-        assert not basic & objective.keys()
+                assert rhs not in row
+        objective, d = tab.rows[-1], tab.rows[-1][z]
         reduced, value = reference_objective(tab, cost)
-        assert {j: F(x, d) for j, x in objective.items()} == reduced
-        assert F(-tab.rhs[-1], d) == value
+        assert {j: F(x, d) for j, x in objective.items() if j not in (rhs, z)} == reduced
+        assert objective_value(tab) == value
 
     @pytest.mark.parametrize("family,n,cuts,phase2_pivots", [
         ("cube", None, 0, 0),
@@ -626,7 +648,7 @@ class TestTableauInvariant:
         def checked_pivot(tab, r, c):
             pivot(tab, r, c)
             pivots[-1] += 1
-            assert is_primitive(tab.rows[r], tab.rhs[r], tab.den[r])
+            assert is_primitive(tab.rows[r])
             self.check(tab, costs[-1])
 
         def counted_maximize(tab, **kwargs):
@@ -640,7 +662,7 @@ class TestTableauInvariant:
 
         def checked_eliminate(*args):
             updates[0] += 1
-            return check_eliminate(*args)
+            check_eliminate(*args)
 
         monkeypatch.setattr(lp_module._Tableau, "pivot", checked_pivot)
         monkeypatch.setattr(lp_module._Tableau, "maximize", counted_maximize)
@@ -662,7 +684,7 @@ def record_pivots(monkeypatch):
     maximize = lp_module._Tableau.maximize
 
     def logging_pivot(tab, r, c):
-        log.append((phase[0] if inside[0] else None, F(-tab.rhs[-1], tab.den[-1])))
+        log.append((phase[0] if inside[0] else None, objective_value(tab)))
         pivot(tab, r, c)
 
     def logging_maximize(tab, **kwargs):
@@ -730,8 +752,9 @@ class TestPhaseOneStop:
 
         def recording(tab, **kwargs):
             status = maximize(tab, **kwargs)
-            value = F(-tab.rhs[-1], tab.den[-1])
-            ends.append((value, sum(bc >= art_start for bc in tab.basis), len(tab.basis)))
+            value = objective_value(tab)
+            basis = tab.basis[:-1]  # the constraint rows'; z is the objective's
+            ends.append((value, sum(bc >= art_start for bc in basis), len(basis)))
             return status
 
         monkeypatch.setattr(lp_module._Tableau, "maximize", recording)
