@@ -56,7 +56,11 @@ class Certificate(NamedTuple):
     by face id, one ``circuit`` row per cut in order), >= 0 on upper
     rows, free on face rows and <= 0 on circuit rows, a Farkas ray when
     the margin is None.  ``decide`` records the exact LP optimum as the
-    margin.  ``graph_role`` says which graph carried the conditions: the
+    margin, and takes the multipliers from the final tableau of that
+    LP's dual, which the cut loop solves from the last basis: the dual's
+    basic values, an exact optimal solution of the dual, or, when the
+    margin is None, the direction along which the dual grows without
+    bound.  ``graph_role`` says which graph carried the conditions: the
     input itself ('primal') or its planar dual ('dual'); in the dual
     case ``edge_bijection`` maps each input edge id to the tested dual
     edge id.

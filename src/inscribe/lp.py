@@ -15,44 +15,69 @@ A row's kind fixes its relation.  The point each solve returns is
 re-checked against every row exactly, on integer numerators over one
 denominator (:func:`point_problem`).
 
-The solver is a two-phase simplex on sparse fraction-free integer rows:
-each row is a map of its nonzero integer entries, its right-hand side
-one more column, and its denominator is its entry in its basic column,
-so a pivot touches only nonzeros, the pivot loop builds no ``Fraction``
-and there is no floating point anywhere; feasibility and optimality are
-exact.  A row updated by a pivot is reduced by its gcd only once its
-denominator reaches 2^30 (:data:`_REDUCE_AT`); it equals its reduced
-form as rationals, and no comparison the simplex makes depends on a
-positive row scale, so neither does any pivot or result.  The objective
-is the tableau's last row, with a basic column z of its own: its
-entries are the reduced costs and its right-hand side minus the
-objective's value.  A new objective is its cost map with each basic
-column eliminated by the same update, and each pivot updates it as it
-updates every constraint row.
-The pivot rule is steepest reduced cost with a permanent switch to
-Bland's rule after a run of degenerate pivots, which guarantees
-termination.  Phase 1 maximizes minus the sum of the artificial
-variables, which is never positive, so it stops the moment its value
-reaches 0, its known optimum, rather than pivoting on until no reduced
-cost is positive.  Every artificial still basic then sits at 0, and
-phase 2 keeps it there: its row blocks an entering column at ratio 0
-whatever the sign of the entry, so it leaves only in a degenerate pivot,
-and on a redundant row it stays basic.
+The solver runs the simplex on the LP's dual, min b^T y over y^T A >= e_s,
+the unit vector of S, with y_i >= 0 on an upper row, y_i <= 0 on a
+circuit row and y_i free on a face row.  The dual has one row per
+variable of the margin LP, E + 1 of them however many circuit rows
+there are, and one column per row of it:
 
-Every solve also yields exact LP multipliers y, one per row, read off
-the final tableau as it returns (``MarginSolution.multipliers``).  Each
-row's artificial column stays in the tableau through phase 2 without
-being priced, so it never enters the basis; with the rows' slack
-columns it carries the inverse of the final basis, whose reduced costs
-are -y.  By LP duality, y proves the optimum from the rows alone:
-signed >= 0 on upper rows, <= 0 on circuit rows and free on face rows,
-with y^T A at least e_s, the unit vector of S, in every column and
-y^T b = 2(margin + 1).  The factor 2 scales the variables, not the rows:
-A is the matrix of the same rows over w - t and t + 1 and only b
-doubles, so the point doubles while y and every pivot stay as they are
-over those variables.  When phase 1 ends above 0, the same columns give
-a Farkas ray: y^T A >= 0 and y^T b < 0.  :func:`multiplier_problems`
-checks either with a few sparse sums and no solver.
+    U_e   -sum(A_ie y_i) + slack_e = 0        the slack basic at 0
+    S      sum(A_iS y_i) - surplus + art = 1  the one artificial basic
+
+An upper row's column is its y >= 0, a circuit row's is z = -y >= 0 with
+its entries negated, and a face row's is its free y.  The objective
+maximizes -b^T y, whose optimum is -S at the margin LP's optimum.
+Phase 1 maximizes -art and stops as soon as that reaches 0, its known
+optimum; below 0 no y meets the dual's rows, which means some direction
+raises S with every row still met, so that no row bounds S, and
+InternalError says so.  The artificial is the least column, so it leaves
+the basis on any tie and phase 2 never prices it again.  A free column
+enters before any other column whose reduced cost is nonzero, those of
+fewest terms first, and is negated in place if that cost is negative;
+once basic it never leaves, as the ratio test skips its row.  Each free
+column thus enters at most once, and the other pivots are those of the
+ordinary simplex, with steepest reduced cost and a permanent switch to
+Bland's rule after a run of degenerate pivots, which guarantees
+termination.
+
+The results are read off the final tableau.  The point (U, S) is the
+dual's own dual: the initial basis columns, the slacks and the
+artificial, carry the inverse of the final basis, so the objective row's
+reduced costs there are U and -S.  The multipliers y of the margin LP's
+rows (``MarginSolution.multipliers``) are the dual's basic values, with
+each column's sign undone.  By LP duality they prove the optimum from
+the rows alone: signed by row kind, with y^T A at least e_s in every
+column and y^T b = 2(margin + 1).  The factor 2 scales the variables,
+not the rows: A is the matrix of the same rows over w - t and t + 1 and
+only b doubles, so the point doubles while y and every pivot stay as
+they are over those variables.  When a column enters that no row
+bounds, the dual grows without bound and the rows have no point; that
+column's direction, 1 in the column less its current entries in the
+basic columns, is a Farkas ray: y^T A >= 0 and y^T b < 0.
+:func:`multiplier_problems` checks either with a few sparse sums and no
+solver.
+
+A circuit row added to the margin LP is one more column of the dual, and
+the last optimal basis stays feasible when a column is added, so each
+cut round goes on from where the last solve stopped: the tableau rides
+on the system it solved, :func:`add_circuit_constraint` hands it on,
+and the new column enters the tableau through the inverse of the basis
+that the initial basis columns carry.  A system whose rows are not the
+tableau's rows followed by new circuit rows solves from scratch.
+
+The tableau is sparse and fraction-free: each row is a map of its
+nonzero integer entries, its right-hand side one more column, and its
+denominator is its entry in its basic column, so a pivot touches only
+nonzeros, the pivot loop builds no ``Fraction`` and there is no floating
+point anywhere; feasibility and optimality are exact.  A row updated by
+a pivot is reduced by its gcd only once its denominator reaches 2^30
+(:data:`_REDUCE_AT`); it equals its reduced form as rationals, and no
+comparison the simplex makes depends on a positive row scale, so neither
+does any pivot or result.  The objective is the tableau's last row, with
+a basic column z of its own: its entries are the reduced costs and its
+right-hand side minus the objective's value.  A new objective is its
+cost map with each basic column eliminated by the same update, and each
+pivot updates it as it updates every constraint row.
 """
 
 from __future__ import annotations
@@ -68,8 +93,8 @@ from .separation import _scaled
 
 _F0 = Fraction(0)
 
-#: Each row kind's relation, the coefficient of its slack column, which
-#: is the sign of its multiplier, and that sign in words.
+#: Each row kind's relation, the sign of its multiplier (0 when free),
+#: and that sign in words.
 _KINDS = {
     "upper": (operator.le, 1, ">= 0"),
     "face": (operator.eq, 0, "free"),
@@ -84,6 +109,12 @@ _STALL_THRESHOLD = 64
 #: int digit, so carrying a common factor costs less than the gcd that
 #: would remove it, and above it reducing keeps the integers from growing.
 _REDUCE_AT = 1 << 30
+
+#: Tableau columns that no pricing sees, below every priced column, which
+#: is >= 0: each row's right-hand side, the objective's basic column z,
+#: and the dual's one artificial, the least column, so that it leaves the
+#: basis on any tie.
+_RHS, _Z, _ART = -1, -2, -3
 
 
 class Row(NamedTuple):
@@ -103,18 +134,25 @@ class Row(NamedTuple):
     ref: object = None
 
 
-class ConstraintSystem(NamedTuple):
+class _Rows(NamedTuple):
+    edge_count: int
+    rows: tuple[Row, ...]
+
+
+class ConstraintSystem(_Rows):
     """Immutable snapshot of the margin LP's rows over U >= 0, S >= 0.
 
     Always contains, for every edge e, U_e + 2S <= 5 (w_e + t <= 1/2),
     and per face f, sum(U over f) + |f| S = 2|f| + 2 (unit face sum).
     Rows for circuits are added on demand.  Variable ``margin_index`` is S.
     The rows are the whole system: a circuit row's ``ref`` is its key
-    and a face row's terms name the face's edges.
+    and a face row's terms name the face's edges.  A solve leaves its
+    tableau on the system it solved, and :func:`add_circuit_constraint`
+    hands it on, so that the next solve goes on from the last basis; it
+    is no part of the system's value.
     """
 
-    edge_count: int
-    rows: tuple[Row, ...]
+    _tableau = None
 
     @property
     def variable_count(self) -> int:
@@ -141,7 +179,8 @@ def add_circuit_constraint(s: ConstraintSystem, key: tuple[int, ...]) -> Constra
     as  sum(U over C) + (|C| - 1) S >= 2|C|.  ``key`` must be C's
     canonical edge id tuple, as :func:`~inscribe.separation.canonical_circuit`
     and the oracles return it.  Raises ValueError if C is already a row,
-    bounds a face or names an unknown edge."""
+    bounds a face or names an unknown edge.  The new system takes over
+    s's tableau."""
     edges = {*key, s.margin_index}
     for row in s.rows:
         if row.kind == "circuit" and row.ref == key:
@@ -151,7 +190,10 @@ def add_circuit_constraint(s: ConstraintSystem, key: tuple[int, ...]) -> Constra
     if any(not 0 <= e < s.edge_count for e in key):
         raise ValueError("circuit references an unknown edge")
     terms = tuple((e, 1) for e in key) + ((s.margin_index, len(key) - 1),)
-    return ConstraintSystem(s.edge_count, s.rows + (Row(terms, 2 * len(key), "circuit", key),))
+    system = ConstraintSystem(
+        s.edge_count, s.rows + (Row(terms, 2 * len(key), "circuit", key),))
+    system._tableau = s._tableau
+    return system
 
 
 class MarginSolution(NamedTuple):
@@ -177,15 +219,16 @@ class MarginSolution(NamedTuple):
 def maximize_margin(s: ConstraintSystem) -> MarginSolution:
     """Exact maximum of t over the closed system.
 
-    The optimum exists whenever the system is feasible: the upper rows
-    and U, S >= 0 keep the region compact.  The returned point is
-    re-verified by :func:`point_problem`, in integers, to be nonnegative
-    and to satisfy every row exactly, and InternalError names what it
-    fails; it is then mapped back to t = S/2 - 1 and w_e = U_e/2 + t.
-    A row of unknown kind or with a negative right-hand side raises
-    ValueError.
+    The optimum exists whenever the system is feasible and its rows bound
+    S, as the upper rows do with U, S >= 0; rows that leave S unbounded
+    raise InternalError, whether or not they have a point.  The returned
+    point is re-verified by :func:`point_problem`, in integers, to be
+    nonnegative and to satisfy every row exactly, and InternalError names
+    what it fails; it is then mapped back to t = S/2 - 1 and
+    w_e = U_e/2 + t.  A row of unknown kind or with a negative right-hand
+    side raises ValueError.
     """
-    x, multipliers = _solve_lp(s.variable_count, s.rows, s.margin_index)
+    x, multipliers = _solve_lp(s)
     if x is None:
         return MarginSolution(None, None, multipliers)
     problem = point_problem(s, x)
@@ -264,39 +307,41 @@ class _Tableau:
     """Simplex tableau on fraction-free integer rows of nonzeros.
 
     Each row is a ``{column: int}`` map of its nonzero entries, its
-    right-hand side included as column ``rhs``, past every variable.
-    ``basis`` names one column per row, and row i stands for
-    ``rows[i] / rows[i][basis[i]]``: a basic column reads the row's
-    denominator, which is positive, in its own row and is absent from
-    every other.  The last row is the objective, whose basic column z
-    (``rhs + 1``) is its own: its entries are the nonzero reduced costs
-    and its right-hand side is minus the objective's value, so a pivot
-    updates it as it updates every constraint row.  A row need not be
-    primitive (the gcd of its entries 1) but equals its primitive form
-    as rationals: the pivot row is reduced, and any other row only once
-    its denominator reaches :data:`_REDUCE_AT`.  The tableau owns its
-    maps: a pivot rewrites each row it touches in place.  ``maximize``
-    runs to an optimum; every LP here is bounded, so a column that no
-    row bounds raises InternalError.  ``bland`` records whether the last
-    ``maximize`` fell back to Bland's rule.  Only columns below
-    ``priced`` may enter the basis, and a constraint row whose basic
-    column is at or above it stays at 0.
+    right-hand side included as column :data:`_RHS`.  ``basis`` names
+    one column per row, and row i stands for ``rows[i] / rows[i][basis[i]]``:
+    a basic column reads the row's denominator, which is positive, in
+    its own row and is absent from every other.  The last row is the
+    objective, whose basic column :data:`_Z` is its own: its entries are
+    the nonzero reduced costs and its right-hand side is minus the
+    objective's value, so a pivot updates it as it updates every
+    constraint row.  A row need not be primitive (the gcd of its entries
+    1) but equals its primitive form as rationals: the pivot row is
+    reduced, and any other row only once its denominator reaches
+    :data:`_REDUCE_AT`.  The tableau owns its maps: a pivot rewrites each
+    row it touches in place.  Only columns >= 0 are priced.  ``free``
+    lists the free columns not yet basic, in the order they are to enter,
+    ``held`` the rows whose basic column is free, and ``negated`` the
+    free columns negated to enter.  ``bland`` records whether the last
+    ``maximize`` fell back to Bland's rule.  ``source`` is the
+    (edge count, rows) pair of the margin LP whose dual the tableau is.
     """
 
-    def __init__(self, rows, basis, rhs):
-        self.rows = [*rows, {rhs + 1: 1}]
-        self.basis = [*basis, rhs + 1]
-        self.priced = self.rhs = rhs
+    def __init__(self, rows, basis, free, source):
+        self.rows = [*rows, {_Z: 1}]
+        self.basis = [*basis, _Z]
+        self.free = free
+        self.source = source
+        self.held = set()
+        self.negated = set()
         self.bland = False
 
     def set_objective(self, cost):
         """Make the sparse integer cost map ``cost`` the objective row,
         with each basic column removed as a pivot removes it."""
-        z = self.basis[-1]
-        row = {**cost, z: 1}
+        row = {**cost, _Z: 1}
         for prow, bc in zip(self.rows[:-1], self.basis):
             if bc in row:
-                _eliminate(row, z, row[bc], prow, prow[bc])
+                _eliminate(row, _Z, row[bc], prow, prow[bc])
         self.rows[-1] = row
 
     def pivot(self, r, c):
@@ -316,45 +361,58 @@ class _Tableau:
         basis[r] = c
 
     def maximize(self, nonpositive=False):
-        """Pivot to an optimum; with ``nonpositive`` the objective can
-        never exceed 0 (phase 1), so stop as soon as its value reaches 0."""
+        """Pivot to an optimum and return None, or return the entering
+        column that no row bounds, along which the objective grows
+        without bound.  With ``nonpositive`` the objective can never
+        exceed 0 (phase 1), so stop as soon as its value reaches 0."""
         self.bland = False
         stall = 0
-        rows, basis, priced, rhs = self.rows, self.basis, self.priced, self.rhs
+        rows, basis, free, held = self.rows, self.basis, self.free, self.held
         while True:
             reduced = rows[-1]
-            if nonpositive and rhs not in reduced:
-                return
-            improving = [j for j, v in reduced.items() if v > 0 and j < priced]
-            if not improving:
-                return
-            # Bland: the lowest improving column; otherwise the steepest
-            # reduced cost, the lowest column on ties
-            if self.bland:
-                enter = min(improving)
+            if nonpositive and _RHS not in reduced:
+                return None
+            # a free column with a nonzero reduced cost enters first,
+            # negated if that cost is negative
+            enter = next((j for j in free if j in reduced), None)
+            if enter is not None:
+                if reduced[enter] < 0:
+                    for row in rows:
+                        if enter in row:
+                            row[enter] = -row[enter]
+                    self.negated ^= {enter}
             else:
-                enter = max(improving, key=lambda j: (reduced[j], -j))
-            # minimum ratio row[rhs] / row[enter] over positive entries,
-            # compared by cross-multiplying (the row's denominator
-            # cancels), from the ratio 1/0, which every row beats; a row
-            # whose basic column is unpriced sits at 0 and blocks a
-            # negative entry too, at ratio 0, so that column stays at 0
+                improving = [j for j, v in reduced.items() if v > 0 and j >= 0]
+                if not improving:
+                    return None
+                # Bland: the lowest improving column; otherwise the
+                # steepest reduced cost, the lowest column on ties
+                if self.bland:
+                    enter = min(improving)
+                else:
+                    enter = max(improving, key=lambda j: (reduced[j], -j))
+            # minimum ratio row[_RHS] / row[enter] over positive entries
+            # of rows whose basic column is not free, compared by
+            # cross-multiplying (the row's denominator cancels), from the
+            # ratio 1/0, which every row beats; the least basic column
+            # leaves on a tie
             leave, best_b, best_a = -1, 1, 0
             for i, row in enumerate(rows[:-1]):
-                a = row.get(enter)
-                if not a or (a < 0 and basis[i] < priced):
+                a = row.get(enter, 0)
+                if a <= 0 or i in held:
                     continue
-                a = abs(a)
-                b = row.get(rhs, 0)
+                b = row.get(_RHS, 0)
                 left, right = b * best_a, best_b * a
                 if left < right or (left == right and basis[i] < basis[leave]):
                     best_b, best_a = b, a
                     leave = i
             if leave < 0:
-                raise InternalError(f"no row bounds entering column {enter}")
-            degenerate = best_b == 0
+                return enter
             self.pivot(leave, enter)
-            if degenerate:
+            if enter in free:
+                free.remove(enter)
+                held.add(leave)
+            if best_b == 0:
                 stall += 1
                 if stall > _STALL_THRESHOLD:
                     self.bland = True
@@ -390,75 +448,110 @@ def _eliminate(row, bc, a, prow, p):
                 row[j] = x // g
 
 
-def _solve_lp(n_vars, rows, target):
-    """Maximize x[target] over x >= 0 subject to the integer rows.
+def _solve_lp(s):
+    """Maximize S over x >= 0 subject to the rows of s, through the dual.
 
-    Each row gets a slack column whose coefficient its kind gives
-    (:data:`_KINDS`): +1 on an upper row, -1 on a circuit row and none on
-    a face row; each row without a +1 slack gets an artificial variable.
-    Phase 1 maximizes minus their sum and stops as soon as that reaches
-    0; below 0 at its optimum the rows have no point.  Phase 2 then
-    maximizes x[target], which the rows must bound, with the artificials
-    unpriced: one left basic at 0 stays at 0, so tableau row i is row i
-    for the whole solve.  Returns (x, y): x holds Fractions, None when
-    the rows have no point, and y the LP multipliers of the rows (a
-    Farkas ray without a point), read off the objective row.  A
-    row of unknown kind or with a negative right-hand side raises
+    Goes on from the tableau that s carries when s's rows are that
+    tableau's rows followed by new circuit rows, and from a new tableau
+    through phase 1 otherwise; either way s then carries the tableau.
+    Returns (x, y): x holds Fractions, None when the rows have no point,
+    and y the LP multipliers of the rows, a Farkas ray without a point.
+    A row of unknown kind or with a negative right-hand side raises
     ValueError.
     """
-    # the right-hand side's column lies past every variable, as a row
-    # adds at most a slack and an artificial column
-    rhs = n_vars + 2 * len(rows)
-    matrix: list[dict[int, int]] = []
-    basis: list[int | None] = []
-    next_slack = n_vars
-    for row in rows:
-        if row.kind not in _KINDS:
-            raise ValueError(f"unknown row kind {row.kind!r}")
-        if row.rhs < 0:
-            raise ValueError(f"{row.kind} row {row.ref} has right-hand side {row.rhs} < 0")
-        # fresh: pivots rewrite it in place
-        vec = {j: c for j, c in (*row.terms, (rhs, row.rhs)) if c}
-        sign = _KINDS[row.kind][1]
-        if sign:
-            vec[next_slack] = sign
-            next_slack += 1
-        matrix.append(vec)
-        # a +1 slack is the row's first basic column
-        basis.append(next_slack - 1 if sign > 0 else None)
+    tab = s._tableau
+    if tab is not None and _extends(s, tab.source):
+        _add_columns(tab, s)
+    else:
+        tab = _phase_1(s)
+    enter = tab.maximize()
+    s._tableau = tab
+    e, rows, basis = s.edge_count, tab.rows, tab.basis
+    if enter is None:
+        # U and -S are the reduced costs at the initial basis columns
+        objective = rows[-1]
+        d = objective[_Z]
+        x = [Fraction(-objective.get(j, 0), d) for j in range(e)]
+        x.append(Fraction(objective.get(_ART, 0), d))
+        value = {bc: Fraction(row.get(_RHS, 0), row[bc]) for row, bc in zip(rows, basis)}
+    else:
+        # the ray: 1 in the entering column, and what each basic column
+        # loses per unit of it
+        x = None
+        value = {bc: Fraction(-row.get(enter, 0), row[bc]) for row, bc in zip(rows, basis)}
+        value[enter] = Fraction(1)
+    y = []
+    for i, row in enumerate(s.rows):
+        c = e + 1 + i
+        v = value.get(c, _F0)
+        y.append(-v if (row.kind == "circuit") != (c in tab.negated) else v)
+    return x, tuple(y)
 
-    art_start = next_slack
-    art_rows = [i for i, bc in enumerate(basis) if bc is None]
-    for k, i in enumerate(art_rows):
-        matrix[i][art_start + k] = 1
-        basis[i] = art_start + k
-    tab = _Tableau(matrix, basis, rhs)
-    # each row's first basic column is a unit column of the original
-    # rows: its reduced cost is its cost less the row's multiplier
-    unit_columns = tuple(basis)
-    # with no artificials the cost is empty and phase 1 returns at once
-    cost = {art_start + k: -1 for k in range(len(art_rows))}
-    tab.set_objective(cost)
+
+def _extends(s, source):
+    """Whether s's rows are those of ``source``, an (edge count, rows)
+    pair, followed by circuit rows only."""
+    edge_count, rows = source
+    return (
+        s.edge_count == edge_count
+        and s.rows[: len(rows)] == rows
+        and all(row.kind == "circuit" for row in s.rows[len(rows):])
+    )
+
+
+def _dual_column(row, e):
+    """The dual column of a row over the margin LP's e + 1 variables:
+    its entries by dual row, one per variable, and its cost.  A circuit
+    row's column is z = -y, and the others' y: in the row of U_j the
+    entry is -A_j for y, and in the row of S (index e) it is A_S; the
+    cost is -b for y.  Raises ValueError for a row of unknown kind or
+    with a negative right-hand side."""
+    if row.kind not in _KINDS:
+        raise ValueError(f"unknown row kind {row.kind!r}")
+    if row.rhs < 0:
+        raise ValueError(f"{row.kind} row {row.ref} has right-hand side {row.rhs} < 0")
+    sign = -1 if row.kind == "circuit" else 1
+    return {j: sign * c if j == e else -sign * c for j, c in row.terms if c}, -sign * row.rhs
+
+
+def _phase_1(s):
+    """A new tableau of the dual of s, at the basis of its slacks and its
+    artificial, through phase 1; InternalError when the dual has no
+    point, as no row then bounds S."""
+    e = s.edge_count
+    rows = [{j: 1} for j in range(e)] + [{_ART: 1, e: -1, _RHS: 1}]
+    cost, faces = {}, []
+    for i, row in enumerate(s.rows):
+        c = e + 1 + i
+        column, cost[c] = _dual_column(row, e)
+        for j, a in column.items():
+            rows[j][c] = a
+        if row.kind == "face":
+            faces.append((len(row.terms), c))
+    tab = _Tableau(rows, [*range(e), _ART], [c for _, c in sorted(faces)], tuple(s))
+    tab.set_objective({_ART: -1})
     tab.maximize(nonpositive=True)
-    if rhs in tab.rows[-1]:
-        return None, _multipliers(tab, cost, unit_columns)
-    # artificial columns stay in the rows, never to enter again; those
-    # still basic sit at 0 and stay there
-    tab.priced = art_start
-
-    cost = {target: 1}
-    tab.set_objective(cost)
-    tab.maximize()
-    x = [_F0] * n_vars
-    for row, bc in zip(tab.rows, tab.basis):
-        if bc < n_vars:
-            x[bc] = Fraction(row.get(rhs, 0), row[bc])
-    return x, _multipliers(tab, cost, unit_columns)
+    if _RHS in tab.rows[-1]:
+        raise InternalError(f"no row bounds column {e}")
+    tab.set_objective({c: -v if c in tab.negated else v for c, v in cost.items() if v})
+    return tab
 
 
-def _multipliers(tab, cost, unit_columns):
-    """y read off the objective row's reduced costs, over its entry in
-    z: y_i = cost(c) - d(c) for row i's unit column c."""
-    reduced = tab.rows[-1]
-    d = reduced[tab.basis[-1]]
-    return tuple(Fraction(cost.get(c, 0) * d - reduced.get(c, 0), d) for c in unit_columns)
+def _add_columns(tab, s):
+    """Add to the tableau, at its current basis, the dual column of each
+    row of s past its source's.  The initial basis columns, slack j for
+    the row of U_j and the artificial for the row of S, carry the inverse
+    of the current basis, and z carries the objective's scale, so a
+    column whose entries are a_j and whose cost is c reads
+    sum(row[u_j] a_j) + row[z] c in each row."""
+    first, e = len(tab.source[1]), s.edge_count
+    columns = [_dual_column(row, e) for row in s.rows[first:]]
+    for i, (column, cost) in enumerate(columns, first):
+        units = [(j if j < e else _ART, a) for j, a in column.items()]
+        units.append((_Z, cost))
+        c = e + 1 + i
+        for row in tab.rows:
+            v = sum(row.get(u, 0) * a for u, a in units)
+            if v:
+                row[c] = v
+    tab.source = tuple(s)

@@ -163,7 +163,7 @@ GOLDENS = {
         lambda: stack_on_faces(generate("bipyramid", 3), [0, 4, 5])),
     "kleetope_cube_inscribable": (
         decide_inscribable, lambda: generate("kleetope(cube)")),
-    # 120 rows before its 6 cuts; Bland's rule from the first pivot
+    # 120 rows before its 7 cuts; Bland's rule from the first pivot
     # would reach another optimum
     "kleetope_antiprism_6_circumscribable": (
         decide_circumscribable, lambda: generate("kleetope(antiprism)", 6)),

@@ -1,0 +1,64 @@
+"""Many-round circumscribable decisions at scale, each answer and margin pinned.
+
+Run every case with ``python tests/scale.py``, or some of them by name;
+each decision is verified, and a wrong answer or margin or a failed
+verification exits 1.  The cases take a few dozen cut rounds each, so a
+solver that starts every round from scratch takes tens of seconds on
+them where one that goes on from the last basis takes about a second.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import time
+from fractions import Fraction
+
+from inscribe import (
+    decide_circumscribable,
+    generate,
+    stack_on_faces,
+    trace_faces,
+    verify_certificate,
+)
+
+
+def ico3():
+    """The icosahedron with an apex stacked on half its faces three
+    times over, each half drawn with ``random.Random(3)``: 82 vertices,
+    240 edges, 160 faces."""
+    g = generate("icosahedron")
+    rng = random.Random(3)
+    for _ in range(3):
+        faces = len(trace_faces(g))
+        g = stack_on_faces(g, rng.sample(range(faces), faces // 2))
+    return g
+
+
+# name -> (graph, answer, margin)
+CASES = {
+    "ico3": (ico3, "yes", Fraction(2, 21)),
+    "kleetope-antiprism-12": (lambda: generate("kleetope(antiprism)", 12), "yes", Fraction(1, 8)),
+    "kleetope-antiprism-20": (lambda: generate("kleetope(antiprism)", 20), "yes", Fraction(1, 8)),
+}
+
+
+def main(names) -> int:
+    failed = 0
+    for name in names or CASES:
+        make, answer, margin = CASES[name]
+        g = make()
+        start = time.perf_counter()
+        cert = decide_circumscribable(g)
+        elapsed = time.perf_counter() - start
+        ok, problems = verify_certificate(cert, g)
+        print(f"{name}: {cert.answer}, margin {cert.margin}, {cert.iterations} rounds, "
+              f"{elapsed:.2f} s, verify {'PASS' if ok else 'FAIL'}")
+        if (cert.answer, cert.margin) != (answer, margin) or not ok:
+            print(f"{name}: expected {answer} at margin {margin}; {problems}")
+            failed += 1
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

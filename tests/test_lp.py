@@ -9,6 +9,7 @@ import pytest
 from helpers import CORPUS_SPECS
 from reference import reference_eliminate
 
+import inscribe.decide as decide_module
 import inscribe.lp as lp_module
 from inscribe import (
     ConstraintSystem,
@@ -147,21 +148,29 @@ class TestMaximizeMargin:
         assert sol.margin == F(1, 6)
         assert all(x == F(1, 3) for x in sol.weights)
 
+    # one variable asked to be 1 and 1/3 at once
+    CONTRADICTORY_FACES = (Row(((0, 1),), 1, "face", 0), Row(((0, 3),), 1, "face", 1))
+
     def test_contradictory_face_equalities_infeasible(self):
-        # one variable asked to be 1 and 1/3 at once
-        rows = (
-            Row(((0, 1),), 1, "face", 0),
-            Row(((0, 3),), 1, "face", 1),
-        )
-        s = ConstraintSystem(1, rows)
+        # an upper row bounds both columns, so the dual has a point; the
+        # rows have none, so the dual grows without bound along a ray
+        s = ConstraintSystem(1, (Row(((0, 1), (1, 1)), 5, "upper", 0),) + self.CONTRADICTORY_FACES)
         sol = maximize_margin(s)
         assert sol.status == "infeasible"
         assert sol.margin is None and sol.weights is None
+        assert multiplier_problems(s, sol.multipliers, None) == []
+
+    def test_contradictory_face_equalities_unbounded_raises(self):
+        # without a row that bounds S the dual has no point, which the
+        # solver reports even though the rows have no point either
+        s = ConstraintSystem(1, self.CONTRADICTORY_FACES)
+        with pytest.raises(InternalError, match="^no row bounds column 1$"):
+            maximize_margin(s)
 
     def test_column_no_row_bounds_raises(self):
-        # no upper row bounds S, so phase 2 finds no leaving row for it
+        # no row bounds S, so the dual's phase 1 ends below 0
         s = ConstraintSystem(1, (Row(((0, 1),), 1, "upper", 0),))
-        with pytest.raises(InternalError, match="no row bounds entering column 1"):
+        with pytest.raises(InternalError, match="^no row bounds column 1$"):
             maximize_margin(s)
 
     def test_single_edge_face_row_binds_margin_negative(self):
@@ -320,10 +329,10 @@ class TestPointRecheck:
 class TestBlandsRule:
     @pytest.mark.parametrize("family,n,cuts", [
         ("tetrahedron", None, 8),
-        ("octahedron", None, 8),
+        ("dodecahedron", None, 8),
         ("cube", None, 8),
         ("prism", 5, 8),
-        ("bipyramid", 4, 8),
+        ("bipyramid", 5, 8),
         ("kleetope(bipyramid)", 3, 0),
         ("kleetope(tetrahedron)", None, 0),
     ])
@@ -332,6 +341,8 @@ class TestBlandsRule:
     ):
         s = dual_with_cuts(family, n, cuts)
         default = maximize_margin(s)
+        # s now carries its solved tableau; a copy of its rows solves cold
+        s = ConstraintSystem(s.edge_count, s.rows)
         ran_bland = []
         maximize = lp_module._Tableau.maximize
 
@@ -566,18 +577,21 @@ def is_primitive(row):
     return math.gcd(*row.values()) == 1
 
 
+RHS, Z, ART = lp_module._RHS, lp_module._Z, lp_module._ART
+
+
 def objective_value(tab):
     """The objective's value: minus its row's right-hand side over the
     row's entry in z, its basic column."""
     objective = tab.rows[-1]
-    return F(-objective.get(tab.rhs, 0), objective[tab.basis[-1]])
+    return F(-objective.get(RHS, 0), objective[Z])
 
 
 def reference_objective(tab, cost):
     """The reduced costs c - c_B B^-1 A, nonzeros only, and the value
     c_B B^-1 b of the integer cost map ``cost``, as ``Fraction``s: the
     tableau's constraint rows are B^-1 [A | b], row i over its entry in
-    its basic column, with b in column ``rhs``."""
+    its basic column, with b in column RHS."""
     reduced = {j: F(c) for j, c in cost.items()}
     value = F(0)
     for row, bc in zip(tab.rows[:-1], tab.basis):
@@ -586,34 +600,40 @@ def reference_objective(tab, cost):
             continue
         d = row[bc]
         for j, x in row.items():
-            if j != tab.rhs:
+            if j != RHS:
                 reduced[j] = reduced.get(j, 0) - F(cb * x, d)
-        value += F(cb * row.get(tab.rhs, 0), d)
+        value += F(cb * row.get(RHS, 0), d)
     return {j: x for j, x in reduced.items() if x}, value
+
+
+def face_columns(s):
+    """The dual's free columns: one per face row of s."""
+    return {s.edge_count + 1 + i for i, row in enumerate(s.rows) if row.kind == "face"}
 
 
 class TestTableauInvariant:
     """Rows store only nonzeros, each is its own map and equals the
     fully reduced row as rationals, and the basis stays an identity:
     each row's basic entry is its positive denominator, and the column
-    is absent from every other row.  In phase 2 every artificial still
-    basic sits at 0.  A row is primitive once its denominator reaches
-    2^30, and the pivot row always is.  The last row is the objective,
-    checked as every other row is, with z as its basic column; as each
-    ``maximize`` starts and after every pivot it equals the reduced
-    costs and minus the value of the cost map that ``set_objective``
-    was given, computed apart from the tableau's arithmetic."""
+    is absent from every other.  Only free columns are negated, and the
+    rows held are those of the basic free columns, which alone may have
+    a negative right-hand side.  A row is primitive once its denominator
+    reaches 2^30, and the pivot row always is.  The last row is the
+    objective, checked as every other row is, with z as its basic column;
+    as each ``maximize`` starts and after every pivot it equals the
+    reduced costs and minus the value of the cost map that
+    ``set_objective`` was given, each column negated since with its cost
+    negated and each column added since with its own cost, computed
+    apart from the tableau's arithmetic."""
 
     @staticmethod
-    def check(tab, cost):
-        rhs, z = tab.rhs, tab.basis[-1]
+    def check(tab, cost, negated, faces):
         basic = set(tab.basis)
         # a pivot rewrites each row's map in place, so no two may share one
         maps = {id(row) for row in tab.rows}
         assert len(maps) == len(tab.rows) == len(tab.basis)
-        # neither the right-hand side nor z is ever priced, and the
-        # right-hand side is in no basis
-        assert tab.priced <= rhs < z and rhs not in basic
+        # the right-hand side is in no basis, and z is the objective's
+        assert RHS not in basic and tab.basis.index(Z) == len(tab.rows) - 1
         for row, bc in zip(tab.rows, tab.basis):
             # each row holds its own basic column and no other, so z is
             # in the objective row alone
@@ -621,64 +641,93 @@ class TestTableauInvariant:
             assert 0 not in row.values() and row[bc] > 0
             if row[bc] >= lp_module._REDUCE_AT:
                 assert is_primitive(row)
-        for row, bc in zip(tab.rows[:-1], tab.basis):
-            # phase 2 prices no artificial; in phase 1 none is unpriced
-            if bc >= tab.priced:
-                assert rhs not in row
-        objective, d = tab.rows[-1], tab.rows[-1][z]
+        held = {tab.basis[i] for i in tab.held}
+        assert held | set(tab.free) <= faces and not held & set(tab.free)
+        assert tab.negated <= faces
+        for i, row in enumerate(tab.rows[:-1]):
+            assert i in tab.held or row.get(RHS, 0) >= 0
+        flipped = tab.negated ^ negated
+        cost = {j: -c if j in flipped else c for j, c in cost.items()}
+        objective, d = tab.rows[-1], tab.rows[-1][Z]
         reduced, value = reference_objective(tab, cost)
-        assert {j: F(x, d) for j, x in objective.items() if j not in (rhs, z)} == reduced
+        assert {j: F(x, d) for j, x in objective.items() if j not in (RHS, Z)} == reduced
         assert objective_value(tab) == value
 
-    @pytest.mark.parametrize("family,n,cuts,phase2_pivots", [
-        ("cube", None, 0, 0),
-        ("prism", 5, 8, 0),
-        ("kleetope(bipyramid)", 3, 0, 2),
-        # phase 2 moves a zero artificial out on a negative entry
-        ("kleetope(tetrahedron)", None, 0, 1),
-    ])
-    def test_after_every_pivot(self, monkeypatch, family, n, cuts, phase2_pivots):
-        pivots = []  # one count per maximize call: phase 1, then phase 2
+    @pytest.mark.parametrize("make,pivots_per_maximize", [
+        (lambda: dual_with_cuts("cube", None, 0), [1, 12]),
+        (lambda: dual_with_cuts("prism", 5, 8), [1, 15]),
+        (lambda: dual_with_cuts("kleetope(bipyramid)", 3, 0), [1, 18]),
+        (lambda: dual_with_cuts("kleetope(tetrahedron)", None, 0), [1, 10]),
+        # a decision of four rounds, each later one from the last basis
+        (lambda: generate("kleetope(bipyramid)", 3), [1, 29, 5, 1, 3]),
+    ], ids=["cube", "prism-5-8-cuts", "kleetope-bipyramid-3-dual", "kleetope-tetrahedron-dual",
+            "kleetope-bipyramid-3-decision"])
+    def test_after_every_pivot(self, monkeypatch, make, pivots_per_maximize):
+        pivots = []  # one count per maximize call
         updates = [0]  # calls of _eliminate, each checked
-        costs = []  # each cost map given to set_objective
+        costs = []  # each cost map given to set_objective, with the negated columns then
+        systems = []
         pivot = lp_module._Tableau.pivot
         maximize = lp_module._Tableau.maximize
         set_objective = lp_module._Tableau.set_objective
+        add_columns = lp_module._add_columns
+
+        def check(tab):
+            self.check(tab, *costs[-1], face_columns(systems[-1]))
 
         def checked_pivot(tab, r, c):
             pivot(tab, r, c)
             pivots[-1] += 1
             assert is_primitive(tab.rows[r])
-            self.check(tab, costs[-1])
+            check(tab)
 
         def counted_maximize(tab, **kwargs):
             pivots.append(0)
-            self.check(tab, costs[-1])
+            check(tab)
             return maximize(tab, **kwargs)
 
         def recorded_set_objective(tab, cost):
-            costs.append(dict(cost))
+            costs.append((dict(cost), set(tab.negated)))
             return set_objective(tab, cost)
+
+        def recorded_add_columns(tab, s):
+            first = len(tab.source[1])
+            # a circuit row's column is z = -y, at cost b
+            costs[-1][0].update((s.edge_count + 1 + i, s.rows[i].rhs)
+                                for i in range(first, len(s.rows)))
+            systems.append(s)
+            add_columns(tab, s)
+
+        def recorded_phase_1(s):
+            systems.append(s)
+            return phase_1(s)
 
         def checked_eliminate(*args):
             updates[0] += 1
             check_eliminate(*args)
 
+        phase_1 = lp_module._phase_1
         monkeypatch.setattr(lp_module._Tableau, "pivot", checked_pivot)
         monkeypatch.setattr(lp_module._Tableau, "maximize", counted_maximize)
         monkeypatch.setattr(lp_module._Tableau, "set_objective", recorded_set_objective)
+        monkeypatch.setattr(lp_module, "_add_columns", recorded_add_columns)
+        monkeypatch.setattr(lp_module, "_phase_1", recorded_phase_1)
         monkeypatch.setattr(lp_module, "_eliminate", checked_eliminate)
-        solution = maximize_margin(dual_with_cuts(family, n, cuts))
-        assert solution.status == "optimal"
-        assert len(pivots) == len(costs) == 2 and pivots[0] > 0
-        assert pivots[1] == phase2_pivots
+        system_or_graph = make()
+        if isinstance(system_or_graph, ConstraintSystem):
+            assert maximize_margin(system_or_graph).status == "optimal"
+        else:
+            assert decide_circumscribable(system_or_graph).is_yes
+        # phase 1 is one pivot: the least face column takes the
+        # artificial's place
+        assert pivots == pivots_per_maximize
         assert updates[0] > 0
 
 
 def record_pivots(monkeypatch):
     """Wrap ``_Tableau.maximize`` and ``_Tableau.pivot`` to log every
-    pivot of a solve as (phase, objective value before it): phase 0 or 1
-    inside the first or second ``maximize`` call, None between them."""
+    pivot of a solve as (maximize call, objective value before it): the
+    call's index from 0, None outside every call."""
     log, phase, inside = [], [-1], [False]
     pivot = lp_module._Tableau.pivot
     maximize = lp_module._Tableau.maximize
@@ -715,8 +764,9 @@ def all_triples_system(duplicate=False):
 
 
 class TestPhaseOneStop:
-    """Phase 1 maximizes minus the sum of the artificials, which is
-    never positive, so it stops as soon as its value reaches 0."""
+    """Phase 1 maximizes minus the dual's one artificial, which is never
+    positive, so it stops as soon as its value reaches 0, and the
+    artificial, the least column, has then left the basis."""
 
     @pytest.mark.parametrize("family,n,cuts", [
         ("octahedron", None, 0),
@@ -734,37 +784,34 @@ class TestPhaseOneStop:
         assert phase_1 and 0 not in phase_1
 
     def test_antiprism_8_pivot_count(self, monkeypatch):
-        # the dual's phase 1 reaches 0 after one pivot, and phase 2 makes
-        # none, as the zero artificials stay basic
+        # the dual's phase 1 reaches 0 after one pivot, and the optimum
+        # is then reached: phase 2 makes none
         log, _ = record_pivots(monkeypatch)
         solution = maximize_margin(dual_with_cuts("antiprism", 8, 0))
         assert solution.margin == F(1, 4)
         assert len(log) == 1
 
     @pytest.mark.parametrize("duplicate", [False, True])
-    def test_zero_artificials_stay_in_phase_2(self, monkeypatch, duplicate):
+    def test_the_artificial_leaves_in_phase_1(self, monkeypatch, duplicate):
         s = all_triples_system(duplicate)
-        art_start = s.variable_count + row_counts(s)["upper"]
-        art_rows = row_counts(s)["face"]
-        ends = []  # (value, basic artificials, constraint rows) as each phase ends
+        ends = []  # (value, artificial basic, free columns held) as each phase ends
         log, _ = record_pivots(monkeypatch)
         maximize = lp_module._Tableau.maximize
 
         def recording(tab, **kwargs):
             status = maximize(tab, **kwargs)
-            value = objective_value(tab)
-            basis = tab.basis[:-1]  # the constraint rows'; z is the objective's
-            ends.append((value, sum(bc >= art_start for bc in basis), len(basis)))
+            ends.append((objective_value(tab), ART in tab.basis, len(tab.held)))
             return status
 
         monkeypatch.setattr(lp_module._Tableau, "maximize", recording)
         solution = maximize_margin(s)
-        # phase 1 stops at 0 with all but one artificial still basic;
-        # no pivot runs between the phases, and phase 2 ends with every
-        # row, the redundant duplicate too
-        assert ends[0] == (0, art_rows - 1, len(s.rows))
-        assert [ph for ph, _ in log if ph is None] == []
-        assert len(ends) == 2 and ends[1][2] == len(s.rows)
+        # one pivot brings phase 1 to 0, a face column in place of the
+        # artificial; no pivot runs between the phases, and the
+        # duplicate face row's column, once the other is basic, has a
+        # reduced cost of 0 and never enters
+        assert ends[0] == (0, False, 1)
+        assert [ph for ph, _ in log] == [0] + [1] * (len(log) - 1)
+        assert len(ends) == 2 and ends[1][1:] == (False, 4)
         assert (solution.status, solution.margin) == vertex_enumeration_margin(s)
         assert solution.margin == F(1, 6)
         assert multiplier_problems(s, solution.multipliers, solution.margin) == []
@@ -776,12 +823,99 @@ class TestPhaseOneStop:
             decide(generate(family, n))
         assert log and all(ph is not None for ph, _ in log)
         # pinned: how a row update is computed changes no pivot
-        assert len(log) == {decide_inscribable: 385, decide_circumscribable: 567}[decide]
+        assert len(log) == {decide_inscribable: 288, decide_circumscribable: 433}[decide]
 
     def test_many_round_decision_pivot_count(self, monkeypatch):
-        # nine solves, each a phase 1 and a phase 2 from a fresh tableau
+        # one cold solve, phase 1 and phase 2, and then one maximize per
+        # round from the last basis
         log, phase = record_pivots(monkeypatch)
         cert = decide_circumscribable(generate("kleetope(antiprism)", 8))
         assert (cert.answer, cert.margin, cert.iterations) == ("yes", F(1, 8), 9)
-        assert phase == [2 * 9 - 1]
-        assert len(log) == 1659
+        assert phase == [cert.iterations]
+        assert len(log) == 181
+
+
+def cold(s):
+    """A copy of s's rows that carries no tableau, so it solves cold."""
+    return ConstraintSystem(s.edge_count, s.rows)
+
+
+def count_phase_1(monkeypatch):
+    """Count the solves that build a new tableau."""
+    calls = []
+    phase_1 = lp_module._phase_1
+
+    def counted(s):
+        calls.append(len(s.rows))
+        return phase_1(s)
+
+    monkeypatch.setattr(lp_module, "_phase_1", counted)
+    return calls
+
+
+class TestWarmStart:
+    """A solve goes on from the last basis when the system's rows are its
+    tableau's rows followed by new circuit rows, and solves cold
+    otherwise; either way it reaches the optimum a cold solve reaches."""
+
+    @pytest.mark.parametrize("family,n,rounds", [
+        ("kleetope(antiprism)", 8, 9),
+        ("kleetope(icosahedron)", None, 11),
+    ])
+    def test_each_round_matches_a_cold_solve(self, monkeypatch, family, n, rounds):
+        systems = []
+
+        def checked(system):
+            warm = lp_module.maximize_margin(system)
+            again = lp_module.maximize_margin(cold(system))
+            assert warm.margin == again.margin
+            for solution in (warm, again):
+                assert multiplier_problems(system, solution.multipliers, solution.margin) == []
+            systems.append(system)
+            return warm
+
+        monkeypatch.setattr(decide_module, "maximize_margin", checked)
+        built = count_phase_1(monkeypatch)
+        cert = decide_circumscribable(generate(family, n))
+        assert (cert.answer, cert.margin, cert.iterations) == ("yes", F(1, 8), rounds)
+        # one tableau for the decision, and one for each cold check
+        assert len(built) == 1 + rounds
+        assert [len(s.rows) for s in systems] == [len(systems[0].rows) + k for k in range(rounds)]
+
+    def test_two_cuts_on_one_parent(self, monkeypatch):
+        g = generate("kleetope(tetrahedron)")
+        parent = new_system(g)
+        solution = maximize_margin(parent)
+        margin, w = solution.margin, solution.weights
+        # two circuits that the parent's optimum violates
+        violated = [c for c in all_nonfacial_circuits(g) if sum(w[e] for e in c) - margin < 1]
+        first, second = (add_circuit_constraint(parent, c) for c in violated[:2])
+        built = count_phase_1(monkeypatch)
+        expected = [maximize_margin(cold(s)).margin for s in (first, second)]
+        assert len(built) == 2
+        # the first child goes on from the parent's basis; the second,
+        # whose rows do not extend the first's, and the parent, whose
+        # tableau the first child moved on, solve cold
+        for s, value, cold_solves in ((first, expected[0], 2), (second, expected[1], 3),
+                                      (parent, margin, 4)):
+            solution = maximize_margin(s)
+            assert solution.margin == value
+            assert multiplier_problems(s, solution.multipliers, solution.margin) == []
+            assert len(built) == cold_solves
+        assert max(expected) < margin
+
+    def test_new_rows_other_than_circuits_solve_cold(self, monkeypatch):
+        s = new_system(generate("cube"))
+        maximize_margin(s)
+        extended = ConstraintSystem(s.edge_count, s.rows + s.rows[-1:])
+        extended._tableau = s._tableau
+        built = count_phase_1(monkeypatch)
+        assert maximize_margin(extended).margin == maximize_margin(s).margin == F(1, 4)
+        assert built == [len(s.rows) + 1]
+
+    def test_a_resolve_makes_no_pivot(self, monkeypatch):
+        s = dual_with_cuts("prism", 5, 8)
+        margin = maximize_margin(s).margin
+        log, _ = record_pivots(monkeypatch)
+        assert maximize_margin(s).margin == margin
+        assert log == []
