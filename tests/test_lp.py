@@ -342,7 +342,7 @@ class TestBlandsRule:
         s = dual_with_cuts(family, n, cuts)
         default = maximize_margin(s)
         # s now carries its solved tableau; a copy of its rows solves cold
-        s = ConstraintSystem(s.edge_count, s.rows)
+        s = cold(s)
         ran_bland = []
         maximize = lp_module._Tableau.maximize
 
