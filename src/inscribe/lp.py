@@ -222,20 +222,27 @@ def maximize_margin(s: ConstraintSystem) -> MarginSolution:
     The optimum exists whenever the system is feasible and its rows bound
     S, as the upper rows do with U, S >= 0; rows that leave S unbounded
     raise InternalError, whether or not they have a point.  The returned
-    point is re-verified by :func:`point_problem`, in integers, to be
+    point is scaled once to integer numerators over one denominator d
+    and re-verified by :func:`point_problem`'s check, in integers, to be
     nonnegative and to satisfy every row exactly, and InternalError names
     what it fails; it is then mapped back to t = S/2 - 1 and
-    w_e = U_e/2 + t.  A row of unknown kind or with a negative right-hand
-    side raises ValueError.
+    w_e = U_e/2 + t, each one ``Fraction`` of those integers.  A row of
+    unknown kind or with a negative right-hand side raises ValueError.
     """
     x, multipliers = _solve_lp(s)
     if x is None:
         return MarginSolution(None, None, multipliers)
-    problem = point_problem(s, x)
+    nums, d = _scaled(x)
+    problem = _point_problem(s, nums, d)
     if problem is not None:
         raise InternalError(f"solver returned {problem}")
-    t = x[s.margin_index] / 2 - 1
-    return MarginSolution(t, tuple(u / 2 + t for u in x[: s.edge_count]), multipliers)
+    # t = (S - 2d) / 2d and w_e = (U_e + S - 2d) / 2d
+    shift = nums[s.margin_index] - 2 * d
+    return MarginSolution(
+        Fraction(shift, 2 * d),
+        tuple(Fraction(u + shift, 2 * d) for u in nums[: s.edge_count]),
+        multipliers,
+    )
 
 
 def point_problem(s: ConstraintSystem, x: Sequence[Fraction]) -> str | None:
@@ -247,7 +254,11 @@ def point_problem(s: ConstraintSystem, x: Sequence[Fraction]) -> str | None:
     denominator D, and a row holds when sum(c X_j) compares to rhs D as
     its kind says, so the rows' integers build no ``Fraction``.
     """
-    nums, d = _scaled(x)
+    return _point_problem(s, *_scaled(x))
+
+
+def _point_problem(s: ConstraintSystem, nums: Sequence[int], d: int) -> str | None:
+    """:func:`point_problem` of the point with numerators ``nums`` over d."""
     if any(v < 0 for v in nums):
         return "a negative variable"
     for row in s.rows:

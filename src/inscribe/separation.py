@@ -24,14 +24,23 @@ oracle returns it as it is.
 A caller may pass a ``limit``: only a circuit weighing at most it is
 wanted, and None stands for "none is that light".  The search keeps a
 cap, first the limit (or the sum of all weights), then each better
-circuit's weight, and prunes by three rules that keep it exact:
+circuit's weight, and prunes by four rules that keep it exact:
 
 - an edge above the cap is not searched from, since every circuit whose
-  least edge it is weighs at least as much;
+  least edge it is weighs at least as much; nor is an edge with an end
+  that meets no edge above it, since such a circuit leaves each end of
+  e by one;
 - when the u-v search for a set of avoided edges finds nothing, the v-u
   search is skipped, since the graph is undirected;
 - a search stops at the cap less w(e), since a heavier path is never
-  chosen.
+  chosen;
+- a pre-check, :func:`_may_close`, runs before the searches of e: one
+  distance-only search for a u-v walk within the cap less w(e) that is
+  not the path f - e of a face f whose least edge is e.  A path that a
+  search of e returns, in either direction, avoids an edge of each such
+  face, so it is such a walk; when there is none, every search of e is
+  skipped.  Only searches that would find nothing are skipped, so the
+  result is theirs.
 
 :func:`brute_force_min_nonfacial` is the independent reference oracle: it
 takes the least circuit of :func:`all_nonfacial_circuits`, which lists
@@ -48,7 +57,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Container, Iterable, Sequence
 
-from .graph import PolyhedralGraph, edge_faces, trace_faces
+from .graph import Face, PolyhedralGraph, edge_faces, trace_faces
 
 
 def canonical_circuit(g: PolyhedralGraph, edge_ids: Iterable[int]) -> tuple[int, ...]:
@@ -152,6 +161,72 @@ def _shortest_path(
     return None
 
 
+def _face_path(f: Face, e: int, u: int) -> dict[int, int] | None:
+    """Face f's boundary less its edge e, as a path from e's end u to
+    its other end: each vertex of the path but the last maps to the edge
+    the path leaves it by.  None when the path meets a vertex twice,
+    which a face of a polyhedral graph, a simple cycle, never does."""
+    k = f.boundary.index(e)
+    n = len(f.boundary)
+    if f.vertices[k] == u:
+        # e leaves u along f, so the path runs round f backwards
+        path = {f.vertices[k - i]: f.boundary[k - i - 1] for i in range(n - 1)}
+    else:
+        path = {f.vertices[(k + i) % n]: f.boundary[(k + i) % n] for i in range(1, n)}
+    return path if len(path) == n - 1 else None
+
+
+def _may_close(
+    adj: Sequence[Sequence[tuple[int, int]]],
+    nums: Sequence[int],
+    source: int,
+    target: int,
+    paths: Sequence[dict[int, int]],
+    bound: int,
+) -> bool:
+    """Whether some source-target walk over ``adj`` weighing at most
+    ``bound`` is none of ``paths``, each a next-edge map as
+    :func:`_face_path` gives it.  False proves that every simple path
+    within the bound is one of them.  The target must have an edge in
+    ``adj``.
+
+    A distance-only search over states (vertex, tag), where bit i of the
+    tag is set while the walk so far follows ``paths[i]`` from the
+    source; it answers True at the first walk that reaches the target
+    with no bit set, and builds no path.  Two prunes keep it exact: a
+    tagged state is dropped once the untagged state at its vertex is no
+    farther, since every walk on from it goes on from that state too;
+    and a walk to any other vertex needs room for one more edge into the
+    target.
+    """
+    room = bound - min(nums[a] for a, _ in adj[target])
+    # state 4 x + tag: at most two faces are tracked
+    start = 4 * source + (1 << len(paths)) - 1
+    best = {start: 0}
+    heap = [(0, start)]
+    while heap:
+        dist, state = heapq.heappop(heap)
+        x, tag = divmod(state, 4)
+        # a stale entry, or a tagged state the untagged one at x dominates
+        if best[state] < dist or tag and best.get(4 * x, dist + 1) <= dist:
+            continue
+        for a, y in adj[x]:
+            t = 0
+            if tag:
+                for i, path in enumerate(paths):
+                    if tag >> i & 1 and path.get(x) == a:
+                        t = 1 << i
+            d = dist + nums[a]
+            if y == target:
+                # a walk that followed a path to its end is that path
+                if not t and d <= bound:
+                    return True
+            elif d <= room and d < best.get(4 * y + t, d + 1):
+                best[4 * y + t] = d
+                heapq.heappush(heap, (d, 4 * y + t))
+    return False
+
+
 def min_cycle_through_edge(
     g: PolyhedralGraph,
     w,
@@ -193,30 +268,32 @@ def min_nonfacial_circuit(
     cap = sum(nums) if limit is None else math.floor(limit * denom)
     faces = trace_faces(g)
     incident = edge_faces(g)
+    least = [min(f.boundary) for f in faces]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
     best: tuple[int, tuple[int, ...]] | None = None
     for e in reversed(range(g.edge_count)):
         u, v = g.edges[e]
-        # every circuit whose least edge is e weighs at least w(e)
-        if nums[e] <= cap:
+        # every circuit whose least edge is e weighs at least w(e), and
+        # leaves each end of e by an edge above e
+        if nums[e] <= cap and adj[u] and adj[v]:
             # a face with an edge below e is never the path; a face whose
             # other edges all lie above e loses one of them in each search
-            avoid = [
-                faces[i].edge_ids - {e}
-                for i in incident[e]
-                if min(faces[i].edge_ids) == e
-            ]
-            for banned in itertools.product(*avoid):
-                for source, target in ((u, v), (v, u)):
-                    sp = _shortest_path(adj, nums, source, target, banned, cap - nums[e])
-                    if sp is None:
-                        # the graph is undirected: the reverse fails too
-                        break
-                    dist, path = sp
-                    key = (dist + nums[e], (e,) + path)
-                    if best is None or key < best:
-                        best = key
-                        cap = key[0]
+            tracked = [faces[i] for i in incident[e] if least[i] == e]
+            paths = [_face_path(f, e, u) for f in tracked]
+            # a face that is no simple cycle leaves the searches to run
+            if None in paths or _may_close(adj, nums, u, v, paths, cap - nums[e]):
+                avoid = [f.edge_ids - {e} for f in tracked]
+                for banned in itertools.product(*avoid):
+                    for source, target in ((u, v), (v, u)):
+                        sp = _shortest_path(adj, nums, source, target, banned, cap - nums[e])
+                        if sp is None:
+                            # the graph is undirected: the reverse fails too
+                            break
+                        dist, path = sp
+                        key = (dist + nums[e], (e,) + path)
+                        if best is None or key < best:
+                            best = key
+                            cap = key[0]
         adj[u].append((e, v))
         adj[v].append((e, u))
     if best is None:

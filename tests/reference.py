@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 from inscribe import (
     MarginSolution,
@@ -13,6 +15,8 @@ from inscribe import (
     new_system,
     require_polyhedral,
 )
+from inscribe.graph import edge_faces, trace_faces
+from inscribe.separation import _numerators, _shortest_path
 
 
 def solve_full_enumeration(g: PolyhedralGraph) -> tuple[MarginSolution, int]:
@@ -58,3 +62,47 @@ def reference_eliminate(row, bc, a, prow, p):
             del new[j]
     g = math.gcd(*new.values())
     return {j: x // g for j, x in new.items()}
+
+
+def reference_least_circuit(g, w, limit=None):
+    """The separation oracle as it stood before its pre-check: the body
+    of ``min_nonfacial_circuit`` with every banned search run, one for
+    each choice of an avoided edge per face whose least edge is e, and
+    no search to skip them.  The oracle must return what this returns."""
+    nums, denom = _numerators(g, w, nonnegative=True)
+    # no simple circuit weighs more than all the edges together
+    cap = sum(nums) if limit is None else math.floor(limit * denom)
+    faces = trace_faces(g)
+    incident = edge_faces(g)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    best: tuple[int, tuple[int, ...]] | None = None
+    for e in reversed(range(g.edge_count)):
+        u, v = g.edges[e]
+        # every circuit whose least edge is e weighs at least w(e)
+        if nums[e] <= cap:
+            # a face with an edge below e is never the path; a face whose
+            # other edges all lie above e loses one of them in each search
+            avoid = [
+                faces[i].edge_ids - {e}
+                for i in incident[e]
+                if min(faces[i].edge_ids) == e
+            ]
+            for banned in itertools.product(*avoid):
+                for source, target in ((u, v), (v, u)):
+                    sp = _shortest_path(adj, nums, source, target, banned, cap - nums[e])
+                    if sp is None:
+                        # the graph is undirected: the reverse fails too
+                        break
+                    dist, path = sp
+                    key = (dist + nums[e], (e,) + path)
+                    if best is None or key < best:
+                        best = key
+                        cap = key[0]
+        adj[u].append((e, v))
+        adj[v].append((e, u))
+    if best is None:
+        if limit is not None:
+            return None
+        raise ValueError("graph has no non-facial circuit")
+    weight, ids = best
+    return ids, Fraction(weight, denom)

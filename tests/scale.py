@@ -1,10 +1,13 @@
-"""Many-round circumscribable decisions at scale, each answer and margin pinned.
+"""Circumscribable decisions at scale, each answer and margin pinned.
 
 Run every case with ``python tests/scale.py``, or some of them by name;
 each decision is verified, and a wrong answer or margin or a failed
-verification exits 1.  The cases take a few dozen cut rounds each, so a
-solver that starts every round from scratch takes tens of seconds on
+verification exits 1.  Three cases take a few dozen cut rounds each, so
+a solver that starts every round from scratch takes tens of seconds on
 them where one that goes on from the last basis takes about a second.
+``prism-120`` takes one round, but its two 120-gon faces give their
+least edges 119 searches each in the separation oracle unless a search
+shows that none of them can find a path.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ CASES = {
     "ico3": (ico3, "yes", Fraction(2, 21)),
     "kleetope-antiprism-12": (lambda: generate("kleetope(antiprism)", 12), "yes", Fraction(1, 8)),
     "kleetope-antiprism-20": (lambda: generate("kleetope(antiprism)", 20), "yes", Fraction(1, 8)),
+    "prism-120": (lambda: generate("prism", 120), "yes", Fraction(1, 120)),
 }
 
 

@@ -5,20 +5,27 @@ from fractions import Fraction
 
 import pytest
 from helpers import circumscribable, corpus, inscribable, small_corpus
+from panel import panel_graphs
+from reference import reference_least_circuit
 
+import inscribe.decide as decide_module
 import inscribe.separation as separation_module
+import reference as reference_module
 from inscribe import (
     PolyhedralGraph,
     all_nonfacial_circuits,
     brute_force_min_nonfacial,
+    decide_circumscribable,
+    decide_inscribable,
     dual,
     generate,
     min_cycle_through_edge,
     min_nonfacial_circuit,
     stack_on_faces,
     trace_faces,
+    verify_certificate,
 )
-from inscribe.separation import canonical_circuit, weighting_problems
+from inscribe.separation import _face_path, _may_close, canonical_circuit, weighting_problems
 
 THIRD = Fraction(1, 3)
 
@@ -191,6 +198,224 @@ class TestMinNonfacialCircuit:
                 assert min_nonfacial_circuit(g, w, weight) == least, name
                 assert min_nonfacial_circuit(g, w, weight + 1) == least, name
                 assert min_nonfacial_circuit(g, w, weight - Fraction(1, 97)) is None, name
+
+
+def _same_as_reference(g, w):
+    """The oracle returns what every banned search returns, at the four
+    limits of ``test_limit_matches_the_reference``: none, the least
+    circuit's weight, one above it and just below it."""
+    least = reference_least_circuit(g, w)
+    assert min_nonfacial_circuit(g, w) == least
+    weight = least[1]
+    for limit in (weight, weight + 1, weight - Fraction(1, 97)):
+        assert min_nonfacial_circuit(g, w, limit) == reference_least_circuit(g, w, limit)
+
+
+def _round_weights(monkeypatch, graphs):
+    """(tested graph, weights) of every oracle call that deciding each
+    graph of ``graphs`` both ways makes, one per round."""
+    calls = []
+
+    def recorded(g, w, limit):
+        calls.append((g, w))
+        return min_nonfacial_circuit(g, w, limit)
+
+    monkeypatch.setattr(decide_module, "min_nonfacial_circuit", recorded)
+    for g in graphs:
+        decide_circumscribable(g)
+        decide_inscribable(g)
+    monkeypatch.undo()
+    return calls
+
+
+class TestPreCheckEquivalence:
+    """The search that skips the banned searches of an edge changes no
+    answer: the oracle returns what :func:`reference_least_circuit`,
+    which runs every one of them, returns."""
+
+    def test_small_corpus_tied_and_zero_weights(self):
+        rng = random.Random(20261021)
+        for g in small_corpus().values():
+            for _ in range(6):
+                w = tuple(
+                    Fraction(rng.randint(0, 6), rng.choice([1, 2])) for _ in range(g.edge_count)
+                )
+                _same_as_reference(g, w)
+
+    @pytest.mark.parametrize("family", ["prism", "antiprism"])
+    @pytest.mark.parametrize("question", ["circumscribable", "inscribable"])
+    def test_prism_and_antiprism_certificates(self, family, question):
+        # the n-gon faces are the large faces whose least edges the
+        # banned searches multiply
+        for n in [*range(3, 13), 20, 30, 40]:
+            g = generate(family, n)
+            if question == "circumscribable":
+                cert, tested = decide_circumscribable(g), g
+            else:
+                cert, tested = decide_inscribable(g), dual(g).dual
+            assert cert.is_yes, n
+            _same_as_reference(tested, cert.weights)
+
+    def test_every_round_of_kleetope_antiprism_8(self, monkeypatch):
+        calls = _round_weights(monkeypatch, [generate("kleetope(antiprism)", 8)])
+        # a many-round decision: each round's weights are checked
+        assert len(calls) > 1
+        for g, w in calls:
+            _same_as_reference(g, w)
+
+    def test_every_round_of_the_panels_random_draws(self, monkeypatch):
+        calls = _round_weights(monkeypatch, [g for _, g in panel_graphs()[-200:]])
+        assert len(calls) > 400
+        for g, w in calls:
+            _same_as_reference(g, w)
+
+    def test_a_face_that_meets_a_vertex_twice_runs_the_searches(self):
+        # two tetrahedra glued at vertex 0 are not polyhedral: the face
+        # round both meets 0 twice, so its least edge runs the banned
+        # searches without a pre-check
+        g = PolyhedralGraph.from_neighbor_rotations([
+            [1, 3, 2, 4, 6, 5], [0, 2, 3], [0, 3, 1], [0, 1, 2],
+            [0, 5, 6], [0, 6, 4], [0, 4, 5],
+        ])
+        outer = trace_faces(g)[0]
+        assert len(set(outer.vertices)) < outer.degree
+        e = min(outer.boundary)
+        assert _face_path(outer, e, g.edges[e][0]) is None
+        rng = random.Random(20261022)
+        for _ in range(60):
+            w = tuple(Fraction(rng.randint(0, 6), 2) for _ in range(g.edge_count))
+            assert min_nonfacial_circuit(g, w) == brute_force_min_nonfacial(g, w)
+            _same_as_reference(g, w)
+
+    def test_an_edge_whose_banned_searches_find_a_path_may_close(self, monkeypatch):
+        # edge-level soundness: every edge at which one of the reference's
+        # banned searches returns a path had its pre-check answer True
+        weightings = _round_weights(monkeypatch, [generate("kleetope(antiprism)", 8)])
+        rng = random.Random(20261023)
+        for g in small_corpus().values():
+            w = tuple(Fraction(rng.randint(0, 4), 2) for _ in range(g.edge_count))
+            weightings.append((g, w))
+        answers = {True: 0, False: 0}
+        for g, w in weightings:
+            found, may_close = set(), {}
+
+            def searched(adj, nums, source, target, banned, bound):
+                sp = separation_module._shortest_path(adj, nums, source, target, banned, bound)
+                if sp is not None:
+                    found.add(g.edge_id(source, target))
+                return sp
+
+            def pre_checked(adj, nums, source, target, paths, bound):
+                answer = _may_close(adj, nums, source, target, paths, bound)
+                may_close[g.edge_id(source, target)] = answer
+                return answer
+
+            monkeypatch.setattr(reference_module, "_shortest_path", searched)
+            monkeypatch.setattr(separation_module, "_may_close", pre_checked)
+            assert min_nonfacial_circuit(g, w) == reference_least_circuit(g, w)
+            monkeypatch.undo()
+            assert found
+            assert all(may_close[e] for e in found)
+            for answer in may_close.values():
+                answers[answer] += 1
+        # most edges need no banned search at all
+        assert answers[False] > answers[True] > 0
+
+
+class TestSearchCounts:
+    """How many banned searches and pre-checks a decision and its
+    verification make; the counts repeat exactly.  Every banned search
+    of these one-round yeses finds nothing, so the pre-check skips them
+    all."""
+
+    @pytest.mark.parametrize("family,n,decide,searches,pre_checks", [
+        ("prism", 120, decide_circumscribable, 0, 121),
+        ("icosahedron", None, decide_inscribable, 0, 11),
+    ], ids=["prism-120-circumscribable", "icosahedron-inscribable"])
+    def test_decide_and_verify(self, monkeypatch, family, n, decide, searches, pre_checks):
+        counts = {"searches": 0, "pre_checks": 0}
+        shortest_path, may_close = separation_module._shortest_path, _may_close
+
+        def searched(*args):
+            counts["searches"] += 1
+            return shortest_path(*args)
+
+        def pre_checked(*args):
+            counts["pre_checks"] += 1
+            return may_close(*args)
+
+        monkeypatch.setattr(separation_module, "_shortest_path", searched)
+        monkeypatch.setattr(separation_module, "_may_close", pre_checked)
+        g = generate(family, n)
+        cert = decide(g)
+        assert cert.is_yes and cert.iterations == 1
+        assert counts == {"searches": searches, "pre_checks": pre_checks}
+        counts.update(searches=0, pre_checks=0)
+        assert verify_certificate(cert, g) == (True, [])
+        assert counts == {"searches": searches, "pre_checks": pre_checks}
+
+
+class TestMayClose:
+    """The pre-check on small hand-made graphs, from u = 0 to v = 1;
+    ``nums`` holds one weight per edge."""
+
+    @staticmethod
+    def adjacency(edges, vertices):
+        adj = [[] for _ in range(vertices)]
+        for e, (a, b) in enumerate(edges):
+            adj[a].append((e, b))
+            adj[b].append((e, a))
+        return adj
+
+    # a 4-cycle u-a-v-b-u, a = 2 and b = 3, and a third path u-c-v, c = 4
+    SQUARE = [(0, 2), (2, 1), (1, 3), (3, 0), (0, 4), (4, 1)]
+    PATH_A = {0: 0, 2: 1}
+    PATH_B = {0: 3, 3: 2}
+
+    def test_both_paths_followed_from_the_start(self):
+        adj = self.adjacency(self.SQUARE[:4], 4)
+        nums = [1] * 4
+        # each two-edge walk to v follows a path to its end
+        assert not _may_close(adj, nums, 0, 1, [self.PATH_A, self.PATH_B], 2)
+        # u-a-u-b-v leaves path a at its second edge: a walk, none of them
+        assert _may_close(adj, nums, 0, 1, [self.PATH_A, self.PATH_B], 4)
+        # untracked, a path is any walk
+        assert _may_close(adj, nums, 0, 1, [self.PATH_A], 2)
+        assert _may_close(adj, nums, 0, 1, [self.PATH_B], 2)
+        assert _may_close(adj, nums, 0, 1, [], 2)
+
+    def test_leaving_from_the_start(self):
+        adj = self.adjacency(self.SQUARE, 5)
+        nums = [1] * 6
+        assert _may_close(adj, nums, 0, 1, [self.PATH_A, self.PATH_B], 2)
+        assert not _may_close(adj, nums, 0, 1, [self.PATH_A, self.PATH_B], 1)
+
+    def test_room_for_the_last_edge(self):
+        # the chord's last edge weighs 5: the walk to c fits under the
+        # bound but leaves no room for it
+        adj = self.adjacency(self.SQUARE, 5)
+        nums = [5, 5, 5, 5, 1, 5]
+        assert not _may_close(adj, nums, 0, 1, [self.PATH_A, self.PATH_B], 5)
+        assert _may_close(adj, nums, 0, 1, [self.PATH_A, self.PATH_B], 6)
+
+    def test_an_untagged_state_dominates(self, monkeypatch):
+        # path u-a-b-v, a = 2 and b = 3, with u-a at 5; u-c-a, c = 4,
+        # reaches a off the path at 2, so the state on the path at a,
+        # popped at 5 before the walk reaches b at 6, goes no further
+        edges = [(0, 2), (2, 3), (3, 1), (0, 4), (4, 2)]
+        nums = [5, 4, 1, 1, 1]
+        pushed = []
+        heappush = separation_module.heapq.heappush
+
+        def recorded(heap, item):
+            pushed.append(divmod(item[1], 4))
+            heappush(heap, item)
+
+        monkeypatch.setattr(separation_module.heapq, "heappush", recorded)
+        adj = self.adjacency(edges, 5)
+        assert _may_close(adj, nums, 0, 1, [{0: 0, 2: 1, 3: 2}], 20)
+        assert (2, 1) in pushed and (2, 0) in pushed
+        assert (3, 1) not in pushed
 
 
 class TestWeightChecks:
