@@ -26,34 +26,41 @@ there are, and one column per row of it:
 
 An upper row's column is its y >= 0, a circuit row's is z = -y >= 0 with
 its entries negated, and a face row's is its free y.  The objective
-maximizes -b^T y, whose optimum is -S at the margin LP's optimum.
-Phase 1 maximizes -art and stops as soon as that reaches 0, its known
-optimum; below 0 no y meets the dual's rows, which means some direction
-raises S with every row still met, so that no row bounds S, and
-InternalError says so.  The artificial is the least column, so it leaves
-the basis on any tie and phase 2 never prices it again.  A free column
-enters before any other column whose reduced cost is nonzero, those of
-fewest terms first, and is negated in place if that cost is negative;
-once basic it never leaves, as the ratio test skips its row.  Each free
-column thus enters at most once, and the other pivots are those of the
-ordinary simplex, with steepest reduced cost and a permanent switch to
-Bland's rule after a run of degenerate pivots, which guarantees
-termination.
+maximizes -b^T y, whose optimum is -S at the margin LP's optimum.  One
+loop runs both phases.  Phase 1 maximizes -art, and while the artificial
+is basic it is absent from every other row, so its own row, the row of
+S, is as rationals phase 1's objective row: phase 1 prices that row,
+which each pivot updates as it updates the objective row.  The
+artificial is the least column, so it leaves the basis on any ratio tie,
+exactly when -art reaches 0, its known optimum; from then on the
+objective row is priced, and the artificial never again.  If no column
+improves while the artificial is basic, -art stays below 0: no y meets
+the dual's rows, which means some direction raises S with every row
+still met, so that no row bounds S, and InternalError says so.  A free
+column enters before any other column whose reduced cost is nonzero,
+those of fewest terms first, and is negated in place if that cost is
+negative; once basic it never leaves, as the ratio test skips its row.
+Each free column thus enters at most once, and the other pivots are
+those of the ordinary simplex, with steepest reduced cost and a
+permanent switch to Bland's rule after a run of degenerate pivots, which
+guarantees termination.
 
 The results are read off the final tableau.  The point (U, S) is the
 dual's own dual: the initial basis columns, the slacks and the
 artificial, carry the inverse of the final basis, so the objective row's
-reduced costs there are U and -S.  The multipliers y of the margin LP's
-rows (``MarginSolution.multipliers``) are the dual's basic values, with
-each column's sign undone.  By LP duality they prove the optimum from
-the rows alone: signed by row kind, with y^T A at least e_s in every
-column and y^T b = 2(margin + 1).  The factor 2 scales the variables,
-not the rows: A is the matrix of the same rows over w - t and t + 1 and
-only b doubles, so the point doubles while y and every pivot stay as
-they are over those variables.  When a column enters that no row
-bounds, the dual grows without bound and the rows have no point; that
-column's direction, 1 in the column less its current entries in the
-basic columns, is a Farkas ray: y^T A >= 0 and y^T b < 0.
+reduced costs there are U and -S, and the point leaves the tableau as
+those integer entries over the row's one denominator, with no
+``Fraction``.  The multipliers y of the margin LP's rows
+(``MarginSolution.multipliers``) are the dual's basic values, with each
+column's sign undone, one ``Fraction`` for each basic row column.  By LP
+duality they prove the optimum from the rows alone: signed by row kind,
+with y^T A at least e_s in every column and y^T b = 2(margin + 1).  The
+factor 2 scales the variables, not the rows: A is the matrix of the same
+rows over w - t and t + 1 and only b doubles, so the point doubles while
+y and every pivot stay as they are over those variables.  When a column
+enters that no row bounds, the dual grows without bound and the rows
+have no point; that column's direction, 1 in the column less its current
+entries in the basic columns, is a Farkas ray: y^T A >= 0 and y^T b < 0.
 :func:`multiplier_problems` checks either with a few sparse sums and no
 solver.
 
@@ -75,9 +82,10 @@ a pivot is reduced by its gcd only once its denominator reaches 2^30
 comparison the simplex makes depends on a positive row scale, so neither
 does any pivot or result.  The objective is the tableau's last row, with
 a basic column z of its own: its entries are the reduced costs and its
-right-hand side minus the objective's value.  A new objective is its
-cost map with each basic column eliminated by the same update, and each
-pivot updates it as it updates every constraint row.
+right-hand side minus the objective's value.  A new tableau starts at
+the basis of the slacks and the artificial, whose costs are 0, so its
+objective row is the cost of each column as it stands, and each pivot
+updates it as it updates every constraint row.
 """
 
 from __future__ import annotations
@@ -232,7 +240,7 @@ def maximize_margin(s: ConstraintSystem) -> MarginSolution:
     x, multipliers = _solve_lp(s)
     if x is None:
         return MarginSolution(None, None, multipliers)
-    nums, d = _scaled(x)
+    nums, d = x
     problem = _point_problem(s, nums, d)
     if problem is not None:
         raise InternalError(f"solver returned {problem}")
@@ -319,41 +327,36 @@ class _Tableau:
 
     Each row is a ``{column: int}`` map of its nonzero entries, its
     right-hand side included as column :data:`_RHS`.  ``basis`` names
-    one column per row, and row i stands for ``rows[i] / rows[i][basis[i]]``:
-    a basic column reads the row's denominator, which is positive, in
-    its own row and is absent from every other.  The last row is the
-    objective, whose basic column :data:`_Z` is its own: its entries are
-    the nonzero reduced costs and its right-hand side is minus the
-    objective's value, so a pivot updates it as it updates every
-    constraint row.  A row need not be primitive (the gcd of its entries
-    1) but equals its primitive form as rationals: the pivot row is
-    reduced, and any other row only once its denominator reaches
-    :data:`_REDUCE_AT`.  The tableau owns its maps: a pivot rewrites each
-    row it touches in place.  Only columns >= 0 are priced.  ``free``
-    lists the free columns not yet basic, in the order they are to enter,
-    ``held`` the rows whose basic column is free, and ``negated`` the
-    free columns negated to enter.  ``bland`` records whether the last
-    ``maximize`` fell back to Bland's rule.  ``source`` is the
-    (edge count, rows) pair of the margin LP whose dual the tableau is.
+    one column per row, and row i stands for
+    ``rows[i] / rows[i][basis[i]]``: a basic column reads the row's
+    denominator, which is positive, in its own row and is absent from
+    every other.
+    The last row is the objective, whose basic column :data:`_Z` is its
+    own: its entries are the nonzero reduced costs and its right-hand
+    side is minus the objective's value, so a pivot updates it as it
+    updates every constraint row.  The row before it is the row of S,
+    where the artificial is basic until phase 1 ends; ``maximize``
+    prices that row until then, and the objective row after.  A row need
+    not be primitive (the gcd of its entries 1) but equals its primitive
+    form as rationals: the pivot row is reduced, and any other row only
+    once its denominator reaches :data:`_REDUCE_AT`.  The tableau owns
+    its maps: a pivot rewrites each row it touches in place.  Only
+    columns >= 0 are priced.  ``free`` lists the free columns not yet
+    basic, in the order they are to enter, ``held`` the rows whose basic
+    column is free, and ``negated`` the free columns negated to enter.
+    ``bland`` records whether the last ``maximize`` fell back to Bland's
+    rule.  ``source`` is the (edge count, rows) pair of the margin LP
+    whose dual the tableau is.
     """
 
     def __init__(self, rows, basis, free, source):
-        self.rows = [*rows, {_Z: 1}]
-        self.basis = [*basis, _Z]
+        self.rows = rows
+        self.basis = basis
         self.free = free
         self.source = source
         self.held = set()
         self.negated = set()
         self.bland = False
-
-    def set_objective(self, cost):
-        """Make the sparse integer cost map ``cost`` the objective row,
-        with each basic column removed as a pivot removes it."""
-        row = {**cost, _Z: 1}
-        for prow, bc in zip(self.rows[:-1], self.basis):
-            if bc in row:
-                _eliminate(row, _Z, row[bc], prow, prow[bc])
-        self.rows[-1] = row
 
     def pivot(self, r, c):
         rows, basis = self.rows, self.basis
@@ -371,18 +374,19 @@ class _Tableau:
                 _eliminate(other, basis[i], a, row, p)
         basis[r] = c
 
-    def maximize(self, nonpositive=False):
+    def maximize(self):
         """Pivot to an optimum and return None, or return the entering
         column that no row bounds, along which the objective grows
-        without bound.  With ``nonpositive`` the objective can never
-        exceed 0 (phase 1), so stop as soon as its value reaches 0."""
+        without bound.  While the artificial is basic (phase 1) the row
+        priced is its own; InternalError when no column then improves,
+        as no row bounds S."""
         self.bland = False
         stall = 0
         rows, basis, free, held = self.rows, self.basis, self.free, self.held
+        art = len(rows) - 2
         while True:
-            reduced = rows[-1]
-            if nonpositive and _RHS not in reduced:
-                return None
+            phase_1 = basis[art] == _ART
+            reduced = rows[art] if phase_1 else rows[-1]
             # a free column with a nonzero reduced cost enters first,
             # negated if that cost is negative
             enter = next((j for j in free if j in reduced), None)
@@ -395,6 +399,8 @@ class _Tableau:
             else:
                 improving = [j for j, v in reduced.items() if v > 0 and j >= 0]
                 if not improving:
+                    if phase_1:
+                        raise InternalError(f"no row bounds column {art}")
                     return None
                 # Bland: the lowest improving column; otherwise the
                 # steepest reduced cost, the lowest column on ties
@@ -464,33 +470,34 @@ def _solve_lp(s):
 
     Goes on from the tableau that s carries when s's rows are that
     tableau's rows followed by new circuit rows, and from a new tableau
-    through phase 1 otherwise; either way s then carries the tableau.
-    Returns (x, y): x holds Fractions, None when the rows have no point,
-    and y the LP multipliers of the rows, a Farkas ray without a point.
-    A row of unknown kind or with a negative right-hand side raises
-    ValueError.
+    otherwise; either way s then carries the tableau.  Returns (x, y):
+    x is the point as (integer numerators, their one denominator), None
+    when the rows have no point, and y the LP multipliers of the rows, a
+    Farkas ray without a point.  A row of unknown kind or with a
+    negative right-hand side raises ValueError.
     """
     tab = s._tableau
     if tab is not None and _extends(s, tab.source):
         _add_columns(tab, s)
     else:
-        tab = _phase_1(s)
+        tab = _new_tableau(s)
     enter = tab.maximize()
     s._tableau = tab
     e, rows, basis = s.edge_count, tab.rows, tab.basis
     if enter is None:
-        # U and -S are the reduced costs at the initial basis columns
+        # U and -S are the reduced costs at the initial basis columns,
+        # over the objective row's denominator, its entry in z
         objective = rows[-1]
-        d = objective[_Z]
-        x = [Fraction(-objective.get(j, 0), d) for j in range(e)]
-        x.append(Fraction(objective.get(_ART, 0), d))
-        value = {bc: Fraction(row.get(_RHS, 0), row[bc]) for row, bc in zip(rows, basis)}
+        x = [-objective.get(j, 0) for j in range(e)] + [objective.get(_ART, 0)], objective[_Z]
+        column, sign, value = _RHS, 1, {}
     else:
         # the ray: 1 in the entering column, and what each basic column
         # loses per unit of it
-        x = None
-        value = {bc: Fraction(-row.get(enter, 0), row[bc]) for row, bc in zip(rows, basis)}
-        value[enter] = Fraction(1)
+        x, column, sign, value = None, enter, -1, {enter: Fraction(1)}
+    # a multiplier is read only off a row's own column
+    for row, bc in zip(rows, basis):
+        if bc > e:
+            value[bc] = Fraction(sign * row.get(column, 0), row[bc])
     y = []
     for i, row in enumerate(s.rows):
         c = e + 1 + i
@@ -525,27 +532,22 @@ def _dual_column(row, e):
     return {j: sign * c if j == e else -sign * c for j, c in row.terms if c}, -sign * row.rhs
 
 
-def _phase_1(s):
+def _new_tableau(s):
     """A new tableau of the dual of s, at the basis of its slacks and its
-    artificial, through phase 1; InternalError when the dual has no
-    point, as no row then bounds S."""
+    artificial, with each column's cost in the objective row."""
     e = s.edge_count
-    rows = [{j: 1} for j in range(e)] + [{_ART: 1, e: -1, _RHS: 1}]
-    cost, faces = {}, []
+    rows = [{j: 1} for j in range(e)] + [{_ART: 1, e: -1, _RHS: 1}, {_Z: 1}]
+    faces = []
     for i, row in enumerate(s.rows):
         c = e + 1 + i
-        column, cost[c] = _dual_column(row, e)
+        column, cost = _dual_column(row, e)
         for j, a in column.items():
             rows[j][c] = a
+        if cost:
+            rows[-1][c] = cost
         if row.kind == "face":
             faces.append((len(row.terms), c))
-    tab = _Tableau(rows, [*range(e), _ART], [c for _, c in sorted(faces)], tuple(s))
-    tab.set_objective({_ART: -1})
-    tab.maximize(nonpositive=True)
-    if _RHS in tab.rows[-1]:
-        raise InternalError(f"no row bounds column {e}")
-    tab.set_objective({c: -v if c in tab.negated else v for c, v in cost.items() if v})
-    return tab
+    return _Tableau(rows, [*range(e), _ART, _Z], [c for _, c in sorted(faces)], tuple(s))
 
 
 def _add_columns(tab, s):

@@ -7,7 +7,9 @@ a solver that starts every round from scratch takes tens of seconds on
 them where one that goes on from the last basis takes about a second.
 ``prism-120`` takes one round, but its two 120-gon faces give their
 least edges 119 searches each in the separation oracle unless a search
-shows that none of them can find a path.
+shows that none of them can find a path.  ``antiprism-60`` takes one
+round too: one cold solve of a dense LP, so the tableau's build, phase 1
+and the read-off of the point and multipliers run at the LP's dense end.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ CASES = {
     "kleetope-antiprism-12": (lambda: generate("kleetope(antiprism)", 12), "yes", Fraction(1, 8)),
     "kleetope-antiprism-20": (lambda: generate("kleetope(antiprism)", 20), "yes", Fraction(1, 8)),
     "prism-120": (lambda: generate("prism", 120), "yes", Fraction(1, 120)),
+    "antiprism-60": (lambda: generate("antiprism", 60), "yes", Fraction(1, 120)),
 }
 
 

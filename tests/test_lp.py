@@ -308,17 +308,20 @@ class TestPointRecheck:
         assert (sol.status, sol.margin) == ("optimal", F(-1, 2))
 
     @pytest.mark.parametrize("index,nudge,problem", [
-        (0, F(6), "a point violating a upper row"),
-        (1, F(-1), "a point violating a face row"),
-        (2, F(-2), "a point violating a circuit row"),
-        (3, F(-2), "a negative variable"),
+        (0, 6, "a point violating a upper row"),
+        (1, -1, "a point violating a face row"),
+        (2, -2, "a point violating a circuit row"),
+        (3, -2, "a negative variable"),
     ], ids=["upper", "face", "circuit", "negative"])
     def test_nudged_point_raises(self, monkeypatch, index, nudge, problem):
         solve = lp_module._solve_lp
 
         def nudged(*args):
+            # the point leaves the solver as integer numerators over one
+            # denominator d, so a nudge of n is n d in the numerator
             x, y = solve(*args)
-            x[index] += nudge
+            nums, d = x
+            nums[index] += nudge * d
             return x, y
 
         monkeypatch.setattr(lp_module, "_solve_lp", nudged)
@@ -346,8 +349,8 @@ class TestBlandsRule:
         ran_bland = []
         maximize = lp_module._Tableau.maximize
 
-        def recording(tab, **kwargs):
-            status = maximize(tab, **kwargs)
+        def recording(tab):
+            status = maximize(tab)
             ran_bland.append(tab.bland)
             return status
 
@@ -442,15 +445,27 @@ def random_small_system(rng):
 
 
 class TestReferenceVertexEnumeration:
-    def test_random_small_systems_match(self):
+    def test_random_small_systems_match(self, monkeypatch):
         rng = random.Random(2024)
         statuses = {}
         kinds = set()  # of the drawn rows, some of them negated
+        pivots = []  # per pivot, whether the artificial was basic before it
+        phase_1 = {}  # draws by their phase-1 pivot count
+        pivot = lp_module._Tableau.pivot
+
+        def counted_pivot(tab, r, c):
+            pivots.append(ART in tab.basis)
+            pivot(tab, r, c)
+
+        monkeypatch.setattr(lp_module._Tableau, "pivot", counted_pivot)
         for _ in range(120):
             s = random_small_system(rng)
             assert all(is_integer_row(row) and row.rhs >= 0 for row in s.rows)
             kinds.update(row.kind for row in s.rows if row.ref is None)
+            first = len(pivots)
             sol = maximize_margin(s)
+            count = sum(pivots[first:])
+            phase_1[count] = phase_1.get(count, 0) + 1
             expected = vertex_enumeration_margin(s)
             assert (sol.status, sol.margin) == expected, s.rows
             # a dual solution proving the optimum, or a Farkas ray
@@ -459,6 +474,10 @@ class TestReferenceVertexEnumeration:
         assert statuses.get("optimal", 0) >= 20
         assert statuses.get("infeasible", 0) >= 20
         assert kinds == set(lp_module._KINDS)
+        # pinned: unlike every system new_system builds, many of these
+        # take more than one pivot while the artificial is basic
+        assert (len(pivots), sum(pivots)) == (291, 182)
+        assert phase_1 == {1: 70, 2: 38, 3: 12}
 
 
 class TestRowChecks:
@@ -580,13 +599,6 @@ def is_primitive(row):
 RHS, Z, ART = lp_module._RHS, lp_module._Z, lp_module._ART
 
 
-def objective_value(tab):
-    """The objective's value: minus its row's right-hand side over the
-    row's entry in z, its basic column."""
-    objective = tab.rows[-1]
-    return F(-objective.get(RHS, 0), objective[Z])
-
-
 def reference_objective(tab, cost):
     """The reduced costs c - c_B B^-1 A, nonzeros only, and the value
     c_B B^-1 b of the integer cost map ``cost``, as ``Fraction``s: the
@@ -611,6 +623,20 @@ def face_columns(s):
     return {s.edge_count + 1 + i for i, row in enumerate(s.rows) if row.kind == "face"}
 
 
+def dual_costs(s):
+    """The cost of each dual column of s, nonzeros only: -b for a row's
+    y, and b for a circuit row's z = -y."""
+    return {s.edge_count + 1 + i: row.rhs if row.kind == "circuit" else -row.rhs
+            for i, row in enumerate(s.rows) if row.rhs}
+
+
+def over_denominator(row, bc):
+    """A tableau row over its entry in its basic column bc: its other
+    entries and minus its right-hand side, as ``Fraction``s."""
+    d = row[bc]
+    return {j: F(x, d) for j, x in row.items() if j not in (RHS, bc)}, F(-row.get(RHS, 0), d)
+
+
 class TestTableauInvariant:
     """Rows store only nonzeros, each is its own map and equals the
     fully reduced row as rationals, and the basis stays an identity:
@@ -620,14 +646,14 @@ class TestTableauInvariant:
     a negative right-hand side.  A row is primitive once its denominator
     reaches 2^30, and the pivot row always is.  The last row is the
     objective, checked as every other row is, with z as its basic column;
-    as each ``maximize`` starts and after every pivot it equals the
-    reduced costs and minus the value of the cost map that
-    ``set_objective`` was given, each column negated since with its cost
-    negated and each column added since with its own cost, computed
-    apart from the tableau's arithmetic."""
+    as each ``maximize`` starts and after every pivot, phase 1 included,
+    it equals the reduced costs and minus the value of the dual's costs,
+    each negated column's cost negated, computed apart from the tableau's
+    arithmetic.  While the artificial is basic its row, the one phase 1
+    prices, is likewise the reduced costs and minus the value of -art."""
 
     @staticmethod
-    def check(tab, cost, negated, faces):
+    def check(tab, s):
         basic = set(tab.basis)
         # a pivot rewrites each row's map in place, so no two may share one
         maps = {id(row) for row in tab.rows}
@@ -641,112 +667,113 @@ class TestTableauInvariant:
             assert 0 not in row.values() and row[bc] > 0
             if row[bc] >= lp_module._REDUCE_AT:
                 assert is_primitive(row)
+        faces = face_columns(s)
         held = {tab.basis[i] for i in tab.held}
         assert held | set(tab.free) <= faces and not held & set(tab.free)
         assert tab.negated <= faces
         for i, row in enumerate(tab.rows[:-1]):
             assert i in tab.held or row.get(RHS, 0) >= 0
-        flipped = tab.negated ^ negated
-        cost = {j: -c if j in flipped else c for j, c in cost.items()}
-        objective, d = tab.rows[-1], tab.rows[-1][Z]
-        reduced, value = reference_objective(tab, cost)
-        assert {j: F(x, d) for j, x in objective.items() if j not in (RHS, Z)} == reduced
-        assert objective_value(tab) == value
+        cost = {j: -c if j in tab.negated else c for j, c in dual_costs(s).items()}
+        assert over_denominator(tab.rows[-1], Z) == reference_objective(tab, cost)
+        if ART in basic:
+            # the artificial is basic in the row of S alone, below 0 in -art
+            art = tab.basis.index(ART)
+            assert art == len(tab.rows) - 2
+            reduced, value = reference_objective(tab, {ART: -1})
+            assert over_denominator(tab.rows[art], ART) == (reduced, value)
+            assert value < 0
 
     @pytest.mark.parametrize("make,pivots_per_maximize", [
-        (lambda: dual_with_cuts("cube", None, 0), [1, 12]),
-        (lambda: dual_with_cuts("prism", 5, 8), [1, 15]),
-        (lambda: dual_with_cuts("kleetope(bipyramid)", 3, 0), [1, 18]),
-        (lambda: dual_with_cuts("kleetope(tetrahedron)", None, 0), [1, 10]),
+        (lambda: dual_with_cuts("cube", None, 0), [[1, 12]]),
+        (lambda: dual_with_cuts("prism", 5, 8), [[1, 15]]),
+        (lambda: dual_with_cuts("kleetope(bipyramid)", 3, 0), [[1, 18]]),
+        (lambda: dual_with_cuts("kleetope(tetrahedron)", None, 0), [[1, 10]]),
         # a decision of four rounds, each later one from the last basis
-        (lambda: generate("kleetope(bipyramid)", 3), [1, 29, 5, 1, 3]),
+        (lambda: generate("kleetope(bipyramid)", 3), [[1, 29], [0, 5], [0, 1], [0, 3]]),
     ], ids=["cube", "prism-5-8-cuts", "kleetope-bipyramid-3-dual", "kleetope-tetrahedron-dual",
             "kleetope-bipyramid-3-decision"])
     def test_after_every_pivot(self, monkeypatch, make, pivots_per_maximize):
-        pivots = []  # one count per maximize call
+        pivots = []  # per maximize call, its pivots with and without the artificial basic
         updates = [0]  # calls of _eliminate, each checked
-        costs = []  # each cost map given to set_objective, with the negated columns then
-        systems = []
+        systems = []  # each system whose tableau is built or extended
         pivot = lp_module._Tableau.pivot
         maximize = lp_module._Tableau.maximize
-        set_objective = lp_module._Tableau.set_objective
         add_columns = lp_module._add_columns
-
-        def check(tab):
-            self.check(tab, *costs[-1], face_columns(systems[-1]))
+        new_tableau = lp_module._new_tableau
 
         def checked_pivot(tab, r, c):
+            pivots[-1][ART not in tab.basis] += 1
             pivot(tab, r, c)
-            pivots[-1] += 1
             assert is_primitive(tab.rows[r])
-            check(tab)
+            self.check(tab, systems[-1])
 
-        def counted_maximize(tab, **kwargs):
-            pivots.append(0)
-            check(tab)
-            return maximize(tab, **kwargs)
-
-        def recorded_set_objective(tab, cost):
-            costs.append((dict(cost), set(tab.negated)))
-            return set_objective(tab, cost)
+        def counted_maximize(tab):
+            pivots.append([0, 0])
+            self.check(tab, systems[-1])
+            return maximize(tab)
 
         def recorded_add_columns(tab, s):
-            first = len(tab.source[1])
-            # a circuit row's column is z = -y, at cost b
-            costs[-1][0].update((s.edge_count + 1 + i, s.rows[i].rhs)
-                                for i in range(first, len(s.rows)))
             systems.append(s)
             add_columns(tab, s)
 
-        def recorded_phase_1(s):
+        def recorded_new_tableau(s):
             systems.append(s)
-            return phase_1(s)
+            return new_tableau(s)
 
         def checked_eliminate(*args):
             updates[0] += 1
             check_eliminate(*args)
 
-        phase_1 = lp_module._phase_1
         monkeypatch.setattr(lp_module._Tableau, "pivot", checked_pivot)
         monkeypatch.setattr(lp_module._Tableau, "maximize", counted_maximize)
-        monkeypatch.setattr(lp_module._Tableau, "set_objective", recorded_set_objective)
         monkeypatch.setattr(lp_module, "_add_columns", recorded_add_columns)
-        monkeypatch.setattr(lp_module, "_phase_1", recorded_phase_1)
+        monkeypatch.setattr(lp_module, "_new_tableau", recorded_new_tableau)
         monkeypatch.setattr(lp_module, "_eliminate", checked_eliminate)
         system_or_graph = make()
         if isinstance(system_or_graph, ConstraintSystem):
             assert maximize_margin(system_or_graph).status == "optimal"
         else:
             assert decide_circumscribable(system_or_graph).is_yes
-        # phase 1 is one pivot: the least face column takes the
-        # artificial's place
+        # one maximize per solve, and phase 1 is one pivot: the least
+        # face column takes the artificial's place
         assert pivots == pivots_per_maximize
         assert updates[0] > 0
 
 
+def priced_value(tab):
+    """Whether the artificial is basic, and the value of the row that
+    ``maximize`` then prices: -art while it is (phase 1), over the row
+    of S, and the objective's after."""
+    if ART in tab.basis:
+        return True, over_denominator(tab.rows[-2], ART)[1]
+    return False, over_denominator(tab.rows[-1], Z)[1]
+
+
 def record_pivots(monkeypatch):
     """Wrap ``_Tableau.maximize`` and ``_Tableau.pivot`` to log every
-    pivot of a solve as (maximize call, objective value before it): the
-    call's index from 0, None outside every call."""
-    log, phase, inside = [], [-1], [False]
+    pivot of a solve as (maximize call, phase 1, value before it): the
+    call's index from 0, None outside every call, then
+    :func:`priced_value` before the pivot.  Also returns a list holding
+    the last call's index."""
+    log, call, inside = [], [-1], [False]
     pivot = lp_module._Tableau.pivot
     maximize = lp_module._Tableau.maximize
 
     def logging_pivot(tab, r, c):
-        log.append((phase[0] if inside[0] else None, objective_value(tab)))
+        log.append((call[0] if inside[0] else None, *priced_value(tab)))
         pivot(tab, r, c)
 
-    def logging_maximize(tab, **kwargs):
-        phase[0] += 1
+    def logging_maximize(tab):
+        call[0] += 1
         inside[0] = True
         try:
-            return maximize(tab, **kwargs)
+            return maximize(tab)
         finally:
             inside[0] = False
 
     monkeypatch.setattr(lp_module._Tableau, "pivot", logging_pivot)
     monkeypatch.setattr(lp_module._Tableau, "maximize", logging_maximize)
-    return log, phase
+    return log, call
 
 
 def all_triples_system(duplicate=False):
@@ -764,9 +791,11 @@ def all_triples_system(duplicate=False):
 
 
 class TestPhaseOneStop:
-    """Phase 1 maximizes minus the dual's one artificial, which is never
-    positive, so it stops as soon as its value reaches 0, and the
-    artificial, the least column, has then left the basis."""
+    """Phase 1 prices the row of S, where the dual's one artificial is
+    basic, which as rationals is the row of -art, never positive; the
+    artificial, the least column, leaves on any tie, so it leaves as
+    soon as -art reaches 0, and the same ``maximize`` then prices the
+    objective."""
 
     @pytest.mark.parametrize("family,n,cuts", [
         ("octahedron", None, 0),
@@ -776,11 +805,14 @@ class TestPhaseOneStop:
         ("kleetope(bipyramid)", 3, 0),
     ])
     def test_no_pivot_at_value_0(self, monkeypatch, family, n, cuts):
-        log, phase = record_pivots(monkeypatch)
+        log, call = record_pivots(monkeypatch)
         solution = maximize_margin(dual_with_cuts(family, n, cuts))
         assert solution.status == "optimal"
-        assert phase == [1]
-        phase_1 = [value for ph, value in log if ph == 0]
+        assert call == [0]
+        # phase 1 comes first, and once it ends it never starts again
+        phases = [ph1 for _, ph1, _ in log]
+        assert phases == sorted(phases, reverse=True)
+        phase_1 = [value for _, ph1, value in log if ph1]
         assert phase_1 and 0 not in phase_1
 
     def test_antiprism_8_pivot_count(self, monkeypatch):
@@ -794,24 +826,33 @@ class TestPhaseOneStop:
     @pytest.mark.parametrize("duplicate", [False, True])
     def test_the_artificial_leaves_in_phase_1(self, monkeypatch, duplicate):
         s = all_triples_system(duplicate)
-        ends = []  # (value, artificial basic, free columns held) as each phase ends
-        log, _ = record_pivots(monkeypatch)
+        log, call = record_pivots(monkeypatch)
+        states = []  # (artificial basic, free columns held) before each pivot and at the end
+        pivot = lp_module._Tableau.pivot
         maximize = lp_module._Tableau.maximize
 
-        def recording(tab, **kwargs):
-            status = maximize(tab, **kwargs)
-            ends.append((objective_value(tab), ART in tab.basis, len(tab.held)))
+        def state(tab):
+            states.append((ART in tab.basis, len(tab.held)))
+
+        def recording_pivot(tab, r, c):
+            state(tab)
+            pivot(tab, r, c)
+
+        def recording_maximize(tab):
+            status = maximize(tab)
+            state(tab)
             return status
 
-        monkeypatch.setattr(lp_module._Tableau, "maximize", recording)
+        monkeypatch.setattr(lp_module._Tableau, "pivot", recording_pivot)
+        monkeypatch.setattr(lp_module._Tableau, "maximize", recording_maximize)
         solution = maximize_margin(s)
         # one pivot brings phase 1 to 0, a face column in place of the
-        # artificial; no pivot runs between the phases, and the
-        # duplicate face row's column, once the other is basic, has a
-        # reduced cost of 0 and never enters
-        assert ends[0] == (0, False, 1)
-        assert [ph for ph, _ in log] == [0] + [1] * (len(log) - 1)
-        assert len(ends) == 2 and ends[1][1:] == (False, 4)
+        # artificial; the same maximize then prices the objective, and
+        # the duplicate face row's column, once the other is basic, has
+        # a reduced cost of 0 and never enters
+        assert call == [0]
+        assert [ph1 for _, ph1, _ in log] == [True] + [False] * (len(log) - 1)
+        assert states[:2] == [(True, 0), (False, 1)] and states[-1] == (False, 4)
         assert (solution.status, solution.margin) == vertex_enumeration_margin(s)
         assert solution.margin == F(1, 6)
         assert multiplier_problems(s, solution.multipliers, solution.margin) == []
@@ -821,18 +862,19 @@ class TestPhaseOneStop:
         log, _ = record_pivots(monkeypatch)
         for family, n in CORPUS_SPECS:
             decide(generate(family, n))
-        assert log and all(ph is not None for ph, _ in log)
+        assert log and all(ph is not None for ph, _, _ in log)
         # pinned: how a row update is computed changes no pivot
         assert len(log) == {decide_inscribable: 288, decide_circumscribable: 433}[decide]
 
     def test_many_round_decision_pivot_count(self, monkeypatch):
-        # one cold solve, phase 1 and phase 2, and then one maximize per
-        # round from the last basis
-        log, phase = record_pivots(monkeypatch)
+        # one maximize per round: the first from a new tableau, phase 1
+        # one pivot of it, and each later one from the last basis
+        log, call = record_pivots(monkeypatch)
         cert = decide_circumscribable(generate("kleetope(antiprism)", 8))
         assert (cert.answer, cert.margin, cert.iterations) == ("yes", F(1, 8), 9)
-        assert phase == [cert.iterations]
+        assert call == [cert.iterations - 1]
         assert len(log) == 181
+        assert sum(ph1 for _, ph1, _ in log) == 1
 
 
 def cold(s):
@@ -840,16 +882,16 @@ def cold(s):
     return ConstraintSystem(s.edge_count, s.rows)
 
 
-def count_phase_1(monkeypatch):
+def count_new_tableaus(monkeypatch):
     """Count the solves that build a new tableau."""
     calls = []
-    phase_1 = lp_module._phase_1
+    new_tableau = lp_module._new_tableau
 
     def counted(s):
         calls.append(len(s.rows))
-        return phase_1(s)
+        return new_tableau(s)
 
-    monkeypatch.setattr(lp_module, "_phase_1", counted)
+    monkeypatch.setattr(lp_module, "_new_tableau", counted)
     return calls
 
 
@@ -875,7 +917,7 @@ class TestWarmStart:
             return warm
 
         monkeypatch.setattr(decide_module, "maximize_margin", checked)
-        built = count_phase_1(monkeypatch)
+        built = count_new_tableaus(monkeypatch)
         cert = decide_circumscribable(generate(family, n))
         assert (cert.answer, cert.margin, cert.iterations) == ("yes", F(1, 8), rounds)
         # one tableau for the decision, and one for each cold check
@@ -890,7 +932,7 @@ class TestWarmStart:
         # two circuits that the parent's optimum violates
         violated = [c for c in all_nonfacial_circuits(g) if sum(w[e] for e in c) - margin < 1]
         first, second = (add_circuit_constraint(parent, c) for c in violated[:2])
-        built = count_phase_1(monkeypatch)
+        built = count_new_tableaus(monkeypatch)
         expected = [maximize_margin(cold(s)).margin for s in (first, second)]
         assert len(built) == 2
         # the first child goes on from the parent's basis; the second,
@@ -909,7 +951,7 @@ class TestWarmStart:
         maximize_margin(s)
         extended = ConstraintSystem(s.edge_count, s.rows + s.rows[-1:])
         extended._tableau = s._tableau
-        built = count_phase_1(monkeypatch)
+        built = count_new_tableaus(monkeypatch)
         assert maximize_margin(extended).margin == maximize_margin(s).margin == F(1, 4)
         assert built == [len(s.rows) + 1]
 
