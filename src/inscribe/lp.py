@@ -73,19 +73,35 @@ that the initial basis columns carry.  A system whose rows are not the
 tableau's rows followed by new circuit rows solves from scratch.
 
 The tableau is sparse and fraction-free: each row is a map of its
-nonzero integer entries, its right-hand side one more column, and its
-denominator is its entry in its basic column, so a pivot touches only
-nonzeros, the pivot loop builds no ``Fraction`` and there is no floating
-point anywhere; feasibility and optimality are exact.  A row updated by
-a pivot is reduced by its gcd only once its denominator reaches 2^30
-(:data:`_REDUCE_AT`); it equals its reduced form as rationals, and no
-comparison the simplex makes depends on a positive row scale, so neither
-does any pivot or result.  The objective is the tableau's last row, with
-a basic column z of its own: its entries are the reduced costs and its
-right-hand side minus the objective's value.  A new tableau starts at
+nonzero integer entries, and its denominator is its entry in its basic
+column, so a pivot touches only nonzeros, the pivot loop builds no
+``Fraction`` and there is no floating point anywhere; feasibility and
+optimality are exact.  A row updated by a pivot is reduced by its gcd
+only once its denominator reaches 2^30 (:data:`_REDUCE_AT`); it equals
+its reduced form as rationals, and no comparison the simplex makes
+depends on a positive row scale, so neither does any pivot or result.
+The right-hand side is no column of its own: it and the artificial's
+column both start as the unit vector of S's row with cost 0, and every
+row operation is linear, so a row's entry in the artificial is its
+right-hand side.  The objective is the tableau's last row, with a basic
+column z of its own: its entries are the reduced costs, and its entry
+in the artificial minus the objective's value.  A new tableau starts at
 the basis of the slacks and the artificial, whose costs are 0, so its
 objective row is the cost of each column as it stands, and each pivot
 updates it as it updates every constraint row.
+
+Not every column is stored.  The initial basis columns carry the inverse
+of the basis and z the objective's scale, so a column whose entries are
+a_j and whose cost is c reads sum(row[u_j] a_j) + row[z] c in every
+row, u_j the initial basis column of U_j's row or S's.  A column that is
+not free and has one U entry, as every upper row's y has, therefore
+reads a_S row[art] + c row[z] + a_U row[u] and is derived: it is kept
+out of the rows, priced with the columns of its group, those that share
+(a_S, c, a_U), at one multiply for the group and one lookup per column,
+and written into every row only when it enters, to stay from then on.
+Each value it is priced or ratio-tested at is the entry a stored column
+would hold, on the same row's scale, so no pivot changes: only the row
+updates touch fewer entries.
 """
 
 from __future__ import annotations
@@ -119,10 +135,10 @@ _STALL_THRESHOLD = 64
 _REDUCE_AT = 1 << 30
 
 #: Tableau columns that no pricing sees, below every priced column, which
-#: is >= 0: each row's right-hand side, the objective's basic column z,
-#: and the dual's one artificial, the least column, so that it leaves the
-#: basis on any tie.
-_RHS, _Z, _ART = -1, -2, -3
+#: is >= 0: the objective's basic column z, and the dual's one
+#: artificial, whose entry in each row is the row's right-hand side; it is
+#: the least column, so that it leaves the basis on any tie.
+_Z, _ART = -1, -2
 
 
 class Row(NamedTuple):
@@ -325,53 +341,85 @@ def multiplier_problems(
 class _Tableau:
     """Simplex tableau on fraction-free integer rows of nonzeros.
 
-    Each row is a ``{column: int}`` map of its nonzero entries, its
-    right-hand side included as column :data:`_RHS`.  ``basis`` names
-    one column per row, and row i stands for
+    Each row is a ``{column: int}`` map of its nonzero entries.  ``basis``
+    names one column per row, and row i stands for
     ``rows[i] / rows[i][basis[i]]``: a basic column reads the row's
     denominator, which is positive, in its own row and is absent from
-    every other.
+    every other.  The artificial's entry in each row is the row's
+    right-hand side.
     The last row is the objective, whose basic column :data:`_Z` is its
-    own: its entries are the nonzero reduced costs and its right-hand
-    side is minus the objective's value, so a pivot updates it as it
-    updates every constraint row.  The row before it is the row of S,
+    own: its entries are the nonzero reduced costs and its entry in the
+    artificial is minus the objective's value, so a pivot updates it as
+    it updates every constraint row.  The row before it is the row of S,
     where the artificial is basic until phase 1 ends; ``maximize``
     prices that row until then, and the objective row after.  A row need
     not be primitive (the gcd of its entries 1) but equals its primitive
     form as rationals: the pivot row is reduced, and any other row only
     once its denominator reaches :data:`_REDUCE_AT`.  The tableau owns
     its maps: a pivot rewrites each row it touches in place.  Only
-    columns >= 0 are priced.  ``free`` lists the free columns not yet
-    basic, in the order they are to enter, ``held`` the rows whose basic
-    column is free, and ``negated`` the free columns negated to enter.
-    ``bland`` records whether the last ``maximize`` fell back to Bland's
-    rule.  ``source`` is the (edge count, rows) pair of the margin LP
-    whose dual the tableau is.
+    columns >= 0 are priced.  ``derived`` holds the columns kept out of
+    the rows, by group: ``{(a_S, cost, a_U): {column: u}}``, each column
+    reading a_S row[art] + cost row[z] + a_U row[u] in every row; one
+    that enters is written into the rows and leaves its group.  ``free``
+    lists the free columns not yet basic, in the order they are to
+    enter, ``open`` the constraint rows whose basic column is not free,
+    the only rows that may leave, and ``negated`` the free columns
+    negated to enter.  ``bland`` records whether the last ``maximize``
+    fell back to Bland's rule.  ``source`` is the (edge count, rows) pair
+    of the margin LP whose dual the tableau is.
     """
 
-    def __init__(self, rows, basis, free, source):
+    def __init__(self, rows, basis, free, derived, source):
         self.rows = rows
         self.basis = basis
         self.free = free
+        self.derived = derived
         self.source = source
-        self.held = set()
+        self.open = list(range(len(rows) - 1))
         self.negated = set()
         self.bland = False
 
     def pivot(self, r, c):
-        rows, basis = self.rows, self.basis
-        row = rows[r]
+        """Pivot on column c in row r.  Each other row with entry a in c,
+        whose basic column reads its denominator d, becomes
+        (p row - a prow) / (d p), with p > 0 the pivot entry of the
+        pivot row prow: scaled only when p does not divide a, and reduced
+        to primitive form only once its new denominator reaches
+        :data:`_REDUCE_AT`, so a row equals its reduced form as rationals
+        but need not be primitive."""
+        rows, basis, gcd = self.rows, self.basis, math.gcd
+        prow = rows[r]
         # divide by the row's gcd, signed so that the pivot entry p > 0,
         # which is then the row's denominator
-        g = math.gcd(*row.values()) * (1 if row[c] > 0 else -1)
+        g = gcd(*prow.values()) * (1 if prow[c] > 0 else -1)
         if g != 1:
-            for j, x in row.items():
-                row[j] = x // g
-        p = row[c]
-        for i, other in enumerate(rows):
-            a = other.get(c)
-            if a and i != r:
-                _eliminate(other, basis[i], a, row, p)
+            for j, x in prow.items():
+                prow[j] = x // g
+        p = prow[c]
+        pivot_entries = prow.items()
+        for row, bc in zip(rows, basis):
+            a = row.get(c)
+            if not a or row is prow:
+                continue
+            q = p
+            g = gcd(p, a)
+            if g != 1:
+                q //= g
+                a //= g
+            if q != 1:
+                for j, x in row.items():
+                    row[j] = q * x
+            for j, y in pivot_entries:
+                x = row.get(j, 0) - a * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            if row[bc] >= _REDUCE_AT:
+                g = gcd(*row.values())
+                if g > 1:
+                    for j, x in row.items():
+                        row[j] = x // g
         basis[r] = c
 
     def maximize(self):
@@ -382,7 +430,8 @@ class _Tableau:
         as no row bounds S."""
         self.bland = False
         stall = 0
-        rows, basis, free, held = self.rows, self.basis, self.free, self.held
+        rows, basis, free, derived, open_rows = (
+            self.rows, self.basis, self.free, self.derived, self.open)
         art = len(rows) - 2
         while True:
             phase_1 = basis[art] == _ART
@@ -397,7 +446,12 @@ class _Tableau:
                             row[enter] = -row[enter]
                     self.negated ^= {enter}
             else:
-                improving = [j for j, v in reduced.items() if v > 0 and j >= 0]
+                improving = {j: v for j, v in reduced.items() if v > 0 and j >= 0}
+                for (a_s, cost, a_u), group in derived.items():
+                    base = a_s * reduced.get(_ART, 0) + cost * reduced.get(_Z, 0)
+                    improving |= {
+                        j: v for j, u in group.items() if (v := base + a_u * reduced.get(u, 0)) > 0
+                    }
                 if not improving:
                     if phase_1:
                         raise InternalError(f"no row bounds column {art}")
@@ -407,28 +461,39 @@ class _Tableau:
                 if self.bland:
                     enter = min(improving)
                 else:
-                    enter = max(improving, key=lambda j: (reduced[j], -j))
-            # minimum ratio row[_RHS] / row[enter] over positive entries
-            # of rows whose basic column is not free, compared by
-            # cross-multiplying (the row's denominator cancels), from the
-            # ratio 1/0, which every row beats; the least basic column
-            # leaves on a tie
+                    enter = max(improving, key=lambda j: (improving[j], -j))
+                if enter not in reduced:
+                    # a derived column is written into the rows to enter,
+                    # and leaves its group
+                    for (a_s, cost, a_u), group in derived.items():
+                        if enter in group:
+                            u = group.pop(enter)
+                            for row in rows:
+                                v = a_s * row.get(_ART, 0) + cost * row.get(_Z, 0)
+                                if v := v + a_u * row.get(u, 0):
+                                    row[enter] = v
+                            break
+            # minimum ratio row[_ART] / row[enter] over positive entries
+            # of the open rows, compared by cross-multiplying (the row's
+            # denominator cancels), from the ratio 1/0, which every row
+            # beats; the least basic column leaves on a tie
             leave, best_b, best_a = -1, 1, 0
-            for i, row in enumerate(rows[:-1]):
+            for i in open_rows:
+                row = rows[i]
                 a = row.get(enter, 0)
-                if a <= 0 or i in held:
+                if a <= 0:
                     continue
-                b = row.get(_RHS, 0)
+                b = row.get(_ART, 0)
                 left, right = b * best_a, best_b * a
                 if left < right or (left == right and basis[i] < basis[leave]):
                     best_b, best_a = b, a
                     leave = i
             if leave < 0:
                 return enter
-            self.pivot(leave, enter)
             if enter in free:
                 free.remove(enter)
-                held.add(leave)
+                open_rows.remove(leave)
+            self.pivot(leave, enter)
             if best_b == 0:
                 stall += 1
                 if stall > _STALL_THRESHOLD:
@@ -437,44 +502,18 @@ class _Tableau:
                 stall = 0
 
 
-def _eliminate(row, bc, a, prow, p):
-    """Clear entry a of ``row``, whose basic column bc reads its
-    denominator d, with the pivot row ``prow``, whose pivot entry is
-    p > 0 and which lacks bc:  (p row - a prow) / (d p).  Rows are maps
-    of their nonzeros, and ``row`` is rewritten in place: scaled only
-    when p does not divide a, and reduced to primitive form only once
-    its new denominator reaches :data:`_REDUCE_AT`, so a row equals its
-    reduced form as rationals but need not be primitive."""
-    g = math.gcd(p, a)
-    if g != 1:
-        p //= g
-        a //= g
-    if p != 1:
-        for j, x in row.items():
-            row[j] = p * x
-    for j, y in prow.items():
-        x = row.get(j, 0) - a * y
-        if x:
-            row[j] = x
-        else:
-            del row[j]
-    if row[bc] >= _REDUCE_AT:
-        g = math.gcd(*row.values())
-        if g > 1:
-            for j, x in row.items():
-                row[j] = x // g
-
-
 def _solve_lp(s):
     """Maximize S over x >= 0 subject to the rows of s, through the dual.
 
     Goes on from the tableau that s carries when s's rows are that
     tableau's rows followed by new circuit rows, and from a new tableau
-    otherwise; either way s then carries the tableau.  Returns (x, y):
-    x is the point as (integer numerators, their one denominator), None
-    when the rows have no point, and y the LP multipliers of the rows, a
-    Farkas ray without a point.  A row of unknown kind or with a
-    negative right-hand side raises ValueError.
+    otherwise; either way s then carries the tableau.  The point and the
+    multipliers are read off the final tableau's stored columns: an
+    entering column, derived or not, is stored by the time it enters.
+    Returns (x, y): x is the point as (integer numerators, their one
+    denominator), None when the rows have no point, and y the LP
+    multipliers of the rows, a Farkas ray without a point.  A row of
+    unknown kind or with a negative right-hand side raises ValueError.
     """
     tab = s._tableau
     if tab is not None and _extends(s, tab.source):
@@ -486,13 +525,15 @@ def _solve_lp(s):
     e, rows, basis = s.edge_count, tab.rows, tab.basis
     if enter is None:
         # U and -S are the reduced costs at the initial basis columns,
-        # over the objective row's denominator, its entry in z
+        # over the objective row's denominator, its entry in z; the
+        # multipliers are the basic values, read off the artificial's
+        # column, the right-hand side
         objective = rows[-1]
         x = [-objective.get(j, 0) for j in range(e)] + [objective.get(_ART, 0)], objective[_Z]
-        column, sign, value = _RHS, 1, {}
+        column, sign, value = _ART, 1, {}
     else:
-        # the ray: 1 in the entering column, and what each basic column
-        # loses per unit of it
+        # the ray: 1 in the entering column, written into the rows if it
+        # was derived, and what each basic column loses per unit of it
         x, column, sign, value = None, enter, -1, {enter: Fraction(1)}
     # a multiplier is read only off a row's own column
     for row, bc in zip(rows, basis):
@@ -532,22 +573,38 @@ def _dual_column(row, e):
     return {j: sign * c if j == e else -sign * c for j, c in row.terms if c}, -sign * row.rhs
 
 
+def _derived(groups, c, kind, column, cost, e):
+    """Whether the dual column c of a row of this kind, with entries
+    ``column`` and cost ``cost``, stays out of the rows: one that is not
+    free and has exactly one U entry a_U, in the row of U_u, joins the
+    group (a_S, cost, a_U) of ``groups`` as c: u, and reads
+    a_S row[art] + cost row[z] + a_U row[u] in every row."""
+    if kind == "face" or len(column) - (e in column) != 1:
+        return False
+    u = min(column)
+    groups.setdefault((column.get(e, 0), cost, column[u]), {})[c] = u
+    return True
+
+
 def _new_tableau(s):
     """A new tableau of the dual of s, at the basis of its slacks and its
-    artificial, with each column's cost in the objective row."""
+    artificial, with each stored column's cost in the objective row."""
     e = s.edge_count
-    rows = [{j: 1} for j in range(e)] + [{_ART: 1, e: -1, _RHS: 1}, {_Z: 1}]
-    faces = []
+    rows = [{j: 1} for j in range(e)] + [{_ART: 1, e: -1}, {_Z: 1}]
+    faces, derived = [], {}
     for i, row in enumerate(s.rows):
         c = e + 1 + i
         column, cost = _dual_column(row, e)
+        if _derived(derived, c, row.kind, column, cost, e):
+            continue
         for j, a in column.items():
             rows[j][c] = a
         if cost:
             rows[-1][c] = cost
         if row.kind == "face":
             faces.append((len(row.terms), c))
-    return _Tableau(rows, [*range(e), _ART, _Z], [c for _, c in sorted(faces)], tuple(s))
+    free = [c for _, c in sorted(faces)]
+    return _Tableau(rows, [*range(e), _ART, _Z], free, derived, tuple(s))
 
 
 def _add_columns(tab, s):
@@ -556,13 +613,16 @@ def _add_columns(tab, s):
     the row of U_j and the artificial for the row of S, carry the inverse
     of the current basis, and z carries the objective's scale, so a
     column whose entries are a_j and whose cost is c reads
-    sum(row[u_j] a_j) + row[z] c in each row."""
+    sum(row[u_j] a_j) + row[z] c in each row; a column with one U entry
+    is only added to its group."""
     first, e = len(tab.source[1]), s.edge_count
-    columns = [_dual_column(row, e) for row in s.rows[first:]]
-    for i, (column, cost) in enumerate(columns, first):
+    columns = [(row.kind, *_dual_column(row, e)) for row in s.rows[first:]]
+    for i, (kind, column, cost) in enumerate(columns, first):
+        c = e + 1 + i
+        if _derived(tab.derived, c, kind, column, cost, e):
+            continue
         units = [(j if j < e else _ART, a) for j, a in column.items()]
         units.append((_Z, cost))
-        c = e + 1 + i
         for row in tab.rows:
             v = sum(row.get(u, 0) * a for u, a in units)
             if v:

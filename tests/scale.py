@@ -10,6 +10,8 @@ least edges 119 searches each in the separation oracle unless a search
 shows that none of them can find a path.  ``antiprism-60`` takes one
 round too: one cold solve of a dense LP, so the tableau's build, phase 1
 and the read-off of the point and multipliers run at the LP's dense end.
+``antiprism-120`` is the same solve at 240 vertices, where the row
+updates of its 481 pivots, over rows that fill in, are most of the time.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ CASES = {
     "kleetope-antiprism-20": (lambda: generate("kleetope(antiprism)", 20), "yes", Fraction(1, 8)),
     "prism-120": (lambda: generate("prism", 120), "yes", Fraction(1, 120)),
     "antiprism-60": (lambda: generate("antiprism", 60), "yes", Fraction(1, 120)),
+    "antiprism-120": (lambda: generate("antiprism", 120), "yes", Fraction(1, 240)),
 }
 
 

@@ -451,15 +451,29 @@ class TestReferenceVertexEnumeration:
         kinds = set()  # of the drawn rows, some of them negated
         pivots = []  # per pivot, whether the artificial was basic before it
         phase_1 = {}  # draws by their phase-1 pivot count
+        # per pivot and per ray, whether the entering column has one U
+        # entry: the random upper rows' columns, with no S entry, and
+        # some others, derived until they enter
+        one_u, derived_pivots, derived_rays = set(), [], []
         pivot = lp_module._Tableau.pivot
+        maximize = lp_module._Tableau.maximize
 
         def counted_pivot(tab, r, c):
             pivots.append(ART in tab.basis)
+            derived_pivots.append(c in one_u)
             pivot(tab, r, c)
 
+        def counted_maximize(tab):
+            enter = maximize(tab)
+            if enter is not None:
+                derived_rays.append(enter in one_u)
+            return enter
+
         monkeypatch.setattr(lp_module._Tableau, "pivot", counted_pivot)
+        monkeypatch.setattr(lp_module._Tableau, "maximize", counted_maximize)
         for _ in range(120):
             s = random_small_system(rng)
+            one_u = one_u_columns(s)
             assert all(is_integer_row(row) and row.rhs >= 0 for row in s.rows)
             kinds.update(row.kind for row in s.rows if row.ref is None)
             first = len(pivots)
@@ -478,6 +492,10 @@ class TestReferenceVertexEnumeration:
         # take more than one pivot while the artificial is basic
         assert (len(pivots), sum(pivots)) == (291, 182)
         assert phase_1 == {1: 70, 2: 38, 3: 12}
+        # pinned: derived columns enter, and are the entering column of
+        # rays, as stored ones are
+        assert sum(derived_pivots) == 79
+        assert (len(derived_rays), sum(derived_rays)) == (statuses["infeasible"], 10) == (31, 10)
 
 
 class TestRowChecks:
@@ -531,8 +549,8 @@ def random_elimination(rng):
     return row, DEN, row[0], {j: y for j, y in prow.items() if y}, p
 
 
-# the real update, which TestTableauInvariant replaces by a checking wrapper
-ELIMINATE = lp_module._eliminate
+# the real pivot, which TestTableauInvariant replaces by a checking wrapper
+PIVOT = lp_module._Tableau.pivot
 
 
 def unreduced_denominator(d, a, p):
@@ -540,39 +558,66 @@ def unreduced_denominator(d, a, p):
     return d * (p // math.gcd(p, a))
 
 
-def check_eliminate(row, bc, a, prow, p):
-    """``_eliminate`` on these arguments, checked against
-    ``reference_eliminate``, the fully reduced update: equal as
-    rationals, with only nonzeros stored, the row rewritten in its own
-    map, the pivot row left as it is and nothing returned.  The row's
-    new denominator, its entry in bc, is d p / gcd(p, a), and once that
-    reaches 2^30 the row is reduced to exactly the reference's primitive
-    form, and otherwise left there."""
-    assert bc not in prow and p > 0
-    expected = reference_eliminate(row, bc, a, prow, p)
-    before = dict(prow)
-    unreduced = unreduced_denominator(row[bc], a, p)
-    assert ELIMINATE(row, bc, a, prow, p) is None
-    assert prow == before
-    assert 0 not in row.values() and row.keys() == expected.keys()
-    d, rd = row[bc], expected[bc]
-    assert d > 0 and all(x * rd == expected[j] * d for j, x in row.items())
-    if unreduced >= lp_module._REDUCE_AT:
-        assert row == expected
-    else:
-        assert d == unreduced
+def check_pivot(tab, r, c):
+    """``_Tableau.pivot`` on (r, c), checked against
+    ``reference_eliminate``, the fully reduced update, and return the
+    number of rows it updated.  The pivot row becomes primitive, signed
+    so that its pivot entry p is positive; every other row with entry a
+    in c equals the reference's update by that row as rationals, with
+    only nonzeros stored, and the rows without one are left as they are;
+    each row is rewritten in its own map, the basis names c in row r and
+    nothing is returned.  An updated row's new denominator, its entry in
+    its basic column, is d p / gcd(p, a), and once that reaches 2^30 the
+    row is reduced to exactly the reference's primitive form, and
+    otherwise left there."""
+    rows, basis = tab.rows, list(tab.basis)
+    prow = rows[r]
+    g = math.gcd(*prow.values()) * (1 if prow[c] > 0 else -1)
+    reduced = {j: x // g for j, x in prow.items()}
+    p = reduced[c]
+    before = [dict(row) for row in rows]
+    maps = [id(row) for row in rows]
+    expected = {
+        i: reference_eliminate(row, basis[i], row[c], reduced, p)
+        for i, row in enumerate(before)
+        if i != r and row.get(c)
+    }
+    assert PIVOT(tab, r, c) is None
+    assert [id(row) for row in rows] == maps
+    assert rows[r] == reduced and p > 0 and is_primitive(rows[r])
+    assert tab.basis == basis[:r] + [c] + basis[r + 1:]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        if i not in expected:
+            assert row == before[i]
+            continue
+        new, bc = expected[i], basis[i]
+        assert 0 not in row.values() and row.keys() == new.keys()
+        d, rd = row[bc], new[bc]
+        assert d > 0 and all(x * rd == new[j] * d for j, x in row.items())
+        unreduced = unreduced_denominator(before[i][bc], before[i][c], p)
+        if unreduced >= lp_module._REDUCE_AT:
+            assert row == new
+        else:
+            assert d == unreduced
+    return len(expected)
 
 
-class TestEliminate:
+class TestRowUpdate:
     def test_matches_the_copying_update(self):
+        # a pivot on the pivot row of random_elimination in a tableau of
+        # it and the row it updates
         rng = random.Random(2025)
         seen = set()
         for _ in range(2000):
-            row, bc, a, prow, p = random_elimination(rng)
+            row, bc, a, prow, _ = random_elimination(rng)
             before = dict(row)
             d = row[bc]
+            p = prow[0] // math.gcd(*prow.values())  # the pivot entry once prow is reduced
             unreduced = unreduced_denominator(d, a, p)
-            check_eliminate(row, bc, a, prow, p)
+            tab = lp_module._Tableau([row, prow], [bc, None], [], {}, None)
+            assert check_pivot(tab, 1, 0) == 1
             nd = row[bc]
             seen.update(name for name, hit in (
                 ("p = 1", p == 1),
@@ -596,26 +641,25 @@ def is_primitive(row):
     return math.gcd(*row.values()) == 1
 
 
-RHS, Z, ART = lp_module._RHS, lp_module._Z, lp_module._ART
+Z, ART = lp_module._Z, lp_module._ART
 
 
-def reference_objective(tab, cost):
+def reference_objective(rows, basis, cost):
     """The reduced costs c - c_B B^-1 A, nonzeros only, and the value
     c_B B^-1 b of the integer cost map ``cost``, as ``Fraction``s: the
-    tableau's constraint rows are B^-1 [A | b], row i over its entry in
-    its basic column, with b in column RHS."""
+    constraint rows are B^-1 [A | b], row i over its entry in its basic
+    column, with b in the artificial's column ART, which starts as b."""
     reduced = {j: F(c) for j, c in cost.items()}
     value = F(0)
-    for row, bc in zip(tab.rows[:-1], tab.basis):
+    for row, bc in zip(rows[:-1], basis):
         cb = cost.get(bc, 0)
         if not cb:
             continue
         d = row[bc]
         for j, x in row.items():
-            if j != RHS:
-                reduced[j] = reduced.get(j, 0) - F(cb * x, d)
-        value += F(cb * row.get(RHS, 0), d)
-    return {j: x for j, x in reduced.items() if x}, value
+            reduced[j] = reduced.get(j, 0) - F(cb * x, d)
+        value += F(cb * row.get(ART, 0), d)
+    return {j: x for j, x in reduced.items() if x and j != ART}, value
 
 
 def face_columns(s):
@@ -623,18 +667,57 @@ def face_columns(s):
     return {s.edge_count + 1 + i for i, row in enumerate(s.rows) if row.kind == "face"}
 
 
-def dual_costs(s):
-    """The cost of each dual column of s, nonzeros only: -b for a row's
-    y, and b for a circuit row's z = -y."""
-    return {s.edge_count + 1 + i: row.rhs if row.kind == "circuit" else -row.rhs
-            for i, row in enumerate(s.rows) if row.rhs}
+def dual_columns(s):
+    """Each dual column of s by its tableau column, as its entries by
+    dual row (j for U_j, E for S) and its cost, computed apart from the
+    solver: a row's y has -A_j in the row of U_j, A_S in the row of S and
+    cost -b, and a circuit row's z = -y the negation of each."""
+    e = s.edge_count
+    columns = {}
+    for i, row in enumerate(s.rows):
+        sign = -1 if row.kind == "circuit" else 1
+        entries = {j: sign * c if j == e else -sign * c for j, c in row.terms}
+        columns[e + 1 + i] = entries, -sign * row.rhs
+    return columns
+
+
+def one_u_columns(s):
+    """The dual columns of s that are not free and have one U entry."""
+    e = s.edge_count
+    return {c for c, (entries, _) in dual_columns(s).items()
+            if c not in face_columns(s) and sum(j < e for j in entries) == 1}
+
+
+def initial_entry(row, entries, cost, e):
+    """A column's entry in a tableau row, from its initial entries and
+    cost: the initial basis columns, slack j for the row of U_j and the
+    artificial for the row of S, carry the inverse of the basis, and z
+    the objective's scale."""
+    units = sum(row.get(j if j < e else ART, 0) * a for j, a in entries.items())
+    return units + row.get(Z, 0) * cost
+
+
+def full_rows(tab):
+    """The tableau's rows with each derived column's entry, read off its
+    group (a_S, cost, a_U) as a_S row[ART] + cost row[Z] + a_U row[u],
+    filled in; nonzeros only."""
+    full = []
+    for row in tab.rows:
+        row = dict(row)
+        for (a_s, cost, a_u), group in tab.derived.items():
+            for c, u in group.items():
+                if v := a_s * row.get(ART, 0) + cost * row.get(Z, 0) + a_u * row.get(u, 0):
+                    row[c] = v
+        full.append(row)
+    return full
 
 
 def over_denominator(row, bc):
     """A tableau row over its entry in its basic column bc: its other
-    entries and minus its right-hand side, as ``Fraction``s."""
+    entries and minus its right-hand side, its entry in ART, as
+    ``Fraction``s."""
     d = row[bc]
-    return {j: F(x, d) for j, x in row.items() if j not in (RHS, bc)}, F(-row.get(RHS, 0), d)
+    return {j: F(x, d) for j, x in row.items() if j not in (ART, bc)}, F(-row.get(ART, 0), d)
 
 
 class TestTableauInvariant:
@@ -642,24 +725,31 @@ class TestTableauInvariant:
     fully reduced row as rationals, and the basis stays an identity:
     each row's basic entry is its positive denominator, and the column
     is absent from every other.  Only free columns are negated, and the
-    rows held are those of the basic free columns, which alone may have
-    a negative right-hand side.  A row is primitive once its denominator
-    reaches 2^30, and the pivot row always is.  The last row is the
-    objective, checked as every other row is, with z as its basic column;
-    as each ``maximize`` starts and after every pivot, phase 1 included,
-    it equals the reduced costs and minus the value of the dual's costs,
-    each negated column's cost negated, computed apart from the tableau's
-    arithmetic.  While the artificial is basic its row, the one phase 1
-    prices, is likewise the reduced costs and minus the value of -art."""
+    open rows are the constraint rows whose basic column is not free;
+    only the others may have a negative right-hand side, which is each
+    row's entry in ART: the basic columns times the basic values it gives
+    are the dual's right-hand side e_S.  A row is primitive once its
+    denominator reaches 2^30, and the pivot row always is.  Every stored
+    column reads in each row what its initial entries and cost give
+    through the initial basis columns, and so does each derived column,
+    read off its group; a column with one U entry that is not free is
+    derived until it enters, stored from then on, and never basic while
+    derived.  The last row is the objective, checked as every other row
+    is, with z as its basic column; as each ``maximize`` starts and after
+    every pivot, phase 1 included, it equals the reduced costs and minus
+    the value of the dual's costs, each negated column's cost negated,
+    computed apart from the tableau's arithmetic.  While the artificial
+    is basic its row, the one phase 1 prices, is likewise the reduced
+    costs and minus the value of -art."""
 
     @staticmethod
     def check(tab, s):
+        e = s.edge_count
         basic = set(tab.basis)
         # a pivot rewrites each row's map in place, so no two may share one
         maps = {id(row) for row in tab.rows}
         assert len(maps) == len(tab.rows) == len(tab.basis)
-        # the right-hand side is in no basis, and z is the objective's
-        assert RHS not in basic and tab.basis.index(Z) == len(tab.rows) - 1
+        assert tab.basis.index(Z) == len(tab.rows) - 1
         for row, bc in zip(tab.rows, tab.basis):
             # each row holds its own basic column and no other, so z is
             # in the objective row alone
@@ -668,19 +758,41 @@ class TestTableauInvariant:
             if row[bc] >= lp_module._REDUCE_AT:
                 assert is_primitive(row)
         faces = face_columns(s)
-        held = {tab.basis[i] for i in tab.held}
+        assert tab.open == [i for i, bc in enumerate(tab.basis[:-1]) if bc not in faces]
+        held = {bc for bc in tab.basis if bc in faces}
         assert held | set(tab.free) <= faces and not held & set(tab.free)
         assert tab.negated <= faces
-        for i, row in enumerate(tab.rows[:-1]):
-            assert i in tab.held or row.get(RHS, 0) >= 0
-        cost = {j: -c if j in tab.negated else c for j, c in dual_costs(s).items()}
-        assert over_denominator(tab.rows[-1], Z) == reference_objective(tab, cost)
+        for i in tab.open:
+            assert tab.rows[i].get(ART, 0) >= 0
+        columns = {
+            c: ({j: -a for j, a in entries.items()}, -cost) if c in tab.negated else (entries, cost)
+            for c, (entries, cost) in dual_columns(s).items()
+        }
+        # the initial basis columns and the surplus, -1 in the row of S
+        columns.update({j: ({j: 1}, 0) for j in range(e)})
+        columns.update({ART: ({e: 1}, 0), e: ({e: -1}, 0)})
+        derived = {c for group in tab.derived.values() for c in group}
+        stored = set().union(*tab.rows) - {Z}
+        assert derived <= one_u_columns(s) and not derived & (stored | basic)
+        assert one_u_columns(s) - derived <= stored
+        full = full_rows(tab)
+        for row in full:
+            for c, (entries, cost) in columns.items():
+                assert row.get(c, 0) == initial_entry(row, entries, cost, e), c
+        # the basic columns times the basic values are e_S
+        rhs = {}
+        for row, bc in zip(full[:-1], tab.basis):
+            for j, a in columns[bc][0].items():
+                rhs[j] = rhs.get(j, 0) + a * F(row.get(ART, 0), row[bc])
+        assert {j: x for j, x in rhs.items() if x} == {e: 1}
+        cost = {c: cost for c, (_, cost) in columns.items() if cost}
+        assert over_denominator(full[-1], Z) == reference_objective(full, tab.basis, cost)
         if ART in basic:
             # the artificial is basic in the row of S alone, below 0 in -art
             art = tab.basis.index(ART)
             assert art == len(tab.rows) - 2
-            reduced, value = reference_objective(tab, {ART: -1})
-            assert over_denominator(tab.rows[art], ART) == (reduced, value)
+            reduced, value = reference_objective(full, tab.basis, {ART: -1})
+            assert over_denominator(full[art], ART) == (reduced, value)
             assert value < 0
 
     @pytest.mark.parametrize("make,pivots_per_maximize", [
@@ -694,17 +806,15 @@ class TestTableauInvariant:
             "kleetope-bipyramid-3-decision"])
     def test_after_every_pivot(self, monkeypatch, make, pivots_per_maximize):
         pivots = []  # per maximize call, its pivots with and without the artificial basic
-        updates = [0]  # calls of _eliminate, each checked
+        updates = [0]  # rows updated by the pivots, each checked
         systems = []  # each system whose tableau is built or extended
-        pivot = lp_module._Tableau.pivot
         maximize = lp_module._Tableau.maximize
         add_columns = lp_module._add_columns
         new_tableau = lp_module._new_tableau
 
         def checked_pivot(tab, r, c):
             pivots[-1][ART not in tab.basis] += 1
-            pivot(tab, r, c)
-            assert is_primitive(tab.rows[r])
+            updates[0] += check_pivot(tab, r, c)
             self.check(tab, systems[-1])
 
         def counted_maximize(tab):
@@ -720,15 +830,10 @@ class TestTableauInvariant:
             systems.append(s)
             return new_tableau(s)
 
-        def checked_eliminate(*args):
-            updates[0] += 1
-            check_eliminate(*args)
-
         monkeypatch.setattr(lp_module._Tableau, "pivot", checked_pivot)
         monkeypatch.setattr(lp_module._Tableau, "maximize", counted_maximize)
         monkeypatch.setattr(lp_module, "_add_columns", recorded_add_columns)
         monkeypatch.setattr(lp_module, "_new_tableau", recorded_new_tableau)
-        monkeypatch.setattr(lp_module, "_eliminate", checked_eliminate)
         system_or_graph = make()
         if isinstance(system_or_graph, ConstraintSystem):
             assert maximize_margin(system_or_graph).status == "optimal"
@@ -827,12 +932,12 @@ class TestPhaseOneStop:
     def test_the_artificial_leaves_in_phase_1(self, monkeypatch, duplicate):
         s = all_triples_system(duplicate)
         log, call = record_pivots(monkeypatch)
-        states = []  # (artificial basic, free columns held) before each pivot and at the end
+        states = []  # (artificial basic, free columns basic) before each pivot and at the end
         pivot = lp_module._Tableau.pivot
         maximize = lp_module._Tableau.maximize
 
         def state(tab):
-            states.append((ART in tab.basis, len(tab.held)))
+            states.append((ART in tab.basis, len(face_columns(s) & set(tab.basis))))
 
         def recording_pivot(tab, r, c):
             state(tab)
@@ -954,6 +1059,37 @@ class TestWarmStart:
         built = count_new_tableaus(monkeypatch)
         assert maximize_margin(extended).margin == maximize_margin(s).margin == F(1, 4)
         assert built == [len(s.rows) + 1]
+
+    @pytest.mark.parametrize("row", [
+        Row(((0, 1),), 1, "circuit", (0,)),
+        Row(((3, 1), (12, 1)), 4, "circuit", (3,)),
+    ], ids=["no-s-term", "s-term"])
+    def test_a_one_u_circuit_row_is_derived_warm_and_cold(self, monkeypatch, row):
+        # the cube's optimum, margin 1/4 with every U_e = 0, violates the
+        # row, whose column, with one U entry, stays out of the rows until
+        # it enters, whether added to the last basis or built cold
+        s = new_system(generate("cube"))
+        assert maximize_margin(s).margin == F(1, 4)
+        extended = ConstraintSystem(s.edge_count, s.rows + (row,))
+        extended._tableau = s._tableau
+        c = s.edge_count + len(extended.rows)
+        derived = []  # per maximize call, whether c starts derived
+        maximize = lp_module._Tableau.maximize
+
+        def recorded_maximize(tab):
+            derived.append(any(c in group for group in tab.derived.values()))
+            return maximize(tab)
+
+        monkeypatch.setattr(lp_module._Tableau, "maximize", recorded_maximize)
+        built = count_new_tableaus(monkeypatch)
+        warm = maximize_margin(extended)
+        again = maximize_margin(cold(extended))
+        assert built == [len(extended.rows)] and derived == [True, True]
+        assert warm.margin == again.margin < F(1, 4)
+        for solution in (warm, again):
+            assert multiplier_problems(extended, solution.multipliers, solution.margin) == []
+            # the row binds: its column entered
+            assert solution.multipliers[-1] < 0
 
     def test_a_resolve_makes_no_pivot(self, monkeypatch):
         s = dual_with_cuts("prism", 5, 8)
