@@ -38,12 +38,15 @@ improves while the artificial is basic, -art stays below 0: no y meets
 the dual's rows, which means some direction raises S with every row
 still met, so that no row bounds S, and InternalError says so.  A free
 column enters before any other column whose reduced cost is nonzero,
-those of fewest terms first, and is negated in place if that cost is
-negative; once basic it never leaves, as the ratio test skips its row.
-Each free column thus enters at most once, and the other pivots are
-those of the ordinary simplex, with steepest reduced cost and a
-permanent switch to Bland's rule after a run of degenerate pivots, which
-guarantees termination.
+those of fewest terms first, in the direction of that cost: where it is
+negative, the ratio test reads the column's entries negated, and the
+pivot makes its pivot entry positive, so no column is ever negated and
+the basic value of a free column's row is its y itself.  Once basic a
+free column never leaves, as the ratio test skips its row.  Each free
+column thus enters at most once, and the other pivots are those of the
+ordinary simplex, with steepest reduced cost and a permanent switch to
+Bland's rule after a run of degenerate pivots, which guarantees
+termination.
 
 The results are read off the final tableau.  The point (U, S) is the
 dual's own dual: the initial basis columns, the slacks and the
@@ -51,18 +54,19 @@ artificial, carry the inverse of the final basis, so the objective row's
 reduced costs there are U and -S, and the point leaves the tableau as
 those integer entries over the row's one denominator, with no
 ``Fraction``.  The multipliers y of the margin LP's rows
-(``MarginSolution.multipliers``) are the dual's basic values, with each
-column's sign undone, one ``Fraction`` for each basic row column.  By LP
-duality they prove the optimum from the rows alone: signed by row kind,
-with y^T A at least e_s in every column and y^T b = 2(margin + 1).  The
-factor 2 scales the variables, not the rows: A is the matrix of the same
-rows over w - t and t + 1 and only b doubles, so the point doubles while
-y and every pivot stay as they are over those variables.  When a column
-enters that no row bounds, the dual grows without bound and the rows
-have no point; that column's direction, 1 in the column less its current
-entries in the basic columns, is a Farkas ray: y^T A >= 0 and y^T b < 0.
-:func:`multiplier_problems` checks either with a few sparse sums and no
-solver.
+(``MarginSolution.multipliers``) are the dual's basic values, with a
+circuit column's sign undone, one ``Fraction`` for each basic row
+column.  By LP duality they prove the optimum from the rows alone:
+signed by row kind, with y^T A at least e_s in every column and
+y^T b = 2(margin + 1).  The factor 2 scales the variables, not the rows:
+A is the matrix of the same rows over w - t and t + 1 and only b
+doubles, so the point doubles while y and every pivot stay as they are
+over those variables.  When a column enters that no row bounds, the
+dual grows without bound and the rows have no point; that column's
+direction, 1 in the column (-1 for a free column that entered against
+its entries) and what each basic column loses along it, is a Farkas
+ray: y^T A >= 0 and y^T b < 0.  :func:`multiplier_problems` checks
+either with a few sparse sums and no solver.
 
 A circuit row added to the margin LP is one more column of the dual, and
 the last optimal basis stays feasible when a column is added, so each
@@ -362,11 +366,10 @@ class _Tableau:
     reading a_S row[art] + cost row[z] + a_U row[u] in every row; one
     that enters is written into the rows and leaves its group.  ``free``
     lists the free columns not yet basic, in the order they are to
-    enter, ``open`` the constraint rows whose basic column is not free,
-    the only rows that may leave, and ``negated`` the free columns
-    negated to enter.  ``bland`` records whether the last ``maximize``
-    fell back to Bland's rule.  ``source`` is the (edge count, rows) pair
-    of the margin LP whose dual the tableau is.
+    enter, and ``open`` the constraint rows whose basic column is not
+    free, the only rows that may leave.  ``bland`` records whether the
+    last ``maximize`` fell back to Bland's rule.  ``source`` is the
+    (edge count, rows) pair of the margin LP whose dual the tableau is.
     """
 
     def __init__(self, rows, basis, free, derived, source):
@@ -376,7 +379,6 @@ class _Tableau:
         self.derived = derived
         self.source = source
         self.open = list(range(len(rows) - 1))
-        self.negated = set()
         self.bland = False
 
     def pivot(self, r, c):
@@ -424,10 +426,11 @@ class _Tableau:
 
     def maximize(self):
         """Pivot to an optimum and return None, or return the entering
-        column that no row bounds, along which the objective grows
-        without bound.  While the artificial is basic (phase 1) the row
-        priced is its own; InternalError when no column then improves,
-        as no row bounds S."""
+        column that no row bounds and the sign, -1 for a free column that
+        enters against its entries and 1 otherwise, of the direction
+        along which the objective grows without bound.  While the
+        artificial is basic (phase 1) the row priced is its own;
+        InternalError when no column then improves, as no row bounds S."""
         self.bland = False
         stall = 0
         rows, basis, free, derived, open_rows = (
@@ -436,16 +439,11 @@ class _Tableau:
         while True:
             phase_1 = basis[art] == _ART
             reduced = rows[art] if phase_1 else rows[-1]
-            # a free column with a nonzero reduced cost enters first,
-            # negated if that cost is negative
+            # a free column with a nonzero reduced cost enters first, in
+            # the direction of that cost
             enter = next((j for j in free if j in reduced), None)
-            if enter is not None:
-                if reduced[enter] < 0:
-                    for row in rows:
-                        if enter in row:
-                            row[enter] = -row[enter]
-                    self.negated ^= {enter}
-            else:
+            sign = -1 if enter is not None and reduced[enter] < 0 else 1
+            if enter is None:
                 improving = {j: v for j, v in reduced.items() if v > 0 and j >= 0}
                 for (a_s, cost, a_u), group in derived.items():
                     base = a_s * reduced.get(_ART, 0) + cost * reduced.get(_Z, 0)
@@ -480,7 +478,7 @@ class _Tableau:
             leave, best_b, best_a = -1, 1, 0
             for i in open_rows:
                 row = rows[i]
-                a = row.get(enter, 0)
+                a = sign * row.get(enter, 0)
                 if a <= 0:
                     continue
                 b = row.get(_ART, 0)
@@ -489,7 +487,7 @@ class _Tableau:
                     best_b, best_a = b, a
                     leave = i
             if leave < 0:
-                return enter
+                return enter, sign
             if enter in free:
                 free.remove(enter)
                 open_rows.remove(leave)
@@ -512,18 +510,21 @@ def _solve_lp(s):
     entering column, derived or not, is stored by the time it enters.
     Returns (x, y): x is the point as (integer numerators, their one
     denominator), None when the rows have no point, and y the LP
-    multipliers of the rows, a Farkas ray without a point.  A row of
-    unknown kind or with a negative right-hand side raises ValueError.
+    multipliers of the rows, without a point a Farkas ray along the
+    direction the last entering column entered in.  No column is
+    negated, so a multiplier's sign is undone only for a circuit row.  A
+    row of unknown kind or with a negative right-hand side raises
+    ValueError.
     """
     tab = s._tableau
     if tab is not None and _extends(s, tab.source):
         _add_columns(tab, s)
     else:
         tab = _new_tableau(s)
-    enter = tab.maximize()
+    ray = tab.maximize()
     s._tableau = tab
     e, rows, basis = s.edge_count, tab.rows, tab.basis
-    if enter is None:
+    if ray is None:
         # U and -S are the reduced costs at the initial basis columns,
         # over the objective row's denominator, its entry in z; the
         # multipliers are the basic values, read off the artificial's
@@ -532,9 +533,11 @@ def _solve_lp(s):
         x = [-objective.get(j, 0) for j in range(e)] + [objective.get(_ART, 0)], objective[_Z]
         column, sign, value = _ART, 1, {}
     else:
-        # the ray: 1 in the entering column, written into the rows if it
-        # was derived, and what each basic column loses per unit of it
-        x, column, sign, value = None, enter, -1, {enter: Fraction(1)}
+        # the ray: 1 or -1 in the entering column, the direction it
+        # entered in, and what each basic column loses per unit of it; a
+        # derived column was written into the rows to enter
+        column, direction = ray
+        x, sign, value = None, -direction, {column: Fraction(direction)}
     # a multiplier is read only off a row's own column
     for row, bc in zip(rows, basis):
         if bc > e:
@@ -543,7 +546,7 @@ def _solve_lp(s):
     for i, row in enumerate(s.rows):
         c = e + 1 + i
         v = value.get(c, _F0)
-        y.append(-v if (row.kind == "circuit") != (c in tab.negated) else v)
+        y.append(-v if row.kind == "circuit" else v)
     return x, tuple(y)
 
 

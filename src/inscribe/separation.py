@@ -35,12 +35,17 @@ circuit's weight, and prunes by four rules that keep it exact:
 - a search stops at the cap less w(e), since a heavier path is never
   chosen;
 - a pre-check, :func:`_may_close`, runs before the searches of e: one
-  distance-only search for a u-v walk within the cap less w(e) that is
-  not the path f - e of a face f whose least edge is e.  A path that a
-  search of e returns, in either direction, avoids an edge of each such
-  face, so it is such a walk; when there is none, every search of e is
-  skipped.  Only searches that would find nothing are skipped, so the
-  result is theirs.
+  distance-only search for a u-v walk within the cap less w(e) that uses
+  an edge off the faces f whose least edge is e.  On a polyhedral graph
+  each face is a simple cycle, and two faces at e share only e and its
+  ends, so the paths f - e, P1 and with a second face P2, hold no simple
+  u-v path but themselves: P1 alone is one such path, and P1 with P2 is
+  one cycle, whose simple u-v paths are its two arcs.  A search of e
+  avoids an edge of each such face, so a path it returns, in either
+  direction, uses an edge off them and is such a walk; when there is
+  none, every search of e is skipped.  Only searches that would find
+  nothing are skipped, so the result is theirs.  On a graph that is not
+  polyhedral every search runs.
 
 :func:`brute_force_min_nonfacial` is the independent reference oracle: it
 takes the least circuit of :func:`all_nonfacial_circuits`, which lists
@@ -57,7 +62,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Container, Iterable, Sequence
 
-from .graph import Face, PolyhedralGraph, edge_faces, trace_faces
+from .graph import PolyhedralGraph, edge_faces, trace_faces, validate_steinitz
 
 
 def canonical_circuit(g: PolyhedralGraph, edge_ids: Iterable[int]) -> tuple[int, ...]:
@@ -161,69 +166,44 @@ def _shortest_path(
     return None
 
 
-def _face_path(f: Face, e: int, u: int) -> dict[int, int] | None:
-    """Face f's boundary less its edge e, as a path from e's end u to
-    its other end: each vertex of the path but the last maps to the edge
-    the path leaves it by.  None when the path meets a vertex twice,
-    which a face of a polyhedral graph, a simple cycle, never does."""
-    k = f.boundary.index(e)
-    n = len(f.boundary)
-    if f.vertices[k] == u:
-        # e leaves u along f, so the path runs round f backwards
-        path = {f.vertices[k - i]: f.boundary[k - i - 1] for i in range(n - 1)}
-    else:
-        path = {f.vertices[(k + i) % n]: f.boundary[(k + i) % n] for i in range(1, n)}
-    return path if len(path) == n - 1 else None
-
-
 def _may_close(
     adj: Sequence[Sequence[tuple[int, int]]],
     nums: Sequence[int],
     source: int,
     target: int,
-    paths: Sequence[dict[int, int]],
+    face_edges: Container[int],
     bound: int,
 ) -> bool:
     """Whether some source-target walk over ``adj`` weighing at most
-    ``bound`` is none of ``paths``, each a next-edge map as
-    :func:`_face_path` gives it.  False proves that every simple path
-    within the bound is one of them.  The target must have an edge in
-    ``adj``.
+    ``bound`` uses an edge not in ``face_edges``.  The target must have
+    an edge in ``adj``.
 
-    A distance-only search over states (vertex, tag), where bit i of the
-    tag is set while the walk so far follows ``paths[i]`` from the
-    source; it answers True at the first walk that reaches the target
-    with no bit set, and builds no path.  Two prunes keep it exact: a
-    tagged state is dropped once the untagged state at its vertex is no
-    farther, since every walk on from it goes on from that state too;
-    and a walk to any other vertex needs room for one more edge into the
-    target.
+    A distance-only search over states 2 x + off, where off is set once
+    the walk has used an edge outside ``face_edges``; it answers True at
+    the first walk that reaches the target with off set, and builds no
+    path.  Two prunes keep it exact: a state with off clear is dropped
+    once the state with off set at its vertex is no farther, since every
+    walk on from it goes on from that state too; and a walk to any other
+    vertex needs room for one more edge into the target.
     """
     room = bound - min(nums[a] for a, _ in adj[target])
-    # state 4 x + tag: at most two faces are tracked
-    start = 4 * source + (1 << len(paths)) - 1
-    best = {start: 0}
-    heap = [(0, start)]
+    best = {2 * source: 0}
+    heap = [(0, 2 * source)]
     while heap:
         dist, state = heapq.heappop(heap)
-        x, tag = divmod(state, 4)
-        # a stale entry, or a tagged state the untagged one at x dominates
-        if best[state] < dist or tag and best.get(4 * x, dist + 1) <= dist:
+        x, off = divmod(state, 2)
+        # a stale entry, or an off-clear state the off-set one at x dominates
+        if best[state] < dist or not off and best.get(state + 1, dist + 1) <= dist:
             continue
         for a, y in adj[x]:
-            t = 0
-            if tag:
-                for i, path in enumerate(paths):
-                    if tag >> i & 1 and path.get(x) == a:
-                        t = 1 << i
             d = dist + nums[a]
+            t = 2 * y + (off or a not in face_edges)
             if y == target:
-                # a walk that followed a path to its end is that path
-                if not t and d <= bound:
+                if t & 1 and d <= bound:
                     return True
-            elif d <= room and d < best.get(4 * y + t, d + 1):
-                best[4 * y + t] = d
-                heapq.heappush(heap, (d, 4 * y + t))
+            elif d <= room and d < best.get(t, d + 1):
+                best[t] = d
+                heapq.heappush(heap, (d, t))
     return False
 
 
@@ -258,10 +238,13 @@ def min_nonfacial_circuit(
     Looks for each circuit only from its least edge e, over the edges
     above e; see the module docstring for why this finds the least
     (weight, canonical edge sequence) circuit, so the result is
-    deterministic.  Requires nonnegative weights.  With a ``limit``, the
-    search looks only at circuits weighing at most it, and returns None
-    when the least circuit weighs more; without one, a graph with no
-    non-facial circuit raises ValueError.
+    deterministic.  The pre-check that skips an edge's searches runs only
+    on a polyhedral graph, as :func:`validate_steinitz` reports it, since
+    only there is every face a simple cycle; elsewhere every search runs.
+    Requires nonnegative weights.  With a ``limit``, the search looks
+    only at circuits weighing at most it, and returns None when the least
+    circuit weighs more; without one, a graph with no non-facial circuit
+    raises ValueError.
     """
     nums, denom = _numerators(g, w, nonnegative=True)
     # no simple circuit weighs more than all the edges together
@@ -269,6 +252,8 @@ def min_nonfacial_circuit(
     faces = trace_faces(g)
     incident = edge_faces(g)
     least = [min(f.boundary) for f in faces]
+    # the pre-check is exact only where every face is a simple cycle
+    polyhedral = validate_steinitz(g).is_polyhedral
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
     best: tuple[int, tuple[int, ...]] | None = None
     for e in reversed(range(g.edge_count)):
@@ -278,11 +263,8 @@ def min_nonfacial_circuit(
         if nums[e] <= cap and adj[u] and adj[v]:
             # a face with an edge below e is never the path; a face whose
             # other edges all lie above e loses one of them in each search
-            tracked = [faces[i] for i in incident[e] if least[i] == e]
-            paths = [_face_path(f, e, u) for f in tracked]
-            # a face that is no simple cycle leaves the searches to run
-            if None in paths or _may_close(adj, nums, u, v, paths, cap - nums[e]):
-                avoid = [f.edge_ids - {e} for f in tracked]
+            avoid = [faces[i].edge_ids - {e} for i in incident[e] if least[i] == e]
+            if not polyhedral or _may_close(adj, nums, u, v, set().union(*avoid), cap - nums[e]):
                 for banned in itertools.product(*avoid):
                     for source, target in ((u, v), (v, u)):
                         sp = _shortest_path(adj, nums, source, target, banned, cap - nums[e])

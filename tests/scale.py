@@ -5,6 +5,8 @@ each decision is verified, and a wrong answer or margin or a failed
 verification exits 1.  Three cases take a few dozen cut rounds each, so
 a solver that starts every round from scratch takes tens of seconds on
 them where one that goes on from the last basis takes about a second.
+``ico4`` takes 82 rounds, each with one call of the separation oracle,
+whose pre-check runs about 30,000 times in the decision.
 ``prism-120`` takes one round, but its two 120-gon faces give their
 least edges 119 searches each in the separation oracle unless a search
 shows that none of them can find a path.  ``antiprism-60`` takes one
@@ -30,13 +32,14 @@ from inscribe import (
 )
 
 
-def ico3():
-    """The icosahedron with an apex stacked on half its faces three
-    times over, each half drawn with ``random.Random(3)``: 82 vertices,
-    240 edges, 160 faces."""
+def ico_stack(k):
+    """The icosahedron with an apex stacked on half its faces k times
+    over, each half drawn with one ``random.Random(3)``: at k = 3, 82
+    vertices, 240 edges and 160 faces; at k = 4, 162 vertices, 480 edges
+    and 320 faces."""
     g = generate("icosahedron")
     rng = random.Random(3)
-    for _ in range(3):
+    for _ in range(k):
         faces = len(trace_faces(g))
         g = stack_on_faces(g, rng.sample(range(faces), faces // 2))
     return g
@@ -44,7 +47,8 @@ def ico3():
 
 # name -> (graph, answer, margin)
 CASES = {
-    "ico3": (ico3, "yes", Fraction(2, 21)),
+    "ico3": (lambda: ico_stack(3), "yes", Fraction(2, 21)),
+    "ico4": (lambda: ico_stack(4), "yes", Fraction(1, 12)),
     "kleetope-antiprism-12": (lambda: generate("kleetope(antiprism)", 12), "yes", Fraction(1, 8)),
     "kleetope-antiprism-20": (lambda: generate("kleetope(antiprism)", 20), "yes", Fraction(1, 8)),
     "prism-120": (lambda: generate("prism", 120), "yes", Fraction(1, 120)),

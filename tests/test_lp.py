@@ -464,10 +464,11 @@ class TestReferenceVertexEnumeration:
             pivot(tab, r, c)
 
         def counted_maximize(tab):
-            enter = maximize(tab)
-            if enter is not None:
+            ray = maximize(tab)
+            if ray is not None:
+                enter, _ = ray
                 derived_rays.append(enter in one_u)
-            return enter
+            return ray
 
         monkeypatch.setattr(lp_module._Tableau, "pivot", counted_pivot)
         monkeypatch.setattr(lp_module._Tableau, "maximize", counted_maximize)
@@ -724,20 +725,20 @@ class TestTableauInvariant:
     """Rows store only nonzeros, each is its own map and equals the
     fully reduced row as rationals, and the basis stays an identity:
     each row's basic entry is its positive denominator, and the column
-    is absent from every other.  Only free columns are negated, and the
-    open rows are the constraint rows whose basic column is not free;
-    only the others may have a negative right-hand side, which is each
-    row's entry in ART: the basic columns times the basic values it gives
-    are the dual's right-hand side e_S.  A row is primitive once its
-    denominator reaches 2^30, and the pivot row always is.  Every stored
-    column reads in each row what its initial entries and cost give
-    through the initial basis columns, and so does each derived column,
-    read off its group; a column with one U entry that is not free is
-    derived until it enters, stored from then on, and never basic while
-    derived.  The last row is the objective, checked as every other row
-    is, with z as its basic column; as each ``maximize`` starts and after
-    every pivot, phase 1 included, it equals the reduced costs and minus
-    the value of the dual's costs, each negated column's cost negated,
+    is absent from every other.  The open rows are the constraint rows
+    whose basic column is not free; only the others may have a negative
+    right-hand side, which is each row's entry in ART: the basic columns
+    times the basic values it gives are the dual's right-hand side e_S.
+    A row is primitive once its denominator reaches 2^30, and the pivot
+    row always is.  Every stored column, free or not, reads in each row
+    what its initial entries and cost, as the dual builds them, give
+    through the initial basis columns: no column is ever negated.  So
+    does each derived column, read off its group; a column with one U
+    entry that is not free is derived until it enters, stored from then
+    on, and never basic while derived.  The last row is the objective,
+    checked as every other row is, with z as its basic column; as each
+    ``maximize`` starts and after every pivot, phase 1 included, it
+    equals the reduced costs and minus the value of the dual's costs,
     computed apart from the tableau's arithmetic.  While the artificial
     is basic its row, the one phase 1 prices, is likewise the reduced
     costs and minus the value of -art."""
@@ -761,13 +762,9 @@ class TestTableauInvariant:
         assert tab.open == [i for i, bc in enumerate(tab.basis[:-1]) if bc not in faces]
         held = {bc for bc in tab.basis if bc in faces}
         assert held | set(tab.free) <= faces and not held & set(tab.free)
-        assert tab.negated <= faces
         for i in tab.open:
             assert tab.rows[i].get(ART, 0) >= 0
-        columns = {
-            c: ({j: -a for j, a in entries.items()}, -cost) if c in tab.negated else (entries, cost)
-            for c, (entries, cost) in dual_columns(s).items()
-        }
+        columns = dual_columns(s)
         # the initial basis columns and the surplus, -1 in the row of S
         columns.update({j: ({j: 1}, 0) for j in range(e)})
         columns.update({ART: ({e: 1}, 0), e: ({e: -1}, 0)})

@@ -23,9 +23,10 @@ from inscribe import (
     min_nonfacial_circuit,
     stack_on_faces,
     trace_faces,
+    validate_steinitz,
     verify_certificate,
 )
-from inscribe.separation import _face_path, _may_close, canonical_circuit, weighting_problems
+from inscribe.separation import _may_close, canonical_circuit, weighting_problems
 
 THIRD = Fraction(1, 3)
 
@@ -269,23 +270,30 @@ class TestPreCheckEquivalence:
         for g, w in calls:
             _same_as_reference(g, w)
 
-    def test_a_face_that_meets_a_vertex_twice_runs_the_searches(self):
+    def test_a_face_that_meets_a_vertex_twice_runs_the_searches(self, monkeypatch):
         # two tetrahedra glued at vertex 0 are not polyhedral: the face
-        # round both meets 0 twice, so its least edge runs the banned
-        # searches without a pre-check
+        # round both meets 0 twice, so no edge runs a pre-check and every
+        # banned search runs
         g = PolyhedralGraph.from_neighbor_rotations([
             [1, 3, 2, 4, 6, 5], [0, 2, 3], [0, 3, 1], [0, 1, 2],
             [0, 5, 6], [0, 6, 4], [0, 4, 5],
         ])
         outer = trace_faces(g)[0]
         assert len(set(outer.vertices)) < outer.degree
-        e = min(outer.boundary)
-        assert _face_path(outer, e, g.edges[e][0]) is None
+        assert not validate_steinitz(g).is_polyhedral
+        pre_checks = []
+
+        def pre_checked(*args):
+            pre_checks.append(args)
+            return _may_close(*args)
+
+        monkeypatch.setattr(separation_module, "_may_close", pre_checked)
         rng = random.Random(20261022)
         for _ in range(60):
             w = tuple(Fraction(rng.randint(0, 6), 2) for _ in range(g.edge_count))
             assert min_nonfacial_circuit(g, w) == brute_force_min_nonfacial(g, w)
             _same_as_reference(g, w)
+        assert pre_checks == []
 
     def test_an_edge_whose_banned_searches_find_a_path_may_close(self, monkeypatch):
         # edge-level soundness: every edge at which one of the reference's
@@ -305,8 +313,8 @@ class TestPreCheckEquivalence:
                     found.add(g.edge_id(source, target))
                 return sp
 
-            def pre_checked(adj, nums, source, target, paths, bound):
-                answer = _may_close(adj, nums, source, target, paths, bound)
+            def pre_checked(adj, nums, source, target, face_edges, bound):
+                answer = _may_close(adj, nums, source, target, face_edges, bound)
                 may_close[g.edge_id(source, target)] = answer
                 return answer
 
@@ -323,36 +331,40 @@ class TestPreCheckEquivalence:
 
 
 class TestSearchCounts:
-    """How many banned searches and pre-checks a decision and its
-    verification make; the counts repeat exactly.  Every banned search
-    of these one-round yeses finds nothing, so the pre-check skips them
-    all."""
+    """How many pre-checks and banned searches a decision and its
+    verification make, as (pre-checks, searches); the counts repeat
+    exactly.  Every banned search of the one-round yeses finds nothing,
+    so the pre-check skips them all; the many-round yeses would show a
+    pre-check that skips less as the cuts accumulate."""
 
-    @pytest.mark.parametrize("family,n,decide,searches,pre_checks", [
-        ("prism", 120, decide_circumscribable, 0, 121),
-        ("icosahedron", None, decide_inscribable, 0, 11),
-    ], ids=["prism-120-circumscribable", "icosahedron-inscribable"])
-    def test_decide_and_verify(self, monkeypatch, family, n, decide, searches, pre_checks):
-        counts = {"searches": 0, "pre_checks": 0}
+    @pytest.mark.parametrize("family,n,decide,rounds,decided,verified", [
+        ("prism", 120, decide_circumscribable, 1, (121, 0), (121, 0)),
+        ("icosahedron", None, decide_inscribable, 1, (11, 0), (11, 0)),
+        ("kleetope(icosahedron)", None, decide_circumscribable, 11, (704, 436), (64, 80)),
+        ("kleetope(antiprism)", 8, decide_circumscribable, 9, (630, 356), (70, 68)),
+    ], ids=["prism-120-circumscribable", "icosahedron-inscribable",
+            "kleetope-icosahedron-circumscribable", "kleetope-antiprism-8-circumscribable"])
+    def test_decide_and_verify(self, monkeypatch, family, n, decide, rounds, decided, verified):
+        counts = [0, 0]
         shortest_path, may_close = separation_module._shortest_path, _may_close
 
         def searched(*args):
-            counts["searches"] += 1
+            counts[1] += 1
             return shortest_path(*args)
 
         def pre_checked(*args):
-            counts["pre_checks"] += 1
+            counts[0] += 1
             return may_close(*args)
 
         monkeypatch.setattr(separation_module, "_shortest_path", searched)
         monkeypatch.setattr(separation_module, "_may_close", pre_checked)
         g = generate(family, n)
         cert = decide(g)
-        assert cert.is_yes and cert.iterations == 1
-        assert counts == {"searches": searches, "pre_checks": pre_checks}
-        counts.update(searches=0, pre_checks=0)
+        assert cert.is_yes and cert.iterations == rounds
+        assert tuple(counts) == decided
+        counts[:] = [0, 0]
         assert verify_certificate(cert, g) == (True, [])
-        assert counts == {"searches": searches, "pre_checks": pre_checks}
+        assert tuple(counts) == verified
 
 
 class TestMayClose:
@@ -367,55 +379,59 @@ class TestMayClose:
             adj[b].append((e, a))
         return adj
 
-    # a 4-cycle u-a-v-b-u, a = 2 and b = 3, and a third path u-c-v, c = 4
+    # a 4-cycle u-a-v-b-u, a = 2 and b = 3, and a third path u-c-v, c = 4;
+    # the faces' paths u-a-v and u-b-v as their edge sets
     SQUARE = [(0, 2), (2, 1), (1, 3), (3, 0), (0, 4), (4, 1)]
-    PATH_A = {0: 0, 2: 1}
-    PATH_B = {0: 3, 3: 2}
+    PATH_A = {0, 1}
+    PATH_B = {2, 3}
 
     def test_both_paths_followed_from_the_start(self):
         adj = self.adjacency(self.SQUARE[:4], 4)
         nums = [1] * 4
+        both = self.PATH_A | self.PATH_B
         # each two-edge walk to v follows a path to its end
-        assert not _may_close(adj, nums, 0, 1, [self.PATH_A, self.PATH_B], 2)
-        # u-a-u-b-v leaves path a at its second edge: a walk, none of them
-        assert _may_close(adj, nums, 0, 1, [self.PATH_A, self.PATH_B], 4)
+        assert not _may_close(adj, nums, 0, 1, both, 2)
+        # u-a-u-b-v follows neither path but uses face edges only, and a
+        # simple path over them is one of the paths, which a banned
+        # search never returns
+        assert not _may_close(adj, nums, 0, 1, both, 4)
         # untracked, a path is any walk
-        assert _may_close(adj, nums, 0, 1, [self.PATH_A], 2)
-        assert _may_close(adj, nums, 0, 1, [self.PATH_B], 2)
-        assert _may_close(adj, nums, 0, 1, [], 2)
+        assert _may_close(adj, nums, 0, 1, self.PATH_A, 2)
+        assert _may_close(adj, nums, 0, 1, self.PATH_B, 2)
+        assert _may_close(adj, nums, 0, 1, set(), 2)
 
     def test_leaving_from_the_start(self):
         adj = self.adjacency(self.SQUARE, 5)
         nums = [1] * 6
-        assert _may_close(adj, nums, 0, 1, [self.PATH_A, self.PATH_B], 2)
-        assert not _may_close(adj, nums, 0, 1, [self.PATH_A, self.PATH_B], 1)
+        assert _may_close(adj, nums, 0, 1, self.PATH_A | self.PATH_B, 2)
+        assert not _may_close(adj, nums, 0, 1, self.PATH_A | self.PATH_B, 1)
 
     def test_room_for_the_last_edge(self):
         # the chord's last edge weighs 5: the walk to c fits under the
         # bound but leaves no room for it
         adj = self.adjacency(self.SQUARE, 5)
         nums = [5, 5, 5, 5, 1, 5]
-        assert not _may_close(adj, nums, 0, 1, [self.PATH_A, self.PATH_B], 5)
-        assert _may_close(adj, nums, 0, 1, [self.PATH_A, self.PATH_B], 6)
+        assert not _may_close(adj, nums, 0, 1, self.PATH_A | self.PATH_B, 5)
+        assert _may_close(adj, nums, 0, 1, self.PATH_A | self.PATH_B, 6)
 
     def test_an_untagged_state_dominates(self, monkeypatch):
         # path u-a-b-v, a = 2 and b = 3, with u-a at 5; u-c-a, c = 4,
-        # reaches a off the path at 2, so the state on the path at a,
-        # popped at 5 before the walk reaches b at 6, goes no further
+        # reaches a off the path at 2, so the state at a that is still on
+        # the path, popped at 5, goes no further
         edges = [(0, 2), (2, 3), (3, 1), (0, 4), (4, 2)]
         nums = [5, 4, 1, 1, 1]
         pushed = []
         heappush = separation_module.heapq.heappush
 
         def recorded(heap, item):
-            pushed.append(divmod(item[1], 4))
+            pushed.append(divmod(item[1], 2))
             heappush(heap, item)
 
         monkeypatch.setattr(separation_module.heapq, "heappush", recorded)
         adj = self.adjacency(edges, 5)
-        assert _may_close(adj, nums, 0, 1, [{0: 0, 2: 1, 3: 2}], 20)
+        assert _may_close(adj, nums, 0, 1, {0, 1, 2}, 20)
         assert (2, 1) in pushed and (2, 0) in pushed
-        assert (3, 1) not in pushed
+        assert (3, 0) not in pushed
 
 
 class TestWeightChecks:
